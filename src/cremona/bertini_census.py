@@ -5,8 +5,19 @@ general-position degree-8 orbit in P^2(F_{q^8}); counting such orbits
 up to the action of PGL_3(F_q) gives the number of Bertini classes the
 construction produces.  The census enumerates every degree-8 orbit by
 minimal seed, filters by the general-position test, and reduces each
-survivor to a canonical class key (the minimum of the serialized orbit
-over all |PGL_3(F_q)| transformations, prefixed by a cheap invariant).
+survivor to a canonical class key.
+
+The key is a Frobenius-frame key.  Elements of PGL_3(F_q) commute with
+Frobenius F, so they carry the cyclic order p, Fp, ..., F^7 p of one
+orbit to the cyclic order of its image.  For each of the 8 rotations,
+the unique projective map sending four consecutive points to the
+standard frame [1:0:0], [0:1:0], [0:0:1], [1:1:1] records the images of
+the other four; the key is the least of the 8 records.  Equal keys mean
+some g in PGL_3(F_{q^8}) maps one Frobenius-ordered orbit onto the
+other; then g and g^F agree on four points in general position, so
+g = g^F, and by Hilbert 90 g lies in PGL_3(F_q).  The key therefore
+separates classes exactly, at 8 frame maps per orbit instead of one
+image per group element.
 
 The lower bound M_q for the class count, and the exact-rational identity
 between its closed form (q^6 - 1)/640 and the counting product
@@ -25,8 +36,8 @@ from fractions import Fraction
 
 from .field_tower import FieldCtx, euler_phi, get_ctx
 from .general_position import GaloisOrbit8, general_position_report
-from .nodal_cubic import NodalCubicNF, count_nodal_members
-from .plane_geometry import ProjTransform, apply_raw, normalize_coords
+from .nodal_cubic import NodalCubicNF, param_point
+from .plane_geometry import ProjTransform, apply_raw
 
 __all__ = [
     "CensusResult",
@@ -44,11 +55,12 @@ __all__ = [
     "verify_orbit_lemma",
 ]
 
-RESULT_VERSION = 1
+RESULT_VERSION = 2
 
 
 class CheckpointCorrupt(RuntimeError):
-    """A checkpoint file failed to parse or carries a stale version."""
+    """A checkpoint file failed to parse, carries a stale version, or
+    holds a range that is not one of the run's chunk ranges."""
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -84,16 +96,22 @@ def pgl3_elements(q: int):
 # ----------------------------------------------------------------------
 # orbit enumeration
 
-def _point_stream(q: int):
-    """Normalized points of P^2(F_{q^8}) in lexicographic order of their
-    coordinate triples: [0:0:1], [0:1:z], [1:y:z]."""
+def _point_count(q: int) -> int:
+    """|P^2(F_{q^8})|, the size of the linear index space of `_point_at`."""
+    return q ** 16 + q ** 8 + 1
+
+
+def _point_at(q: int, index: int):
+    """The normalized point of P^2(F_{q^8}) with the given index, in
+    lexicographic order of coordinate triples: [0:0:1], [0:1:z], [1:y:z]."""
     size = q ** 8
-    yield (0, 0, 1)
-    for z in range(size):
-        yield (0, 1, z)
-    for y in range(size):
-        for z in range(size):
-            yield (1, y, z)
+    if index == 0:
+        return (0, 0, 1)
+    index -= 1
+    if index < size:
+        return (0, 1, index)
+    index -= size
+    return (1, index // size, index % size)
 
 
 def _orbit_of(coords, ctx):
@@ -114,7 +132,8 @@ def enumerate_orbits(q: int):
     """Each degree-8 orbit of P^2(F_{q^8}) exactly once, as a
     GaloisOrbit8, keyed and ordered by minimal seed."""
     ctx = get_ctx(q, 8)
-    for coords in _point_stream(q):
+    for index in range(_point_count(q)):
+        coords = _point_at(q, index)
         orbit = _orbit_of(coords, ctx)
         if orbit is not None and min(orbit) == coords:
             yield GaloisOrbit8(ctx, orbit)
@@ -125,47 +144,80 @@ def enumerate_orbits(q: int):
 
 @dataclass(frozen=True, order=True)
 class ClassKey:
-    """PGL_3(F_q)-canonical form of an orbit: a cheap PGL-invariant
-    prefix (capped nodal-member count of the orbit's cubic pencil, or -1
-    when disabled) plus the minimal serialized orbit over the group."""
+    """PGL_3(F_q)-canonical form of an orbit: the least frame record
+    (see `canonical_class`), four normalized coordinate triples."""
 
-    prefix: int
     serialized: tuple
 
     def to_json(self):
-        return {"prefix": self.prefix, "orbit": [list(p) for p in self.serialized]}
+        return {"images": [list(p) for p in self.serialized]}
 
 
-def _pgl_matrices(q: int):
-    return tuple(g.matrix for g in pgl3_elements(q))
+def _cross(u, v, ctx):
+    mul, sub = ctx.mul, ctx.sub
+    return (
+        sub(mul(u[1], v[2]), mul(u[2], v[1])),
+        sub(mul(u[2], v[0]), mul(u[0], v[2])),
+        sub(mul(u[0], v[1]), mul(u[1], v[0])),
+    )
 
 
-_MATRIX_CACHE: dict[int, tuple] = {}
+def _dot(u, v, ctx):
+    mul, add = ctx.mul, ctx.add
+    return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
 
 
-def _matrices(q: int):
-    if q not in _MATRIX_CACHE:
-        _MATRIX_CACHE[q] = _pgl_matrices(q)
-    return _MATRIX_CACHE[q]
+def _frame_records(points, ctx):
+    """One record per rotation i of the Frobenius-ordered points
+    p_0, ..., p_7: the normalized images of p_{i+4}, ..., p_{i+7} under
+    the map sending p_i, p_{i+1}, p_{i+2} to the coordinate points and
+    p_{i+3} to [1:1:1].
 
-
-def canonical_class(orbit: GaloisOrbit8, prefix_cap: int = 2,
-                    use_prefix: bool = True) -> ClassKey:
-    """Min-canonical form over all of PGL_3(F_q).
-
-    Two orbits get the same key iff they are PGL_3(F_q)-equivalent.  The
-    prefix is the nodal-member count of the orbit's pencil over
-    extensions of degree <= prefix_cap (a PGL invariant, used to bucket
-    orbits before the expensive minimization in large censuses).
+    The rows of the adjugate of [p_i p_{i+1} p_{i+2}] are the cross
+    products p_{i+1} x p_{i+2}, p_{i+2} x p_i, p_i x p_{i+1}; scaling
+    each row by the inverse of its product with p_{i+3} fixes [1:1:1].
+    Raises ValueError when four consecutive points are not a frame.
     """
-    ctx = orbit.ctx
-    prefix = count_nodal_members(orbit, prefix_cap) if use_prefix else -1
-    best = None
-    for mat in _matrices(ctx.p):
-        image = tuple(sorted(apply_raw(mat, p, ctx) for p in orbit.points))
-        if best is None or image < best:
-            best = image
-    return ClassKey(prefix, best)
+    records = []
+    for i in range(8):
+        p0, p1, p2, p3 = (points[(i + k) % 8] for k in range(4))
+        rows = (_cross(p1, p2, ctx), _cross(p2, p0, ctx), _cross(p0, p1, ctx))
+        scales = [_dot(r, p3, ctx) for r in rows]
+        if _dot(rows[0], p0, ctx) == 0 or 0 in scales:
+            raise ValueError(f"points {i}..{i + 3} of the orbit are not a frame")
+        mat = tuple(
+            tuple(ctx.mul(inv, x) for x in r)
+            for r, inv in zip(rows, map(ctx.inv, scales))
+        )
+        records.append(
+            tuple(apply_raw(mat, points[(i + k) % 8], ctx) for k in range(4, 8))
+        )
+    return records
+
+
+def canonical_class(orbit: GaloisOrbit8) -> ClassKey:
+    """The Frobenius-frame key: the least of the 8 frame records of the
+    orbit walked in Frobenius order p, Fp, ..., F^7 p.
+
+    Two orbits get the same key iff they are PGL_3(F_q)-equivalent.  Any
+    g in PGL_3(F_q) commutes with Frobenius, so it carries rotation i of
+    one orbit to some rotation of the image, with the same record.
+    Conversely, if rotation i of one orbit and rotation j of another give
+    the same record, the composite g of the two frame maps lies in
+    PGL_3(F_{q^8}) and sends p_{i+k} to p'_{j+k} for every k.  Then g^F
+    sends p_{i+k+1} to p'_{j+k+1} as well, so g and g^F agree on the
+    frame p_{i+1}, ..., p_{i+4}; hence g = g^F, and by Hilbert 90 g is
+    represented by a matrix over F_q.  The number of rotations reaching
+    the minimum is the order of the orbit's stabilizer in PGL_3(F_q).
+
+    Raises ValueError when the points are not one Frobenius orbit, or
+    when some four consecutive points are not a frame (never for an
+    orbit in general position).
+    """
+    points = _orbit_of(orbit.points[0], orbit.ctx)
+    if points is None:
+        raise ValueError("the points are not one Frobenius orbit of size 8")
+    return ClassKey(min(_frame_records(points, orbit.ctx)))
 
 
 # ----------------------------------------------------------------------
@@ -292,29 +344,18 @@ class CensusResult:
 
 
 def _seed_ranges(q: int, chunk: int):
-    """Split the linear index space of the point stream into ranges."""
-    total = q ** 16 + q ** 8 + 1
+    """Split the linear index space of `_point_at` into ranges."""
+    total = _point_count(q)
     lo = 0
     while lo < total:
         yield (lo, min(lo + chunk, total))
         lo += chunk
 
 
-def _point_at(q: int, index: int):
-    size = q ** 8
-    if index == 0:
-        return (0, 0, 1)
-    index -= 1
-    if index < size:
-        return (0, 1, index)
-    index -= size
-    return (1, index // size, index % size)
-
-
 def _census_range(args):
     """Process point indices [lo, hi): returns orbit/GP counts and the
     class keys (with minimal representative orbit per key)."""
-    q, lo, hi, use_prefix = args
+    q, lo, hi = args
     ctx = get_ctx(q, 8)
     orbits = 0
     gp = 0
@@ -330,7 +371,7 @@ def _census_range(args):
             continue
         gp += 1
         orbit = GaloisOrbit8(ctx, orbit_pts)
-        key = canonical_class(orbit, use_prefix=use_prefix)
+        key = canonical_class(orbit)
         rep = min(keys[key], orbit.points) if key in keys else orbit.points
         keys[key] = rep
     return orbits, gp, keys
@@ -342,7 +383,7 @@ def _merge_keys(target: dict, part: dict):
             target[key] = rep
 
 
-def _nodal_class_keys(q: int, use_prefix: bool):
+def _nodal_class_keys(q: int):
     """Class keys of the general-position orbits produced by the nodal
     construction (all parameters with full orbit, all normal forms)."""
     ctx = get_ctx(q, 8)
@@ -353,7 +394,7 @@ def _nodal_class_keys(q: int, use_prefix: bool):
         for e in range(1, ctx.size):
             if ctx.in_subfield(e, 4):
                 continue
-            orbit_pts = _orbit_of(_param_coords(nf, e, ctx), ctx)
+            orbit_pts = _orbit_of(param_point(nf, ctx.element(e)).coords, ctx)
             if orbit_pts is None:
                 continue
             orbit = GaloisOrbit8(ctx, orbit_pts)
@@ -361,14 +402,8 @@ def _nodal_class_keys(q: int, use_prefix: bool):
                 continue
             seen.add(orbit.points)
             if general_position_report(orbit.points, ctx).ok:
-                keys.add(canonical_class(orbit, use_prefix=use_prefix))
+                keys.add(canonical_class(orbit))
     return keys
-
-
-def _param_coords(nf, e, ctx):
-    a3 = ctx.pow(e, 3)
-    y = ctx.div(ctx.mul(nf.c0, ctx.sub(a3, 1)), e)
-    return (e, y, 1)
 
 
 def _write_checkpoint(fh, record):
@@ -391,7 +426,7 @@ def _read_checkpoint(path, q):
                 if rec.get("version") != RESULT_VERSION or rec.get("q") != q:
                     raise ValueError("stale checkpoint record")
                 keys = {
-                    ClassKey(k["prefix"], tuple(tuple(p) for p in k["orbit"])):
+                    ClassKey(tuple(tuple(p) for p in k["images"])):
                     tuple(tuple(p) for p in rep)
                     for k, rep in rec["keys"]
                 }
@@ -408,14 +443,15 @@ def run_census(
     checkpoint_path: str | None = None,
     sample_size: int | None = None,
     rng_seed: int = 0,
-    use_prefix: bool = True,
     chunk: int = 1 << 14,
 ) -> CensusResult:
     """Count general-position degree-8 orbits and their PGL_3(F_q)
     classes; assert the class count meets the M_q bound.
 
-    Exact mode streams every orbit (q = 2 takes minutes; q = 3 is a
-    long-running job, resumable through `checkpoint_path`).  Sampled
+    Exact mode streams every orbit (q = 2 takes under a minute; q = 3 is a
+    long-running job, resumable through `checkpoint_path`; a checkpoint
+    holding a range other than the chunk-`chunk` ranges is refused with
+    CheckpointCorrupt before any work).  Sampled
     mode tests `sample_size` distinct orbits chosen by a seeded RNG and
     reports a certified lower bound on the class count (distinct
     canonical keys are distinct classes; it can never overcount).
@@ -433,6 +469,12 @@ def run_census(
     if mode == "exact":
         done = _read_checkpoint(checkpoint_path, q)
         ranges = list(_seed_ranges(q, chunk))
+        stray = sorted(set(done) - set(ranges))
+        if stray:
+            raise CheckpointCorrupt(
+                f"{checkpoint_path}: range {stray[0]} is not one of the "
+                f"chunk-{chunk} ranges; it was written with another chunk size"
+            )
         todo = [r for r in ranges if r not in done]
         for _, (o, g, part) in sorted(done.items()):
             orbits += o
@@ -440,7 +482,7 @@ def run_census(
             _merge_keys(keys, part)
         ck = open(checkpoint_path, "a") if checkpoint_path else None
         try:
-            jobs = [(q, lo, hi, use_prefix) for lo, hi in todo]
+            jobs = [(q, lo, hi) for lo, hi in todo]
             if threads > 1 and jobs:
                 import multiprocessing as mp
 
@@ -475,7 +517,7 @@ def run_census(
 
         rng = random.Random(rng_seed)
         ctx = get_ctx(q, 8)
-        index_space = q ** 16 + q ** 8 + 1
+        index_space = _point_count(q)
         tested = set()
         budget = 200 * sample_size
         while len(tested) < sample_size:
@@ -497,11 +539,11 @@ def run_census(
             if not report.ok:
                 continue
             gp += 1
-            key = canonical_class(GaloisOrbit8(ctx, canon), use_prefix=use_prefix)
+            key = canonical_class(GaloisOrbit8(ctx, canon))
             if key not in keys or canon < keys[key]:
                 keys[key] = canon
 
-    nodal_keys = _nodal_class_keys(q, use_prefix) if q == 2 else set()
+    nodal_keys = _nodal_class_keys(q) if q == 2 else set()
     bound = mq_bound(q)
     class_count = len(keys)
     result = CensusResult(
@@ -519,9 +561,7 @@ def run_census(
         non_nodal_class_count=(
             class_count - len(nodal_keys & set(keys)) if nodal_keys else 0
         ),
-        class_reps=[
-            [list(p) for p in rep] for _, rep in sorted(keys.items())
-        ],
+        class_reps=[rep for _, rep in sorted(keys.items())],
     )
     return result
 

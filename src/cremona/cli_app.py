@@ -33,7 +33,7 @@ from .bertini_census import (
     run_census,
     verify_orbit_lemma,
 )
-from .field_tower import FieldElement, get_ctx
+from .field_tower import FieldElement, _is_prime, get_ctx
 from .general_position import (
     beta_twist,
     lambda_scan,
@@ -58,7 +58,7 @@ def _cache_dir(override: str | None) -> str:
     )
 
 
-def _census_cache_key(q, mode, sample_size, seed, use_prefix) -> str:
+def _census_cache_key(q, mode, sample_size, seed) -> str:
     modulus = census_mod.get_ctx(q, 8).modulus
     enc = 0
     for c in reversed(modulus):
@@ -66,8 +66,6 @@ def _census_cache_key(q, mode, sample_size, seed, use_prefix) -> str:
     parts = [f"census_q{q}", mode, f"m{enc}", f"v{census_mod.RESULT_VERSION}"]
     if mode == "sampled":
         parts.append(f"n{sample_size}_s{seed}")
-    if not use_prefix:
-        parts.append("noprefix")
     return "_".join(parts) + ".json"
 
 
@@ -75,7 +73,7 @@ def cmd_census(args) -> int:
     mode = "sampled" if args.sample else "exact"
     cache_dir = _cache_dir(args.cache_dir)
     cache_path = os.path.join(
-        cache_dir, _census_cache_key(args.q, mode, args.sample, args.seed, not args.no_prefix)
+        cache_dir, _census_cache_key(args.q, mode, args.sample, args.seed)
     )
     result = None
     if not args.no_cache and os.path.exists(cache_path):
@@ -95,7 +93,6 @@ def cmd_census(args) -> int:
                 checkpoint_path=args.checkpoint,
                 sample_size=args.sample,
                 rng_seed=args.seed,
-                use_prefix=not args.no_prefix,
             )
         except CheckpointCorrupt as exc:
             print(f"checkpoint error: {exc}", file=sys.stderr)
@@ -247,17 +244,6 @@ def _verify_mq_identity(args) -> int:
     return EXIT_OK if not bad else EXIT_VIOLATION
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
 VERIFIERS = {
     "produit": _verify_produit,
     "beta-twist": _verify_beta_twist,
@@ -271,19 +257,27 @@ def cmd_verify(args) -> int:
     return VERIFIERS[args.lemma](args)
 
 
+def _violation(exc: AssertionError) -> int:
+    print(f"mathematical violation: {exc}", file=sys.stderr)
+    return EXIT_VIOLATION
+
+
 def cmd_chambers(args) -> int:
     if args.example == "3.8":
         lat = blowup_lattice([1, 1], nesting=[None, 0])
     else:
         degrees = [int(d) for d in args.degrees.split(",")]
         lat = blowup_lattice(degrees)
-    chs = chambers(lat)
-    payload = {
-        "lattice": lat.to_json(),
-        "negative_classes": [lat.describe(v) for v in negative_classes(lat)],
-        "chambers": [c.to_json() for c in chs],
-        "windows": [w.to_json() for w in windows(lat)],
-    }
+    try:
+        chs = chambers(lat)
+        payload = {
+            "lattice": lat.to_json(),
+            "negative_classes": [lat.describe(v) for v in negative_classes(lat)],
+            "chambers": [c.to_json() for c in chs],
+            "windows": [w.to_json() for w in windows(lat)],
+        }
+    except AssertionError as exc:
+        return _violation(exc)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.json:
         with open(args.json, "w") as fh:
@@ -298,7 +292,10 @@ def cmd_complex(args) -> int:
     else:
         degrees = [int(d) for d in args.degrees.split(",")]
     lat = blowup_lattice(degrees)
-    cx = build_local(lat)
+    try:
+        cx = build_local(lat)
+    except AssertionError as exc:
+        return _violation(exc)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(export(cx, "dot"))
@@ -363,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--cache-dir")
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--no-prefix", action="store_true",
-                   help="disable the nodal-count class-key prefix")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run a lemma verification suite")

@@ -6,13 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from cremona import bertini_census
 from cremona import general_position as gp
 from cremona.bertini_census import (
     CheckpointCorrupt,
-    ClassKey,
     _census_range,
     _checkpoint_record,
+    _frame_records,
     _merge_keys,
+    _orbit_of,
+    _point_at,
+    _point_count,
     _read_checkpoint,
     canonical_class,
     enumerate_orbits,
@@ -27,7 +31,7 @@ from cremona.bertini_census import (
 from cremona.field_tower import get_ctx
 from cremona.general_position import GaloisOrbit8, orbit_from_seed
 from cremona.nodal_cubic import NodalCubicNF
-from cremona.plane_geometry import ProjTransform, apply
+from cremona.plane_geometry import ProjTransform, apply, apply_raw
 
 from conftest import (
     Q2_CLASS_COUNT,
@@ -93,6 +97,77 @@ def test_canonical_class_invariance_and_stability():
     # distinct classes separate
     other = orbit_from_seed(nf, ctx.element(3))
     assert canonical_class(other) != key
+
+
+def test_frame_key_matches_group_sweep_q2():
+    # exhaustive cross-check against the 168-element sweep: the orbits
+    # sharing a frame key are exactly the PGL_3(F_2)-images of any one of
+    # them, so the frame key and the sweep induce the same partition
+    ctx = get_ctx(2, 8)
+    mats = [g.matrix for g in pgl3_elements(2)]
+    blocks: dict = {}
+    for orbit in enumerate_orbits(2):
+        if gp.general_position_report(orbit.points, ctx).ok:
+            blocks.setdefault(canonical_class(orbit), []).append(orbit.points)
+    assert sum(len(b) for b in blocks.values()) == Q2_GENERAL_POSITION
+    assert len(blocks) == Q2_CLASS_COUNT
+    for key, members in blocks.items():
+        rep = members[0]
+        images = {tuple(sorted(apply_raw(m, p, ctx) for p in rep)) for m in mats}
+        assert images == set(members)
+        # trivial stabilizer: the minimum is reached by one rotation only
+        records = _frame_records(_orbit_of(rep[0], ctx), ctx)
+        assert records.count(key.serialized) == 1
+
+
+def test_frame_key_invariance_q3():
+    ctx = get_ctx(3, 8)
+    rnd = random.Random(17)
+    orbits = []  # seeded GP orbits, each in Frobenius order
+    while len(orbits) < 4:
+        frob_order = _orbit_of(_point_at(3, rnd.randrange(_point_count(3))), ctx)
+        if frob_order and gp.general_position_report(frob_order, ctx).ok:
+            orbits.append(frob_order)
+    group = list(pgl3_elements(3))
+    for frob_order in orbits:
+        orbit = GaloisOrbit8(ctx, frob_order)
+        key = canonical_class(orbit)
+        assert len(key.serialized) == 4
+        for g in rnd.sample(group, 6):
+            moved = [apply_raw(g.matrix, p, ctx) for p in frob_order]
+            assert canonical_class(GaloisOrbit8(ctx, moved)) == key
+        # Frobenius order from any starting point, and sorted order
+        for start in range(8):
+            rotated = frob_order[start:] + frob_order[:start]
+            assert min(_frame_records(rotated, ctx)) == key.serialized
+        assert canonical_class(GaloisOrbit8(ctx, sorted(frob_order))) == key
+        # rescale p_k by F^k(lam): still Frobenius-closed, same points
+        lam = rnd.randrange(2, ctx.size)
+        scaled = []
+        for p in frob_order:
+            scaled.append(tuple(ctx.mul(lam, c) for c in p))
+            lam = ctx.frobenius(lam)
+        assert scaled != frob_order
+        assert canonical_class(GaloisOrbit8(ctx, scaled)) == key
+    # keys of orbits in distinct classes differ
+    keys = {canonical_class(GaloisOrbit8(ctx, o)) for o in orbits}
+    assert len(keys) == len(orbits)
+
+
+def test_frame_key_refuses_non_frame():
+    ctx = get_ctx(2, 8)
+    a = next(e for e in range(2, ctx.size) if not ctx.in_subfield(e, 4))
+    on_a_line = _orbit_of((1, a, 0), ctx)
+    with pytest.raises(ValueError):
+        canonical_class(GaloisOrbit8(ctx, on_a_line))
+    # two Frobenius orbits of size 4 make a closed set of 8 points
+    b = next(e for e in range(2, ctx.size) if ctx.in_subfield(e, 4) and not ctx.in_subfield(e, 2))
+    conjugates = [b]
+    for _ in range(3):
+        conjugates.append(ctx.frobenius(conjugates[-1]))
+    two_orbits = [(1, c, 0) for c in conjugates] + [(1, 0, c) for c in conjugates]
+    with pytest.raises(ValueError):
+        canonical_class(GaloisOrbit8(ctx, two_orbits))
 
 
 def test_mq_bound_values():
@@ -170,9 +245,23 @@ def test_checkpoint_corruption_detected(tmp_path):
         _read_checkpoint(str(path), 2)
 
 
+def test_checkpoint_stray_range_refused(tmp_path, monkeypatch):
+    # a record from a run with another chunk size would double-count
+    path = tmp_path / "other-chunk.ckpt"
+    with open(path, "w") as fh:
+        _checkpoint_record(fh, 2, 0, 4000, 0, 0, {})
+
+    def no_work(args):
+        raise AssertionError("census ran before refusing the checkpoint")
+
+    monkeypatch.setattr(bertini_census, "_census_range", no_work)
+    with pytest.raises(CheckpointCorrupt):
+        run_census(2, mode="exact", checkpoint_path=str(path))
+
+
 def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "rt.ckpt"
-    orbits, gpc, keys = _census_range((2, 0, 4000, True))
+    orbits, gpc, keys = _census_range((2, 0, 4000))
     with open(path, "w") as fh:
         _checkpoint_record(fh, 2, 0, 4000, orbits, gpc, keys)
     done = _read_checkpoint(str(path), 2)
@@ -183,11 +272,11 @@ def test_parallel_reduction_deterministic():
     # the same index range processed in one chunk or four gives the same
     # merged class keys (associative commutative reduce)
     ranges = [(0, 6000), (6000, 12000), (12000, 18000), (18000, 24000)]
-    single = _census_range((2, 0, 24000, True))
+    single = _census_range((2, 0, 24000))
     import multiprocessing as mp
 
     with mp.Pool(4) as pool:
-        parts = pool.map(_census_range, [(2, lo, hi, True) for lo, hi in ranges])
+        parts = pool.map(_census_range, [(2, lo, hi) for lo, hi in ranges])
     merged: dict = {}
     orbits = gpc = 0
     for o, g, part in parts:

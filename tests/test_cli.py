@@ -91,6 +91,14 @@ def test_chambers_degrees(tmp_path, capsys):
     assert len(data["windows"]) == 5
 
 
+def test_chambers_violation_exits_2(capsys):
+    # the lattice layer's AssertionError is a mathematical violation:
+    # one line on stderr and exit code 2, not a traceback
+    assert main(["chambers", "--degrees", "2"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("mathematical violation:")
+
+
 def test_complex_two_points(tmp_path, capsys):
     dot = tmp_path / "fig1.dot"
     js = tmp_path / "fig1.json"

@@ -26,15 +26,16 @@ N1.N2.N3 / (12 |PGL_3|), are implemented in `mq_bound` / `mq_cross_check`.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .field_tower import FieldCtx, euler_phi, get_ctx
+from .field_tower import euler_phi, frobenius_orbit, get_ctx
 from .general_position import GaloisOrbit8, general_position_report
 from .nodal_cubic import NodalCubicNF, param_point
 from .plane_geometry import ProjTransform, apply_raw
@@ -114,29 +115,24 @@ def _point_at(q: int, index: int):
     return (1, index // size, index % size)
 
 
-def _orbit_of(coords, ctx):
-    """Frobenius orbit if of size exactly 8, else None; first element is
-    the given point."""
-    frob = ctx.frobenius
-    cur = coords
-    orbit = [cur]
-    for _ in range(7):
-        cur = (frob(cur[0]), frob(cur[1]), frob(cur[2]))
-        if cur == coords:
-            return None
-        orbit.append(cur)
-    return orbit if (frob(cur[0]), frob(cur[1]), frob(cur[2])) == coords else None
+def _orbits_in(q: int, lo: int, hi: int):
+    """The degree-8 orbits whose minimal seed has its index in [lo, hi),
+    each once, in seed order, as point lists in Frobenius order from the
+    seed."""
+    ctx = get_ctx(q, 8)
+    for index in range(lo, hi):
+        coords = _point_at(q, index)
+        orbit = frobenius_orbit(ctx, coords)
+        if len(orbit) == 8 and min(orbit) == coords:
+            yield orbit
 
 
 def enumerate_orbits(q: int):
     """Each degree-8 orbit of P^2(F_{q^8}) exactly once, as a
     GaloisOrbit8, keyed and ordered by minimal seed."""
     ctx = get_ctx(q, 8)
-    for index in range(_point_count(q)):
-        coords = _point_at(q, index)
-        orbit = _orbit_of(coords, ctx)
-        if orbit is not None and min(orbit) == coords:
-            yield GaloisOrbit8(ctx, orbit)
+    for orbit in _orbits_in(q, 0, _point_count(q)):
+        yield GaloisOrbit8(ctx, orbit)
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +210,8 @@ def canonical_class(orbit: GaloisOrbit8) -> ClassKey:
     when some four consecutive points are not a frame (never for an
     orbit in general position).
     """
-    points = _orbit_of(orbit.points[0], orbit.ctx)
-    if points is None:
+    points = frobenius_orbit(orbit.ctx, orbit.points[0])
+    if len(points) != 8:
         raise ValueError("the points are not one Frobenius orbit of size 8")
     return ClassKey(min(_frame_records(points, orbit.ctx)))
 
@@ -287,11 +283,8 @@ def verify_orbit_lemma(q: int) -> dict:
         eligible = [e for e in range(1, ctx.size) if ctx.order(e) == units]
     violations = []
     for x in eligible:
-        xi = x
-        for i in range(1, 8):
-            xi = ctx.frobenius(xi)
-            if xi == x:
-                continue
+        # every eligible x lies outside F_{q^4}: its 7 conjugates differ from it
+        for i, (xi,) in enumerate(frobenius_orbit(ctx, (x,))[1:], start=1):
             if ctx.in_subfield(ctx.div(xi, x), 4):
                 violations.append((x, i))
     return {
@@ -323,24 +316,11 @@ class CensusResult:
     class_reps: list = field(default_factory=list, repr=False)
 
     def to_json(self, with_reps: bool = False) -> dict:
-        out = {
-            "q": self.q,
-            "mode": self.mode,
-            "total_degree8_orbits": self.total_degree8_orbits,
-            "general_position_count": self.general_position_count,
-            "pgl3_class_count": self.pgl3_class_count,
-            "mq_bound": self.mq_bound,
-            "bound_satisfied": self.bound_satisfied,
-            "elapsed_ms": self.elapsed_ms,
-            "threads": self.threads,
-            "sample_size": self.sample_size,
-            "nodal_class_count": self.nodal_class_count,
-            "non_nodal_class_count": self.non_nodal_class_count,
-            "version": self.version,
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if with_reps or f.name != "class_reps"
         }
-        if with_reps:
-            out["class_reps"] = self.class_reps
-        return out
 
 
 def _seed_ranges(q: int, chunk: int):
@@ -352,61 +332,66 @@ def _seed_ranges(q: int, chunk: int):
         lo += chunk
 
 
-def _census_range(args):
-    """Process point indices [lo, hi): returns orbit/GP counts and the
-    class keys (with minimal representative orbit per key)."""
-    q, lo, hi = args
-    ctx = get_ctx(q, 8)
-    orbits = 0
-    gp = 0
-    keys = {}
-    for index in range(lo, hi):
-        coords = _point_at(q, index)
-        orbit_pts = _orbit_of(coords, ctx)
-        if orbit_pts is None or min(orbit_pts) != coords:
-            continue
-        orbits += 1
-        report = general_position_report(orbit_pts, ctx)
-        if not report.ok:
-            continue
-        gp += 1
-        orbit = GaloisOrbit8(ctx, orbit_pts)
-        key = canonical_class(orbit)
-        rep = min(keys[key], orbit.points) if key in keys else orbit.points
-        keys[key] = rep
-    return orbits, gp, keys
-
-
 def _merge_keys(target: dict, part: dict):
     for key, rep in part.items():
         if key not in target or rep < target[key]:
             target[key] = rep
 
 
+def _add_class(keys: dict, points, ctx) -> bool:
+    """The per-orbit census step: run the general-position test on one
+    degree-8 orbit and, when it passes, file its class key in `keys` with
+    the least sorted representative.  Returns whether the orbit passed."""
+    if not general_position_report(points, ctx).ok:
+        return False
+    orbit = GaloisOrbit8(ctx, points)
+    _merge_keys(keys, {canonical_class(orbit): orbit.points})
+    return True
+
+
+def _census_range(args):
+    """Process point indices [lo, hi): returns orbit/GP counts and the
+    class keys (with minimal representative orbit per key)."""
+    q, lo, hi = args
+    ctx = get_ctx(q, 8)
+    orbits = gp = 0
+    keys: dict = {}
+    for points in _orbits_in(q, lo, hi):
+        orbits += 1
+        gp += _add_class(keys, points, ctx)
+    return orbits, gp, keys
+
+
 def _nodal_class_keys(q: int):
     """Class keys of the general-position orbits produced by the nodal
-    construction (all parameters with full orbit, all normal forms)."""
+    construction (all normal forms, all parameters with full orbit).
+    Conjugate parameters give the same orbit, so only the least parameter
+    of each Frobenius orbit is taken."""
     ctx = get_ctx(q, 8)
-    keys = set()
-    seen = set()
+    keys: dict = {}
     for c0 in range(1, q):
         nf = NodalCubicNF(q, c0)
         for e in range(1, ctx.size):
-            if ctx.in_subfield(e, 4):
-                continue
-            orbit_pts = _orbit_of(param_point(nf, ctx.element(e)).coords, ctx)
-            if orbit_pts is None:
-                continue
-            orbit = GaloisOrbit8(ctx, orbit_pts)
-            if orbit.points in seen:
-                continue
-            seen.add(orbit.points)
-            if general_position_report(orbit.points, ctx).ok:
-                keys.add(canonical_class(orbit))
-    return keys
+            params = frobenius_orbit(ctx, (e,))
+            if len(params) == 8 and min(params) == params[0]:
+                coords = param_point(nf, ctx.element(e)).coords
+                _add_class(keys, frobenius_orbit(ctx, coords), ctx)
+    return keys.keys()
 
 
-def _write_checkpoint(fh, record):
+def _checkpoint_record(fh, q, lo, hi, orbits, gp, keys):
+    """Append one finished range to the checkpoint and make it durable."""
+    record = {
+        "version": RESULT_VERSION,
+        "q": q,
+        "lo": lo,
+        "hi": hi,
+        "orbits": orbits,
+        "gp": gp,
+        "keys": [
+            [key.to_json(), [list(p) for p in rep]] for key, rep in keys.items()
+        ],
+    }
     fh.write(json.dumps(record, separators=(",", ":")) + "\n")
     fh.flush()
     os.fsync(fh.fileno())
@@ -475,37 +460,26 @@ def run_census(
                 f"{checkpoint_path}: range {stray[0]} is not one of the "
                 f"chunk-{chunk} ranges; it was written with another chunk size"
             )
-        todo = [r for r in ranges if r not in done]
         for _, (o, g, part) in sorted(done.items()):
             orbits += o
             gp += g
             _merge_keys(keys, part)
-        ck = open(checkpoint_path, "a") if checkpoint_path else None
-        try:
-            jobs = [(q, lo, hi) for lo, hi in todo]
+        jobs = [(q, lo, hi) for lo, hi in ranges if (lo, hi) not in done]
+        with contextlib.ExitStack() as stack:
+            ck = None
+            if checkpoint_path:
+                ck = stack.enter_context(open(checkpoint_path, "a"))
+            run = map
             if threads > 1 and jobs:
                 import multiprocessing as mp
 
-                with mp.Pool(threads) as pool:
-                    for (lo, hi), (o, g, part) in zip(
-                        todo, pool.imap(_census_range, jobs)
-                    ):
-                        orbits += o
-                        gp += g
-                        _merge_keys(keys, part)
-                        if ck:
-                            _checkpoint_record(ck, q, lo, hi, o, g, part)
-            else:
-                for (lo, hi), job in zip(todo, jobs):
-                    o, g, part = _census_range(job)
-                    orbits += o
-                    gp += g
-                    _merge_keys(keys, part)
-                    if ck:
-                        _checkpoint_record(ck, q, lo, hi, o, g, part)
-        finally:
-            if ck:
-                ck.close()
+                run = stack.enter_context(mp.Pool(threads)).imap
+            for (_, lo, hi), (o, g, part) in zip(jobs, run(_census_range, jobs)):
+                orbits += o
+                gp += g
+                _merge_keys(keys, part)
+                if ck:
+                    _checkpoint_record(ck, q, lo, hi, o, g, part)
         if orbits != total:
             raise AssertionError(
                 f"orbit stream count {orbits} != formula {total}"
@@ -526,27 +500,21 @@ def run_census(
                 raise ResourceBudgetExceeded(
                     f"could not reach {sample_size} orbits"
                 )
-            coords = _point_at(q, rng.randrange(index_space))
-            orbit_pts = _orbit_of(coords, ctx)
-            if orbit_pts is None:
+            points = frobenius_orbit(ctx, _point_at(q, rng.randrange(index_space)))
+            if len(points) != 8:
                 continue
-            canon = tuple(sorted(orbit_pts))
+            canon = tuple(sorted(points))
             if canon in tested:
                 continue
             tested.add(canon)
             orbits += 1
-            report = general_position_report(canon, ctx)
-            if not report.ok:
-                continue
-            gp += 1
-            key = canonical_class(GaloisOrbit8(ctx, canon))
-            if key not in keys or canon < keys[key]:
-                keys[key] = canon
+            gp += _add_class(keys, canon, ctx)
 
     nodal_keys = _nodal_class_keys(q) if q == 2 else set()
+    nodal = len(nodal_keys & keys.keys())
     bound = mq_bound(q)
     class_count = len(keys)
-    result = CensusResult(
+    return CensusResult(
         q=q,
         mode=mode,
         total_degree8_orbits=total,
@@ -557,25 +525,7 @@ def run_census(
         elapsed_ms=int((time.monotonic() - t0) * 1000),
         threads=threads,
         sample_size=sample_size,
-        nodal_class_count=len(nodal_keys & set(keys)) if nodal_keys else 0,
-        non_nodal_class_count=(
-            class_count - len(nodal_keys & set(keys)) if nodal_keys else 0
-        ),
+        nodal_class_count=nodal,
+        non_nodal_class_count=class_count - nodal if nodal_keys else 0,
         class_reps=[rep for _, rep in sorted(keys.items())],
     )
-    return result
-
-
-def _checkpoint_record(fh, q, lo, hi, orbits, gp, keys):
-    record = {
-        "version": RESULT_VERSION,
-        "q": q,
-        "lo": lo,
-        "hi": hi,
-        "orbits": orbits,
-        "gp": gp,
-        "keys": [
-            [key.to_json(), [list(p) for p in rep]] for key, rep in keys.items()
-        ],
-    }
-    _write_checkpoint(fh, record)

@@ -33,7 +33,7 @@ from .bertini_census import (
     run_census,
     verify_orbit_lemma,
 )
-from .field_tower import FieldElement, _is_prime, get_ctx
+from .field_tower import FieldElement, _encode, _is_prime, cache_dir, get_ctx
 from .general_position import (
     beta_twist,
     lambda_scan,
@@ -50,19 +50,8 @@ EXIT_VIOLATION = 2
 EXIT_INFRA = 3
 
 
-def _cache_dir(override: str | None) -> str:
-    return (
-        override
-        or os.environ.get("CREMONA_CACHE_DIR")
-        or os.path.join(os.path.expanduser("~"), ".cache", "cremona")
-    )
-
-
 def _census_cache_key(q, mode, sample_size, seed) -> str:
-    modulus = census_mod.get_ctx(q, 8).modulus
-    enc = 0
-    for c in reversed(modulus):
-        enc = enc * q + c
+    enc = _encode(get_ctx(q, 8).modulus, q)
     parts = [f"census_q{q}", mode, f"m{enc}", f"v{census_mod.RESULT_VERSION}"]
     if mode == "sampled":
         parts.append(f"n{sample_size}_s{seed}")
@@ -71,9 +60,9 @@ def _census_cache_key(q, mode, sample_size, seed) -> str:
 
 def cmd_census(args) -> int:
     mode = "sampled" if args.sample else "exact"
-    cache_dir = _cache_dir(args.cache_dir)
+    result_dir = args.cache_dir or cache_dir()
     cache_path = os.path.join(
-        cache_dir, _census_cache_key(args.q, mode, args.sample, args.seed)
+        result_dir, _census_cache_key(args.q, mode, args.sample, args.seed)
     )
     result = None
     if not args.no_cache and os.path.exists(cache_path):
@@ -100,7 +89,7 @@ def cmd_census(args) -> int:
         result = res.to_json(with_reps=True)
         if not args.no_cache:
             try:
-                os.makedirs(cache_dir, exist_ok=True)
+                os.makedirs(result_dir, exist_ok=True)
                 tmp = cache_path + ".tmp"
                 with open(tmp, "w") as fh:
                     json.dump(result, fh, indent=2, sort_keys=True)

@@ -15,13 +15,14 @@ tower F_q c F_{q^2} c F_{q^4} c F_{q^8} for q in {2, 3, 5, 7}.  Larger
 contexts fall back to polynomial arithmetic.
 
 Subfields of F_{q^n} are not separate contexts: membership in F_{q^d}
-is the predicate x^(q^d) == x, and Galois orbits are computed by
-iterating the q-power Frobenius.
+is the predicate x^(q^d) == x, and every Galois orbit, of an element or
+of a point, is the one walk `frobenius_orbit`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from functools import lru_cache
 
@@ -29,10 +30,12 @@ __all__ = [
     "FieldCtx",
     "FieldElement",
     "ZeroElement",
+    "cache_dir",
     "element_order",
     "euler_phi",
     "find_modulus",
     "frobenius",
+    "frobenius_orbit",
     "galois_orbit",
     "get_ctx",
     "nullspace",
@@ -50,6 +53,14 @@ _LIST_LIMIT = 1 << 17
 
 class ZeroElement(ZeroDivisionError):
     """Inverse or multiplicative order of 0 was requested."""
+
+
+def cache_dir() -> str:
+    """Where field tables and census results are cached: $CREMONA_CACHE_DIR,
+    or ~/.cache/cremona when it is unset or empty."""
+    return os.environ.get("CREMONA_CACHE_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "cremona"
+    )
 
 
 def _is_prime(m: int) -> bool:
@@ -230,13 +241,8 @@ class FieldCtx:
         raise AssertionError("no generator found")  # unreachable
 
     def _table_cache_path(self):
-        import os
-
-        base = os.environ.get("CREMONA_CACHE_DIR") or os.path.join(
-            os.path.expanduser("~"), ".cache", "cremona"
-        )
         enc = _encode(self.modulus, self.p)
-        return os.path.join(base, f"gftab_p{self.p}_n{self.n}_m{enc}.npy")
+        return os.path.join(cache_dir(), f"gftab_p{self.p}_n{self.n}_m{enc}.npy")
 
     def _build_tables(self):
         import numpy as np
@@ -254,8 +260,6 @@ class FieldCtx:
         if exp_np is None:
             exp_np = self._compute_exp_table(np)
             if cache:
-                import os
-
                 try:
                     os.makedirs(os.path.dirname(cache), exist_ok=True)
                     tmp = cache + ".tmp"
@@ -537,10 +541,9 @@ class FieldCtx:
         return _poly_trim(quot), num
 
     @staticmethod
-    def _poly_mul_plain(a, b, p=None):
+    def _poly_mul_plain(a, b):
         if not a or not b:
             return []
-        p = p
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
@@ -687,15 +690,22 @@ def frobenius(x: FieldElement, times: int = 1) -> FieldElement:
     return x.frobenius(times)
 
 
+def frobenius_orbit(ctx: FieldCtx, x: tuple) -> list[tuple]:
+    """[x, F(x), F^2(x), ...] up to the first repetition, where x is a
+    tuple of encodings and F applies the p-power Frobenius to each entry
+    (a scalar is a 1-tuple).  Its length divides ctx.n."""
+    frob = ctx.frobenius
+    orbit = [x]
+    cur = tuple(map(frob, x))
+    while cur != x:
+        orbit.append(cur)
+        cur = tuple(map(frob, cur))
+    return orbit
+
+
 def galois_orbit(x: FieldElement) -> list[FieldElement]:
     """[x, x^q, x^(q^2), ...] up to the first repetition."""
-    ctx = x.ctx
-    out = [x.e]
-    cur = ctx.frobenius(x.e)
-    while cur != x.e:
-        out.append(cur)
-        cur = ctx.frobenius(cur)
-    return [FieldElement(ctx, e) for e in out]
+    return [FieldElement(x.ctx, e) for (e,) in frobenius_orbit(x.ctx, (x.e,))]
 
 
 def element_order(x: FieldElement) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .field_tower import FieldCtx, FieldElement, get_ctx
+from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx
 from .nodal_cubic import NodalCubicNF, param_point
 from .plane_geometry import (
     ProjPoint,
@@ -116,18 +116,8 @@ class GaloisOrbit8:
 
 def orbit_from_point(pt: ProjPoint):
     """The Frobenius orbit of a point when it has size exactly 8, else None."""
-    ctx = pt.ctx
-    frob = ctx.frobenius
-    cur = pt.coords
-    orbit = [cur]
-    for _ in range(7):
-        cur = tuple(frob(c) for c in cur)
-        if cur == orbit[0]:
-            return None
-        orbit.append(cur)
-    if tuple(frob(c) for c in cur) != orbit[0]:
-        return None  # orbit longer than 8: not in this tower
-    return GaloisOrbit8(ctx, orbit)
+    orbit = frobenius_orbit(pt.ctx, pt.coords)
+    return GaloisOrbit8(pt.ctx, orbit) if len(orbit) == 8 else None
 
 
 def general_position_report(points, ctx: FieldCtx) -> GeneralPositionReport:
@@ -165,11 +155,7 @@ def orbit_from_seed(nf: NodalCubicNF, a: FieldElement) -> GaloisOrbit8:
     the parametrization is.  Requires the multiplicative orbit of a to
     have size 8."""
     ctx = a.ctx
-    vals = [a.e]
-    cur = ctx.frobenius(a.e)
-    while cur != a.e:
-        vals.append(cur)
-        cur = ctx.frobenius(cur)
+    vals = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
     if len(vals) != 8:
         raise ShortOrbit(f"parameter orbit has size {len(vals)}")
     pts = [param_point(nf, FieldElement(ctx, v)) for v in vals]
@@ -203,12 +189,10 @@ def beta_twist(a: FieldElement, beta: FieldElement) -> FieldElement:
         raise ValueError("beta must lie in F_{q^4}")
     b = FieldElement(ctx, ctx.mul(beta.e, a.e))
     # coherence: b_(i+1) = b_i^q must equal beta^(q^i) a^(q^i)
-    cur = b.e
-    for i in range(1, 8):
+    for i, (cur,) in enumerate(frobenius_orbit(ctx, (b.e,))):
         expected = ctx.mul(
             ctx.frobenius_iter(beta.e, i), ctx.frobenius_iter(a.e, i)
         )
-        cur = ctx.frobenius(cur)
         if cur != expected:
             raise AssertionError("twist lost Frobenius coherence")
     if ctx.in_subfield(b.e, 4):
@@ -221,11 +205,7 @@ def pair_products(a: FieldElement) -> list[int]:
     unique order-2 element of the Galois group; the pairing used in the
     conic-failure analysis of nodal orbits."""
     ctx = a.ctx
-    vals = [a.e]
-    cur = ctx.frobenius(a.e)
-    while cur != a.e:
-        vals.append(cur)
-        cur = ctx.frobenius(cur)
+    vals = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
     if len(vals) != 8:
         raise ShortOrbit("pairing needs a full orbit")
     return [ctx.mul(vals[i], vals[i + 4]) for i in range(4)]

@@ -14,7 +14,6 @@ from cremona.bertini_census import (
     _checkpoint_record,
     _frame_records,
     _merge_keys,
-    _orbit_of,
     _point_at,
     _point_count,
     _read_checkpoint,
@@ -28,7 +27,7 @@ from cremona.bertini_census import (
     total_degree8_orbits,
     verify_orbit_lemma,
 )
-from cremona.field_tower import get_ctx
+from cremona.field_tower import frobenius_orbit, get_ctx
 from cremona.general_position import GaloisOrbit8, orbit_from_seed
 from cremona.nodal_cubic import NodalCubicNF
 from cremona.plane_geometry import ProjTransform, apply, apply_raw
@@ -116,7 +115,7 @@ def test_frame_key_matches_group_sweep_q2():
         images = {tuple(sorted(apply_raw(m, p, ctx) for p in rep)) for m in mats}
         assert images == set(members)
         # trivial stabilizer: the minimum is reached by one rotation only
-        records = _frame_records(_orbit_of(rep[0], ctx), ctx)
+        records = _frame_records(frobenius_orbit(ctx, rep[0]), ctx)
         assert records.count(key.serialized) == 1
 
 
@@ -125,8 +124,9 @@ def test_frame_key_invariance_q3():
     rnd = random.Random(17)
     orbits = []  # seeded GP orbits, each in Frobenius order
     while len(orbits) < 4:
-        frob_order = _orbit_of(_point_at(3, rnd.randrange(_point_count(3))), ctx)
-        if frob_order and gp.general_position_report(frob_order, ctx).ok:
+        seed = _point_at(3, rnd.randrange(_point_count(3)))
+        frob_order = frobenius_orbit(ctx, seed)
+        if len(frob_order) == 8 and gp.general_position_report(frob_order, ctx).ok:
             orbits.append(frob_order)
     group = list(pgl3_elements(3))
     for frob_order in orbits:
@@ -157,7 +157,7 @@ def test_frame_key_invariance_q3():
 def test_frame_key_refuses_non_frame():
     ctx = get_ctx(2, 8)
     a = next(e for e in range(2, ctx.size) if not ctx.in_subfield(e, 4))
-    on_a_line = _orbit_of((1, a, 0), ctx)
+    on_a_line = frobenius_orbit(ctx, (1, a, 0))
     with pytest.raises(ValueError):
         canonical_class(GaloisOrbit8(ctx, on_a_line))
     # two Frobenius orbits of size 4 make a closed set of 8 points
@@ -233,6 +233,24 @@ def test_census_checkpoint_resume_identical(census_q2, tmp_path):
     assert res.pgl3_class_count == census_q2.pgl3_class_count
     assert res.general_position_count == census_q2.general_position_count
     assert res.class_reps == census_q2.class_reps
+
+
+def test_threaded_resume_matches_fixture(census_q2, tmp_path):
+    # resume 3 of the fixture's 5 ranges on a 2-worker pool: the last two
+    # hold no orbit, so range 1 (1400 orbits) is dropped as well
+    lines = open(census_q2.checkpoint_path).read().splitlines()
+    assert len(lines) == 5
+    path = tmp_path / "resume.ckpt"
+    path.write_text(lines[0] + "\n" + lines[2] + "\n")
+    res = run_census(2, mode="exact", threads=2, checkpoint_path=str(path))
+    assert res.general_position_count == census_q2.general_position_count
+    assert res.pgl3_class_count == census_q2.pgl3_class_count
+    assert res.nodal_class_count == census_q2.nodal_class_count
+    assert res.class_reps == census_q2.class_reps
+    assert len(path.read_text().splitlines()) == 5
+    assert _read_checkpoint(str(path), 2) == _read_checkpoint(
+        census_q2.checkpoint_path, 2
+    )
 
 
 def test_checkpoint_corruption_detected(tmp_path):

@@ -4,6 +4,10 @@ import pytest
 
 from cremona.cli_app import main
 
+# the cached result of `census --q 2 --sample 25 --seed 3`: modulus
+# encoding 283, result version 2
+CACHE_FILE = "census_q2_sampled_m283_v2_n25_s3.json"
+
 
 def test_verify_mq_identity():
     assert main(["verify", "mq-identity", "--q-max", "101"]) == 0
@@ -16,6 +20,8 @@ def test_verify_same_orbit_both_fields():
 
 def test_verify_produit_small():
     assert main(["verify", "produit", "--q", "2", "--samples", "500"]) == 0
+    # 11^8 is above the table limit: polynomial-fallback arithmetic
+    assert main(["verify", "produit", "--q", "11", "--samples", "20"]) == 0
 
 
 def test_verify_beta_twist():
@@ -39,6 +45,7 @@ def test_census_sampled_round_trip(tmp_path, capsys):
         ]
     )
     assert code == 0
+    assert (tmp_path / "cache" / CACHE_FILE).is_file()
     data = json.loads(out.read_text())
     assert data["q"] == 2 and data["mode"] == "sampled"
     assert data["bound_satisfied"] is True
@@ -56,6 +63,12 @@ def test_census_sampled_round_trip(tmp_path, capsys):
     for key in data:
         if key != "elapsed_ms":
             assert data[key] == data2[key]
+
+
+def test_census_cache_defaults_to_env_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CREMONA_CACHE_DIR", str(tmp_path / "env"))
+    assert main(["census", "--q", "2", "--sample", "25", "--seed", "3"]) == 0
+    assert (tmp_path / "env" / CACHE_FILE).is_file()
 
 
 def test_census_thread_determinism(tmp_path):

@@ -189,6 +189,20 @@ def test_galois_orbit_examples():
     assert len(galois_orbit(ctx.element(x))) == 8
 
 
+def test_polynomial_fallback_arithmetic():
+    # 11^8 is above the table limit, so every operation takes the
+    # polynomial path (the CLI's produit and lambda-scan reach it)
+    ctx = FieldCtx(11, 8)
+    assert ctx._exp is None
+    rnd = random.Random(23)
+    for _ in range(40):
+        a, b, c = (rnd.randrange(1, ctx.size) for _ in range(3))
+        assert ctx.mul(a, ctx.inv(a)) == 1
+        assert ctx.add(a, ctx.neg(a)) == 0
+        assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+        assert ctx.frobenius_iter(a, 8) == a
+
+
 def test_subfield_membership_matches_orbit_length():
     ctx = get_ctx(2, 8)
     for e in range(256):

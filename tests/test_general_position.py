@@ -5,7 +5,7 @@ import pytest
 
 from cremona import general_position as gp
 from cremona.bertini_census import pgl3_elements
-from cremona.field_tower import FieldElement, get_ctx
+from cremona.field_tower import FieldElement, galois_orbit, get_ctx
 from cremona.general_position import (
     Collision,
     GaloisOrbit8,
@@ -51,6 +51,16 @@ def test_orbit_from_point_order_17_coordinate():
     orbit = orbit_from_point(ProjPoint(CTX, (x, 1, 0)))
     assert orbit is not None and len(orbit.points) == 8
     assert orbit.seed == min(orbit.points)
+
+
+def test_orbits_in_a_degree_16_field():
+    ctx = get_ctx(2, 16)
+    g = next(e for e in range(2, ctx.size) if ctx.order(e) == ctx.size - 1)
+    assert len(galois_orbit(ctx.element(g))) == 16
+    assert orbit_from_point(ProjPoint(ctx, (1, g, 0))) is None
+    x = next(e for e in range(2, ctx.size) if ctx.order(e) == 17)
+    orbit = orbit_from_point(ProjPoint(ctx, (x, 1, 0)))
+    assert orbit is not None and len(orbit.points) == 8
 
 
 def test_orbit_invariants_enforced():

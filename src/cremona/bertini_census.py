@@ -27,6 +27,7 @@ N1.N2.N3 / (12 |PGL_3|), are implemented in `mq_bound` / `mq_cross_check`.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -362,11 +363,12 @@ def _census_range(args):
     return orbits, gp, keys
 
 
-def _nodal_class_keys(q: int):
+@functools.cache
+def _nodal_class_keys(q: int) -> frozenset:
     """Class keys of the general-position orbits produced by the nodal
     construction (all normal forms, all parameters with full orbit).
     Conjugate parameters give the same orbit, so only the least parameter
-    of each Frobenius orbit is taken."""
+    of each Frobenius orbit is taken.  Computed once per q and process."""
     ctx = get_ctx(q, 8)
     keys: dict = {}
     for c0 in range(1, q):
@@ -376,7 +378,11 @@ def _nodal_class_keys(q: int):
             if len(params) == 8 and min(params) == params[0]:
                 coords = param_point(nf, ctx.element(e)).coords
                 _add_class(keys, frobenius_orbit(ctx, coords), ctx)
-    return keys.keys()
+    return frozenset(keys)
+
+
+# how every record line begins: "version" is the first key written
+_RECORD_HEAD = b'{"version":'
 
 
 def _checkpoint_record(fh, q, lo, hi, orbits, gp, keys):
@@ -395,6 +401,20 @@ def _checkpoint_record(fh, q, lo, hi, orbits, gp, keys):
     fh.write(json.dumps(record, separators=(",", ":")) + "\n")
     fh.flush()
     os.fsync(fh.fileno())
+
+
+def _cut_torn_record(path):
+    """Cut an unterminated final line that begins like a record.  A crash
+    tore it while it was written, so its range never finished and runs
+    again; left in place, it would run into the next record's line."""
+    if not path or not os.path.exists(path):
+        return
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        cut = data.rfind(b"\n") + 1
+        torn = data[cut:]
+        if torn and (torn.startswith(_RECORD_HEAD) or _RECORD_HEAD.startswith(torn)):
+            fh.truncate(cut)
 
 
 def _read_checkpoint(path, q):
@@ -436,7 +456,8 @@ def run_census(
     Exact mode streams every orbit (q = 2 takes under a minute; q = 3 is a
     long-running job, resumable through `checkpoint_path`; a checkpoint
     holding a range other than the chunk-`chunk` ranges is refused with
-    CheckpointCorrupt before any work).  Sampled
+    CheckpointCorrupt before any work, and a torn last record, left by a
+    crash during its write, is cut and its range run again).  Sampled
     mode tests `sample_size` distinct orbits chosen by a seeded RNG and
     reports a certified lower bound on the class count (distinct
     canonical keys are distinct classes; it can never overcount).
@@ -452,6 +473,7 @@ def run_census(
     gp = 0
 
     if mode == "exact":
+        _cut_torn_record(checkpoint_path)
         done = _read_checkpoint(checkpoint_path, q)
         ranges = list(_seed_ranges(q, chunk))
         stray = sorted(set(done) - set(ranges))
@@ -510,7 +532,7 @@ def run_census(
             orbits += 1
             gp += _add_class(keys, canon, ctx)
 
-    nodal_keys = _nodal_class_keys(q) if q == 2 else set()
+    nodal_keys = _nodal_class_keys(q) if q == 2 else frozenset()
     nodal = len(nodal_keys & keys.keys())
     bound = mq_bound(q)
     class_count = len(keys)

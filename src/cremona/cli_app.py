@@ -7,7 +7,8 @@ suites), `chambers` (chamber decompositions of small lattices),
 `amalgam` (word reductions, signature, parity, Bass-Serre balls).
 
 Exit codes: 0 success, 2 mathematical violation (a bound or lemma
-failed: treat as a regression alarm), 3 infrastructure failure
+failed: treat as a regression alarm) or a lattice outside the modelled
+scope (K^2 <= 0, refused before any work), 3 infrastructure failure
 (corrupt checkpoint or cache).  Results of census runs are cached under
 --cache-dir (default $CREMONA_CACHE_DIR or ~/.cache/cremona), keyed by
 the field modulus and the result-format version; stale versions are
@@ -41,7 +42,13 @@ from .general_position import (
     test_general_position,
 )
 from .nodal_cubic import NodalCubicNF, param_point
-from .picard_lattice import blowup_lattice, chambers, negative_classes, windows
+from .picard_lattice import (
+    OutsideScope,
+    blowup_lattice,
+    chambers,
+    negative_classes,
+    windows,
+)
 from .plane_geometry import collinear, six_on_conic
 from .sarkisov_complex import build_local, export
 
@@ -246,8 +253,12 @@ def cmd_verify(args) -> int:
     return VERIFIERS[args.lemma](args)
 
 
-def _violation(exc: AssertionError) -> int:
-    print(f"mathematical violation: {exc}", file=sys.stderr)
+def _violation(exc: AssertionError | OutsideScope) -> int:
+    if isinstance(exc, OutsideScope):
+        kind = "outside the modelled scope"
+    else:
+        kind = "mathematical violation"
+    print(f"{kind}: {exc}", file=sys.stderr)
     return EXIT_VIOLATION
 
 
@@ -265,7 +276,7 @@ def cmd_chambers(args) -> int:
             "chambers": [c.to_json() for c in chs],
             "windows": [w.to_json() for w in windows(lat)],
         }
-    except AssertionError as exc:
+    except (AssertionError, OutsideScope) as exc:
         return _violation(exc)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.json:
@@ -283,7 +294,7 @@ def cmd_complex(args) -> int:
     lat = blowup_lattice(degrees)
     try:
         cx = build_local(lat)
-    except AssertionError as exc:
+    except (AssertionError, OutsideScope) as exc:
         return _violation(exc)
     if args.dot:
         with open(args.dot, "w") as fh:

@@ -1,15 +1,24 @@
 """Integer Neron-Severi models of blow-ups of the plane.
 
-A `Lattice` is a basis with its intersection form, the canonical class,
-the orbit degrees of the exceptional classes, and the generators of the
-effective cone for the generic configuration it models.  Ordinary
-blow-ups of orbits of degrees (d_1, ..., d_r) use the orthogonal basis
-(H, E_1, ..., E_r) with H^2 = 1 and E_i^2 = -d_i; an infinitely-near
-pair of rational points uses the strict-transform basis (L', E, E')
-with -K = 3L' + 2E + 4E' and H = L' + E + 2E'.
+A `Lattice` is a basis with its intersection form, the canonical class
+and the orbit degrees of the exceptional classes, for the generic
+configuration it models.  Ordinary blow-ups of orbits of degrees
+(d_1, ..., d_r) use the orthogonal basis (H, E_1, ..., E_r) with H^2 = 1
+and E_i^2 = -d_i; an infinitely-near pair of rational points uses the
+strict-transform basis (L', E, E') with -K = 3L' + 2E + 4E' and
+H = L' + E + 2E'.
 
-Contractions are tracked as sets of pairwise-orthogonal "wall" classes
-in the ambient lattice: the pullbacks of the exceptional orbit classes
+The walls and fibers come in closed form from the plane blown up at the
+n = sum d_i geometric points (Manin, *Cubic Forms* sections 23-26;
+Dolgachev, *Classical Algebraic Geometry* ch. 8): Frobenius cycles the
+points of each orbit, a wall is the sum of a Frobenius orbit of pairwise
+orthogonal (-1)-classes, and a fiber is a Frobenius-fixed conic class
+that is nef on the curves.  These lists are finite only for n <= 8
+(K^2 >= 1); beyond that the explorer raises `OutsideScope`, while
+`blowup_lattice` and `Lattice.k_squared` still work.
+
+Contractions are tracked as sets of pairwise-orthogonal walls in the
+ambient lattice: the pullbacks of the exceptional orbit classes
 contracted along the way.  Iterating over all contraction states yields
 the chamber decomposition of the big cone (each chamber is the set of
 divisors whose ample model contracts exactly that state), the windows
@@ -20,6 +29,7 @@ the square complexes built in `sarkisov_complex`.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +40,7 @@ __all__ = [
     "Lattice",
     "NotBig",
     "NotNested",
-    "SearchBoundExceeded",
+    "OutsideScope",
     "blowup_lattice",
     "chambers",
     "codim_of_shared_face",
@@ -52,8 +62,9 @@ class NotNested(ValueError):
     """The two chambers' contracted sets are not nested."""
 
 
-class SearchBoundExceeded(RuntimeError):
-    """The negative-class search box was exhausted inconclusively."""
+class OutsideScope(ValueError):
+    """The lattice has K^2 <= 0 (more than 8 geometric points), where the
+    (-1)-classes are infinite in number and no wall list is modelled."""
 
 
 Vec = tuple[int, ...]
@@ -61,9 +72,10 @@ Vec = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Lattice:
-    """Neron-Severi model: labels, Gram matrix, canonical class, orbit
-    degrees of exceptional classes, effective-cone generators, and an
-    internal orthogonal model (H, e_1, ..., e_r) used for searches."""
+    """Neron-Severi model: labels, Gram matrix, canonical class, the
+    orbit degrees (0, d_1, ..., d_r) of the orthogonal model
+    (H, e_1, ..., e_r) in which walls and fibers are computed, and the
+    curves that are not sums of (-1)-classes (the nested pair's E)."""
 
     labels: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
@@ -76,7 +88,8 @@ class Lattice:
     def rank(self) -> int:
         return len(self.labels)
 
-    def dot(self, u, v) -> int:
+    def dot(self, u, v):
+        """The intersection form; exact on ints and on Fractions."""
         g = self.gram
         n = self.rank
         return sum(u[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
@@ -125,10 +138,6 @@ class Lattice:
         }
 
 
-def _identity(n: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def blowup_lattice(degrees, nesting=None) -> Lattice:
     """Blow-up of P^2 at orbits of the given degrees.
 
@@ -146,238 +155,127 @@ def blowup_lattice(degrees, nesting=None) -> Lattice:
             raise BadNesting(
                 "only a single infinitely-near pair of rational points is modeled"
             )
-        return _nested_pair_lattice()
-    labels = ("H",) + tuple(f"E{i+1}" for i in range(r))
+        # L' = H-e1-e2, E = e1-e2, E' = e2; the columns of orth_to_public
+        # are H = L'+E+2E', e1 = E+E', e2 = E'; the (-2)-curve E is the
+        # one curve that is not a sum of (-1)-classes
+        return Lattice(
+            labels=("L'", "E", "E'"),
+            gram=((-1, 0, 1), (0, -2, 1), (1, 1, -1)),
+            K=(-3, -2, -4),  # -K = 3L' + 2E + 4E'
+            degrees=(0, 1, 1),
+            eff_gens=((0, 1, 0),),
+            orth_to_public=((1, 0, 0), (1, 1, 0), (2, 1, 1)),
+        )
     gram = [[0] * (r + 1) for _ in range(r + 1)]
     gram[0][0] = 1
     for i, d in enumerate(degrees):
         gram[i + 1][i + 1] = -d
-    K = tuple([-3] + [1] * r)
-    lat = Lattice(
-        labels=labels,
+    return Lattice(
+        labels=("H",) + tuple(f"E{i+1}" for i in range(r)),
         gram=tuple(tuple(row) for row in gram),
-        K=K,
+        K=(-3,) + (1,) * r,
         degrees=(0,) + degrees,
         eff_gens=(),
-        orth_to_public=_identity(r + 1),
+        orth_to_public=tuple(
+            tuple(int(i == j) for j in range(r + 1)) for i in range(r + 1)
+        ),
     )
-    return _with_ordinary_gens(lat, degrees)
-
-
-def _with_ordinary_gens(lat: Lattice, degrees) -> Lattice:
-    r = len(degrees)
-    gens = []
-    for i in range(r):
-        gens.append(tuple(1 if j == i + 1 else 0 for j in range(r + 1)))
-    for i, j in itertools.combinations(range(r), 2):
-        if degrees[i] == 1 and degrees[j] == 1:
-            line = [0] * (r + 1)
-            line[0], line[i + 1], line[j + 1] = 1, -1, -1
-            gens.append(tuple(line))
-    if r == 1:
-        partner = _rank2_partner(lat, gens[0])
-        if partner is not None:
-            gens.append(partner)
-    for f in _fiber_candidates_raw(lat):
-        gens.append(f)
-    return Lattice(
-        labels=lat.labels,
-        gram=lat.gram,
-        K=lat.K,
-        degrees=lat.degrees,
-        eff_gens=tuple(dict.fromkeys(gens)),
-        orth_to_public=lat.orth_to_public,
-    )
-
-
-def _nested_pair_lattice() -> Lattice:
-    # basis (L', E, E') with L' = H-e1-e2, E = e1-e2, E' = e2
-    gram = ((-1, 0, 1), (0, -2, 1), (1, 1, -1))
-    K = (-3, -2, -4)  # -K = 3L' + 2E + 4E'
-    # columns of orth_to_public: H = L'+E+2E', e1 = E+E', e2 = E'
-    t = ((1, 0, 0), (1, 1, 0), (2, 1, 1))
-    gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # L', E, E'
-    lat = Lattice(
-        labels=("L'", "E", "E'"),
-        gram=gram,
-        K=K,
-        degrees=(0, 1, 1),
-        eff_gens=gens,
-        orth_to_public=t,
-    )
-    fibers = tuple(_fiber_candidates_raw(lat))
-    return Lattice(
-        labels=lat.labels,
-        gram=lat.gram,
-        K=lat.K,
-        degrees=lat.degrees,
-        eff_gens=tuple(dict.fromkeys(gens + fibers)),
-        orth_to_public=t,
-    )
-
-
-def _rank2_partner(lat: Lattice, ray: Vec):
-    """Second extremal contraction of a rank-2 del Pezzo lattice: the
-    image of `ray` under the involution fixing K, when integral."""
-    ksq = lat.k_squared()
-    if ksq < 1:
-        return None
-    kr = lat.k_dot(ray)
-    if (2 * kr) % ksq:
-        return None
-    c = 2 * kr // ksq
-    partner = tuple(c * k - v for k, v in zip(lat.K, ray))
-    if partner == ray:
-        return None
-    d = -lat.selfint(partner)
-    if d < 1 or lat.k_dot(partner) != -d:
-        return None
-    return partner
 
 
 # ----------------------------------------------------------------------
-# candidate wall and fiber classes (searches run in the orthogonal model)
+# walls and fibers in closed form, from the plane's classes
 
-def _orth_degrees(lat: Lattice):
-    """(1, -d_1, ..., -d_r) diagonal of the orthogonal model."""
-    n = lat.rank
-    t = lat.orth_to_public
+def _plane_classes(n: int, square: int, k_dot: int) -> list[Vec]:
+    """Every class aH - sum b_j e_j on the plane blown up at n <= 8
+    geometric points with C^2 = square and K.C = k_dot, as (a, b_1..b_n).
+
+    The two conditions fix sum b_j = k_dot + 3a and sum b_j^2 =
+    a^2 - square, and Cauchy-Schwarz, (sum b_j)^2 <= n sum b_j^2, confines
+    a to the interval where (9-n)a^2 + 6 k_dot a + k_dot^2 + n square <= 0.
+    The (-1)-classes (square = k_dot = -1) number 1, 3, 6, 10, 16, 27, 56,
+    240 for n = 1..8 and the conic classes (0, -2) 1, 2, 3, 5, 10, 27,
+    126, 2160.
+    """
+    if n > 8:
+        raise OutsideScope(
+            f"{n} geometric points: K^2 = {9 - n} <= 0, where the "
+            "(-1)-classes are not a finite list"
+        )
+    qa, qb, qc = 9 - n, 6 * k_dot, k_dot * k_dot + n * square
+    disc = qb * qb - 4 * qa * qc
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+
+    def tuples(m, total, sq):
+        # integer m-tuples with the given sum and sum of squares
+        if m == 0:
+            if total == 0 and sq == 0:
+                yield ()
+            return
+        top = math.isqrt(sq)
+        for b in range(-top, top + 1):
+            t, s = total - b, sq - b * b
+            if t * t <= (m - 1) * s:
+                for rest in tuples(m - 1, t, s):
+                    yield (b,) + rest
+
     out = []
-    for j in range(n):
-        col = tuple(t[i][j] for i in range(n))
-        out.append(lat.dot(col, col))
+    for a in range(-((qb + root) // (2 * qa)), (root - qb) // (2 * qa) + 1):
+        sq = a * a - square
+        if sq >= 0:
+            out.extend((a,) + bs for bs in tuples(n, k_dot + 3 * a, sq))
     return out
 
 
-def _search_bound(lat: Lattice) -> int:
-    # H-degree cap for orbit (-1)-classes on blow-ups of <= 8 points: the
-    # classical list tops out at sextics (degree 6); rank-2 partner rays
-    # beyond the box are injected separately.
-    total = sum(d for d in lat.degrees if d)
-    return min(3 * (9 - total + 3), 6)
+def _walls_and_fibers(lat: Lattice):
+    """The lattice's walls and fibers in closed form.
 
-
-def _negative_candidates(lat: Lattice):
-    """Solutions of C^2 = K.C = -d (d >= 1) in the coefficient box:
-    a(a+3) = sum d_i c_i (c_i - 1) over the orthogonal model."""
-    diag = _orth_degrees(lat)
-    if diag[0] != 1 or any(d >= 0 for d in diag[1:]):
-        raise AssertionError("orthogonal model is not diag(1, -d_i)")
-    ds = [-d for d in diag[1:]]
-    amax = max(_search_bound(lat), 0)
-    out = []
-    for a in range(amax + 1):
-        target = a * (a + 3)
-        for cs in _weighted_pell(ds, target):
-            vec = lat.from_orth((a,) + cs)
-            d = -lat.selfint(vec)
-            if d >= 1 and lat.k_dot(vec) == -d:
-                out.append(vec)
-    if lat.rank == 2:
-        for gen in list(out):
-            partner = _rank2_partner(lat, gen)
-            if partner is not None and partner not in out:
-                out.append(partner)
-    return list(dict.fromkeys(out))
-
-
-def _weighted_pell(ds, target):
-    """All integer tuples (c_1, ..., c_r) with sum d_i c_i (c_i-1) = target."""
-    if not ds:
-        if target == 0:
-            yield ()
-        return
-    d = ds[0]
-    c = 0
-    opts = []
-    while True:
-        v = d * c * (c - 1)
-        if v > target:
-            break
-        opts.append((c, v))
-        if c != 1 - c:
-            opts.append((1 - c, v))
-        c += 1
-    for c0, v in opts:
-        for rest in _weighted_pell(ds[1:], target - v):
-            yield (c0,) + rest
-
-
-def _fiber_candidates_raw(lat: Lattice):
-    """Solutions of f^2 = 0, K.f = -2 that are nef on the ambient model
-    (nonnegative against every effective generator) and effective."""
-    diag = _orth_degrees(lat)
-    ds = [-d for d in diag[1:]]
-    amax = max(_search_bound(lat), 1)
-    out = []
-    for a in range(1, amax + 1):
-        # a^2 = sum d_i c_i^2 and 3a + sum d_i c_i = 2
-        for cs in _weighted_sumsq(ds, a * a):
-            vec = lat.from_orth((a,) + cs)
-            if lat.selfint(vec) == 0 and lat.k_dot(vec) == -2:
-                out.append(vec)
-    # Riemann-Roch makes every f with f^2 = 0, K.f = -2 effective, so
-    # only the nef condition filters out fake fibers.
-    return [
-        f
-        for f in dict.fromkeys(out)
-        if all(lat.dot(f, g) >= 0 for g in lat.eff_gens)
-    ]
-
-
-def _weighted_sumsq(ds, target):
-    if not ds:
-        if target == 0:
-            yield ()
-        return
-    d = ds[0]
-    c = 0
-    opts = []
-    while d * c * c <= target:
-        opts.append((c, d * c * c))
-        if c:
-            opts.append((-c, d * c * c))
-        c += 1
-    for c0, v in opts:
-        for rest in _weighted_sumsq(ds[1:], target - v):
-            yield (c0,) + rest
-
-
-def _expressible(v, gens, lat: Lattice, min_parts=1):
-    """Whether v is a sum of at least `min_parts` generators (repeats
-    allowed); with min_parts=2 this is the decomposability test.
-
-    Pruned by an ample functional, strictly positive on every effective
-    generator, which bounds the number of parts and forces termination.
+    Frobenius cycles the d_i geometric points of each orbit.  A wall is
+    the sum of a Frobenius orbit of pairwise orthogonal (-1)-classes; a
+    fiber is a Frobenius-fixed class with f^2 = 0, K.f = -2 that is nef
+    on the curves (the walls and `lat.eff_gens`).  Both are returned in
+    the lattice's basis: the walls sorted, the fibers in the order of
+    `_plane_classes`.
     """
-    gens = tuple(gens)
-    if not gens:
-        return False
-    ample = _ample_base(lat)
-    gen_data = [(g, lat.dot(ample, g)) for g in gens]
-    if any(ga <= 0 for _, ga in gen_data):
-        raise AssertionError("ample base is not positive on a generator")
-    memo: dict = {}
+    degs = lat.degrees[1:]
+    n = sum(degs)
+    exceptional = _plane_classes(n, -1, -1)
+    starts = [sum(degs[:i]) for i in range(len(degs))]
+    succ = [0] * n  # Frobenius on the points, one cycle per orbit
+    for s, d in zip(starts, degs):
+        for k in range(d):
+            succ[s + k] = s + (k + 1) % d
 
-    def rec(rem, rem_a, start, parts):
-        if all(c == 0 for c in rem):
-            return parts >= min_parts
-        key = (rem, start, min(parts, min_parts))
-        if key in memo:
-            return memo[key]
-        hit = False
-        for i in range(start, len(gen_data)):
-            g, ga = gen_data[i]
-            if rem_a - ga < 0:
-                continue
-            nxt = tuple(a - b for a, b in zip(rem, g))
-            if rec(nxt, rem_a - ga, i, parts + 1):
-                hit = True
-                break
-        memo[key] = hit
-        return hit
+    def frob(c):
+        b = [0] * n
+        for j in range(n):
+            b[succ[j]] = c[1 + j]
+        return (c[0],) + tuple(b)
 
-    return rec(tuple(v), lat.dot(ample, v), 0, 0)
+    def dot(u, v):
+        return u[0] * v[0] - sum(x * y for x, y in zip(u[1:], v[1:]))
+
+    def to_lattice(c):
+        # an F-invariant class is constant on each orbit of points
+        return lat.from_orth((c[0],) + tuple(-c[1 + s] for s in starts))
+
+    walls = set()
+    for c in exceptional:
+        orbit = [c]
+        while (nxt := frob(orbit[-1])) != c:
+            orbit.append(nxt)
+        if all(dot(u, v) == 0 for u, v in itertools.combinations(orbit, 2)):
+            walls.add(to_lattice([sum(col) for col in zip(*orbit)]))
+    walls = sorted(walls)
+    curves = walls + list(lat.eff_gens)
+    fibers = []
+    for c in _plane_classes(n, 0, -2):
+        if frob(c) == c:
+            f = to_lattice(c)
+            if all(lat.dot(f, g) >= 0 for g in curves):
+                fibers.append(f)
+    return walls, fibers
 
 
 # ----------------------------------------------------------------------
@@ -398,13 +296,6 @@ class Chamber:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.lattice.describe(v) for v in self.contracted)
 
-    def target_rank(self) -> int:
-        return self.lattice.rank - len(self.contracted)
-
-    def target_k_squared(self) -> int:
-        drop = sum(-self.lattice.selfint(s) for s in self.contracted)
-        return self.lattice.k_squared() + drop
-
     def to_json(self) -> dict:
         return {
             "contracted": list(self.labels),
@@ -414,14 +305,14 @@ class Chamber:
 
 class LatticeExplorer:
     """Enumerates all iterated-contraction states of a lattice and the
-    contractible classes / fibration classes available at each state."""
+    contractible classes / fibration classes available at each state.
+
+    Raises OutsideScope when K^2 <= 0."""
 
     def __init__(self, lat: Lattice):
         self.lat = lat
-        # every solution of C^2 = K.C = -d is effective by Riemann-Roch,
-        # so candidates need no effectivity prefilter
-        self.wall_candidates = _negative_candidates(lat)
-        self.fibers = _fiber_candidates_raw(lat)
+        self.wall_candidates, self.fibers = _walls_and_fibers(lat)
+        self.curves = self.wall_candidates + list(lat.eff_gens)
         self._contractible_cache: dict[frozenset, list] = {}
         self.states = self._explore()
         self.wall_classes = sorted(
@@ -429,23 +320,19 @@ class LatticeExplorer:
         )
 
     def _contractible(self, state: frozenset):
+        """The walls c with c.s = 0 for every s in the state and c.g >= 0
+        for every other curve g orthogonal to the state.  The last
+        condition only bites on the nested pair, where it keeps E+E' out
+        of the empty state (it meets E negatively)."""
         if state not in self._contractible_cache:
             lat = self.lat
-            perp_gens = [
-                g
-                for g in lat.eff_gens
-                if all(lat.dot(g, s) == 0 for s in state)
+            # s.s < 0, so no member of the state is orthogonal to it
+            perp = [g for g in self.curves if all(lat.dot(g, s) == 0 for s in state)]
+            self._contractible_cache[state] = [
+                c
+                for c in self.wall_candidates
+                if c in perp and all(lat.dot(c, g) >= 0 for g in perp if g != c)
             ]
-            out = []
-            for c in self.wall_candidates:
-                if c in state:
-                    continue
-                if any(lat.dot(c, s) != 0 for s in state):
-                    continue
-                if _expressible(c, perp_gens, lat, min_parts=2):
-                    continue
-                out.append(c)
-            self._contractible_cache[state] = out
         return self._contractible_cache[state]
 
     def _explore(self):
@@ -477,40 +364,31 @@ class LatticeExplorer:
     def k_int_squared(self, state: frozenset) -> int:
         return self.lat.k_squared() + sum(-self.lat.selfint(s) for s in state)
 
-    def _in_span(self, g, state) -> bool:
-        lat = self.lat
-        proj = [Fraction(c) for c in g]
-        for s in state:
-            coef = Fraction(lat.dot(g, s), lat.selfint(s))
-            proj = [p - coef * sc for p, sc in zip(proj, s)]
-        return all(p == 0 for p in proj)
+    def _kept(self, state: frozenset):
+        """The curves and fibers not collapsed by the contraction."""
+        return [
+            g
+            for g in self.curves + self.fibers
+            if any(_project_away(self.lat, g, state))
+        ]
 
     def is_del_pezzo(self, state: frozenset) -> bool:
         """The point-base model at this state has ample -K (lattice-level
         test for the generic configuration): K^2 >= 1 and K negative on
-        every effective generator not collapsed by the contraction."""
+        every curve and fiber not collapsed by the contraction."""
         if self.k_int_squared(state) < 1:
             return False
-        lat = self.lat
         kint = self.k_int(state)
-        for g in lat.eff_gens:
-            if self._in_span(g, state):
-                continue
-            if lat.dot(kint, g) >= 0:
-                return False
-        return True
+        return all(self.lat.dot(kint, g) < 0 for g in self._kept(state))
 
     def is_conic_bundle(self, state: frozenset, f: Vec) -> bool:
-        """-K relatively ample over the base: no effective generator is
-        vertical (f-degree 0) with nonnegative K outside the contraction."""
+        """-K relatively ample over the base: no curve or fiber outside
+        the contraction is vertical (f-degree 0) with nonnegative K."""
         lat = self.lat
         kint = self.k_int(state)
-        for g in lat.eff_gens:
-            if self._in_span(g, state):
-                continue
-            if lat.dot(f, g) == 0 and lat.dot(kint, g) >= 0:
-                return False
-        return True
+        return not any(
+            lat.dot(f, g) == 0 and lat.dot(kint, g) >= 0 for g in self._kept(state)
+        )
 
 
 _EXPLORER_CACHE: dict[Lattice, LatticeExplorer] = {}
@@ -529,23 +407,16 @@ def negative_classes(lat: Lattice) -> list[Vec]:
     return explorer(lat).wall_classes
 
 
-_AMPLE_CACHE: dict[Lattice, Vec] = {}
-
-
 def _ample_base(lat: Lattice) -> Vec:
-    """An integral class strictly positive on every effective generator:
+    """An integral class strictly positive on every curve and fiber:
     -K itself, or -K plus a multiple of the fibration classes."""
-    if lat in _AMPLE_CACHE:
-        return _AMPLE_CACHE[lat]
-    minus_k = tuple(-c for c in lat.K)
-    fibers = _fiber_candidates_raw(lat)
+    ex = explorer(lat)
     for t in range(0, 8):
-        cand = list(minus_k)
-        for f in fibers:
-            cand = [a + t * b for a, b in zip(cand, f)]
-        if all(lat.dot(tuple(cand), g) > 0 for g in lat.eff_gens):
-            _AMPLE_CACHE[lat] = tuple(cand)
-            return _AMPLE_CACHE[lat]
+        cand = tuple(-c for c in lat.K)
+        for f in ex.fibers:
+            cand = tuple(a + t * b for a, b in zip(cand, f))
+        if all(lat.dot(cand, g) > 0 for g in ex.curves + ex.fibers):
+            return cand
     raise AssertionError("no ample base class found")
 
 
@@ -555,23 +426,9 @@ def _project_away(lat: Lattice, v, state):
     enough because contracted classes are pairwise orthogonal."""
     out = [Fraction(c) for c in v]
     for s in state:
-        num = sum(a * b for a, b in zip(out, _gram_row(lat, s)))
-        out = [p - Fraction(num, lat.selfint(s)) * sc for p, sc in zip(out, s)]
+        coef = Fraction(lat.dot(out, s), lat.selfint(s))
+        out = [p - coef * sc for p, sc in zip(out, s)]
     return tuple(out)
-
-
-def _gram_row(lat: Lattice, s):
-    n = lat.rank
-    return tuple(sum(lat.gram[i][j] * s[j] for j in range(n)) for i in range(n))
-
-
-def _dot_frac(lat: Lattice, u, v):
-    n = lat.rank
-    return sum(
-        Fraction(u[i]) * lat.gram[i][j] * Fraction(v[j])
-        for i in range(n)
-        for j in range(n)
-    )
 
 
 def chambers(lat: Lattice) -> list[Chamber]:
@@ -591,7 +448,7 @@ def chambers(lat: Lattice) -> list[Chamber]:
         proj = _project_away(lat, base, state)
         keep = [c for c in walls if c not in state]
         for c in keep:
-            if _dot_frac(lat, proj, c) <= 0:
+            if lat.dot(proj, c) <= 0:
                 raise AssertionError(
                     "wall in the span of the contracted set; certificate "
                     "construction does not apply"
@@ -599,7 +456,7 @@ def chambers(lat: Lattice) -> list[Chamber]:
         t = Fraction(1)
         for c in keep:
             d = -lat.selfint(c)
-            t = max(t, Fraction(d + 1) / _dot_frac(lat, proj, c))
+            t = max(t, Fraction(d + 1) / lat.dot(proj, c))
         eps = Fraction(1)
         for s in state:
             d = -lat.selfint(s)
@@ -609,10 +466,10 @@ def chambers(lat: Lattice) -> list[Chamber]:
             for k, p, b in zip(lat.K, proj, base)
         )
         for s in state:
-            if _dot_frac(lat, cert, s) >= 0:
+            if lat.dot(cert, s) >= 0:
                 raise AssertionError("certificate not negative on contracted")
         for c in keep:
-            if _dot_frac(lat, cert, c) <= 0:
+            if lat.dot(cert, c) <= 0:
                 raise AssertionError("certificate not positive on kept wall")
         out.append(Chamber(lat, tuple(sorted(state)), cert))
     return sorted(out, key=lambda ch: (len(ch.contracted), ch.contracted))
@@ -625,8 +482,8 @@ def chamber_of(lat: Lattice, chamber_list, D) -> "Chamber":
     matches = []
     for ch in chamber_list:
         inn = set(ch.contracted)
-        ok = all(_dot_frac(lat, D, c) <= 0 for c in inn) and all(
-            _dot_frac(lat, D, c) > 0 for c in walls if c not in inn
+        ok = all(lat.dot(D, c) <= 0 for c in inn) and all(
+            lat.dot(D, c) > 0 for c in walls if c not in inn
         )
         if ok:
             matches.append(ch)
@@ -647,26 +504,23 @@ def run_ample_model(lat: Lattice, D, rng: random.Random | None = None):
     state = frozenset()
     while True:
         for f in ex.fibers_at(state):
-            if _dot_frac(lat, D, f) <= 0:
+            if lat.dot(D, f) <= 0:
                 raise NotBig(f"nonpositive on the fibration class {lat.describe(f)}")
-        cands = [c for c in ex._contractible(state) if _dot_frac(lat, D, c) <= 0]
+        cands = [c for c in ex._contractible(state) if lat.dot(D, c) <= 0]
         if not cands:
             break
         c = rng.choice(cands) if rng is not None else min(cands)
         state = state | {c}
     kint = ex.k_int(state)
-    if _dot_frac(lat, D, kint) >= 0:
+    if lat.dot(D, kint) >= 0:
         raise NotBig("pushforward is not ample on the target")
-    push = [Fraction(c) for c in D]
-    for s in state:
-        coef = _dot_frac(lat, D, s) / (-lat.selfint(s))
-        push = [p + coef * sc for p, sc in zip(push, s)]
+    push = _project_away(lat, D, state)
     if all(isinstance(c, int) for c in D):
         if any(p.denominator != 1 for p in push):
             raise AssertionError("pushforward of an integral class is not integral")
-        push = [int(p) for p in push]
+        push = tuple(int(p) for p in push)
     chamber = Chamber(lat, tuple(sorted(state)), D)
-    return chamber, tuple(push)
+    return chamber, push
 
 
 def codim_of_shared_face(c1: Chamber, c2: Chamber) -> int:

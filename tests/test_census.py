@@ -253,6 +253,41 @@ def test_threaded_resume_matches_fixture(census_q2, tmp_path):
     )
 
 
+def test_resume_after_torn_last_record(census_q2, tmp_path):
+    # a crash during the last write leaves an unterminated line: that
+    # range is run again and its record starts on a line of its own
+    text = open(census_q2.checkpoint_path).read()
+    path = tmp_path / "torn.ckpt"
+    torn = text[: text.rstrip("\n").rfind("\n") + 40]
+    assert not torn.endswith("\n") and torn.count("\n") == 4
+    path.write_text(torn)
+    res = run_census(2, mode="exact", checkpoint_path=str(path))
+    assert res.general_position_count == census_q2.general_position_count
+    assert res.pgl3_class_count == census_q2.pgl3_class_count
+    assert res.class_reps == census_q2.class_reps
+    lines = path.read_text().splitlines()
+    assert len(lines) == 5 and all(json.loads(line) for line in lines)
+    assert _read_checkpoint(str(path), 2) == _read_checkpoint(
+        census_q2.checkpoint_path, 2
+    )
+
+
+def test_nodal_keys_computed_once_per_process(monkeypatch):
+    calls = []
+    real = bertini_census.NodalCubicNF
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bertini_census, "NodalCubicNF", counting)
+    bertini_census._nodal_class_keys.cache_clear()
+    run_census(2, mode="sampled", sample_size=3, rng_seed=1)
+    run_census(2, mode="sampled", sample_size=3, rng_seed=2)
+    assert isinstance(bertini_census._nodal_class_keys(2), frozenset)
+    assert calls == [(2, 1)]  # one normal form at q = 2, built once
+
+
 def test_checkpoint_corruption_detected(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_text('{"version": 1, "q": 2, "lo": 0\n')

@@ -105,11 +105,24 @@ def test_chambers_degrees(tmp_path, capsys):
 
 
 def test_chambers_violation_exits_2(capsys):
-    # the lattice layer's AssertionError is a mathematical violation:
-    # one line on stderr and exit code 2, not a traceback
-    assert main(["chambers", "--degrees", "2"]) == 2
+    # [8, 2] has K^2 = -1, outside the modelled lattices: one line on
+    # stderr and exit code 2, not a traceback
+    assert main(["chambers", "--degrees", "8,2"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("mathematical violation:")
+    assert len(err) == 1 and err[0].startswith("outside the modelled scope:")
+
+
+def test_chambers_single_degree2_orbit(capsys):
+    # the line through a conjugate pair of points is the second wall
+    assert main(["chambers", "--degrees", "2"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data["negative_classes"]) == {"E1", "H-E1"}
+
+
+def test_complex_outside_scope_exits_2(capsys):
+    assert main(["complex", "--degrees", "8,1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("outside the modelled scope:")
 
 
 def test_complex_two_points(tmp_path, capsys):
@@ -121,6 +134,11 @@ def test_complex_two_points(tmp_path, capsys):
     assert dot.read_text().startswith("digraph sarkisov")
     data = json.loads(js.read_text())
     assert len(data["vertices"]) == 11
+
+
+def test_complex_mixed_degrees(capsys):
+    assert main(["complex", "--degrees", "1,1,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["squares"] == 48
 
 
 def test_amalgam_nf_sig_abel(capsys):

@@ -8,6 +8,7 @@ from cremona.picard_lattice import (
     BadNesting,
     NotBig,
     NotNested,
+    OutsideScope,
     blowup_lattice,
     chamber_of,
     chambers,
@@ -17,7 +18,7 @@ from cremona.picard_lattice import (
     run_ample_model,
     windows,
 )
-from cremona.picard_lattice import _ample_base
+from cremona.picard_lattice import _ample_base, _plane_classes
 
 
 def adjoint_sample(lat, rnd):
@@ -115,6 +116,41 @@ def test_negative_classes_dp1_includes_bertini_partner():
     partner = (48, -17)
     assert L8.selfint(partner) == -8
     assert L8.dot(L8.K, partner) == -8
+
+
+def test_plane_class_counts_are_classical():
+    # exceptional and conic classes on the plane blown up at n general
+    # points (Manin, Cubic Forms; Dolgachev, Classical Algebraic Geometry)
+    minus_one = [1, 3, 6, 10, 16, 27, 56, 240]
+    conics = [1, 2, 3, 5, 10, 27, 126, 2160]
+    for n in range(1, 9):
+        assert len(_plane_classes(n, -1, -1)) == minus_one[n - 1]
+        assert len(_plane_classes(n, 0, -2)) == conics[n - 1]
+
+
+def test_walls_of_one_orbit_by_hand():
+    # [2]: the two points and the line through them; [3]: the three
+    # points and the three lines through two of them (3H - 2E1); [4]: the
+    # lines through two of four cycled points meet; [5]: the conic
+    # through all five
+    expected = {
+        2: {"E1", "H-E1"},
+        3: {"E1", "3H-2E1"},
+        4: {"E1"},
+        5: {"E1", "2H-E1"},
+    }
+    for d, walls in expected.items():
+        lat = blowup_lattice([d])
+        assert {lat.describe(v) for v in negative_classes(lat)} == walls
+
+
+def test_nonpositive_k_squared_is_outside_scope():
+    lat = blowup_lattice([8, 2])
+    assert lat.k_squared() == -1
+    with pytest.raises(OutsideScope):
+        explorer(lat)
+    with pytest.raises(ValueError):
+        chambers(blowup_lattice([9]))
 
 
 def test_chamber_counts():

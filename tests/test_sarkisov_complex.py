@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cremona.picard_lattice import blowup_lattice
+from cremona.picard_lattice import blowup_lattice, chambers, windows
 from cremona.sarkisov_complex import (
     NotRank3,
     bertini_edge_square_count,
@@ -134,6 +134,24 @@ def test_elementary_relation_requires_rank3(figure1):
 def test_bertini_edge_in_no_square_with_positive_control():
     assert bertini_edge_square_count(8) == 0
     assert bertini_edge_square_count(1) >= 1
+
+
+def test_two_orbit_sweep_closes():
+    # every lattice with at most two orbits and K^2 >= 1: the chambers'
+    # certificates, the windows and the two-triangle assertion of
+    # build_local (the two-rays game) hold, and every disk closes
+    tuples = [(d,) for d in range(1, 9)] + [
+        (a, b) for a in range(1, 9) for b in range(a, 9 - a)
+    ]
+    assert len(tuples) == 24
+    for degrees in tuples:
+        lat = blowup_lattice(degrees)
+        assert chambers(lat) and windows(lat)
+        cx = build_local(lat)
+        for v in cx.vertices:
+            if v.rank == 3:
+                k = len([s for s in cx.squares if s[0] == v.name])
+                assert len(elementary_relation(cx, v.name)) == 2 * k > 0
 
 
 def test_every_pre_edge_has_two_triangles(three_points):

@@ -266,8 +266,7 @@ def cmd_chambers(args) -> int:
     if args.example == "3.8":
         lat = blowup_lattice([1, 1], nesting=[None, 0])
     else:
-        degrees = [int(d) for d in args.degrees.split(",")]
-        lat = blowup_lattice(degrees)
+        lat = blowup_lattice(args.degrees)
     try:
         chs = chambers(lat)
         payload = {
@@ -290,7 +289,7 @@ def cmd_complex(args) -> int:
     if args.points is not None:
         degrees = [1] * args.points
     else:
-        degrees = [int(d) for d in args.degrees.split(",")]
+        degrees = args.degrees
     lat = blowup_lattice(degrees)
     try:
         cx = build_local(lat)
@@ -340,6 +339,19 @@ def cmd_amalgam(args) -> int:
     return EXIT_OK
 
 
+def _degrees(text: str) -> list[int]:
+    """The argparse type of --degrees: comma-separated orbit degrees >= 1."""
+    try:
+        degrees = [int(d) for d in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+    if min(degrees) < 1:
+        raise argparse.ArgumentTypeError(f"orbit degrees must be >= 1, got {text!r}")
+    return degrees
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cremona",
@@ -374,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chambers", help="chamber decomposition of a lattice")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--example", choices=("3.8",))
-    g.add_argument("--degrees", metavar="D1,D2,...")
+    g.add_argument("--degrees", type=_degrees, metavar="D1,D2,...")
     p.add_argument("--json", metavar="FILE")
     p.set_defaults(func=cmd_chambers)
 
     p = sub.add_parser("complex", help="build a local square complex")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--points", type=int, help="number of degree-1 points")
-    g.add_argument("--degrees", metavar="D1,D2,...")
+    g.add_argument("--degrees", type=_degrees, metavar="D1,D2,...")
     p.add_argument("--dot", metavar="FILE")
     p.add_argument("--json", metavar="FILE")
     p.set_defaults(func=cmd_complex)

@@ -8,6 +8,11 @@ iff the product of the six parameters is 1.  These equivalences, the
 reduction of a posed nodal cubic to the normal form, and the count of
 nodal members in the pencil of cubics through a degree-8 orbit all live
 here.
+
+The count finds singular points before members: the singular points of
+all members of the pencil together are the rank-1 locus of a 4x2
+matrix of forms, found by one scan over x in F_{q^m} at each extension
+level m, O(q^m), and each point names the one member singular there.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .field_tower import FieldCtx, FieldElement, get_ctx, nullspace
+from .field_tower import FieldCtx, FieldElement, _poly_trim, get_ctx, nullspace
 from .plane_geometry import (
     PlaneCurve,
     ProjPoint,
@@ -61,7 +66,8 @@ class Reducible(ValueError):
 
 
 class NotAPencil(ValueError):
-    """The cubics through the orbit do not form a pencil."""
+    """The cubics through the orbit do not form a pencil, or the singular
+    points of its members are not finitely many."""
 
 
 # support of a posed nodal cubic xyz = c0 x^3 + c1 x^2 z + c2 x z^2 + c3 z^3
@@ -217,47 +223,146 @@ def cubic_pencil_basis(orbit_points, ctx: FieldCtx):
     return basis
 
 
-def _singular_points(coeffs, ctx):
-    """All points of P^2(ctx) where the cubic and its partials vanish.
-
-    Works by enumerating the zero set of one nonzero partial (a conic)
-    via quadratic solving, then filtering by the remaining equations.
-    The value of the cubic is checked explicitly (needed in char 3).
-    """
-    parts = [partial_form(coeffs, 3, v, ctx) for v in range(3)]
-    pivot = next((pt for pt in parts if any(pt)), None)
-    if pivot is None:
-        return None  # all partials vanish identically: not a nodal cubic
-    mono2 = monomials(2)
-    idx = {m: i for i, m in enumerate(mono2)}
-    q20, q11, q10 = pivot[idx[(2, 0, 0)]], pivot[idx[(1, 1, 0)]], pivot[idx[(1, 0, 1)]]
-    q02, q01, q00 = pivot[idx[(0, 2, 0)]], pivot[idx[(0, 1, 1)]], pivot[idx[(0, 0, 2)]]
-    add, mul = ctx.add, ctx.mul
-    cands = []
-    # affine chart z = 1: for each x, solve the quadratic in y
-    for x in range(ctx.size):
-        x2 = mul(x, x)
-        a = q02
-        b = add(mul(q11, x), q01)
-        c = add(add(mul(q20, x2), mul(q10, x)), q00)
-        roots = ctx.quadratic_roots(a, b, c)
-        if roots is None:
-            cands.extend((x, y, 1) for y in range(ctx.size))
-        else:
-            cands.extend((x, y, 1) for y in set(roots))
-    # line z = 0: [x:1:0] and [1:0:0]
-    for x in range(ctx.size):
-        if add(add(mul(q20, mul(x, x)), mul(q11, x)), q02) == 0:
-            cands.append((x, 1, 0))
-    if q20 == 0:
-        cands.append((1, 0, 0))
-    out = []
-    for c3 in cands:
-        if evaluate_form(coeffs, 3, c3, ctx):
-            continue
-        if all(evaluate_form(pt, 2, c3, ctx) == 0 for pt in parts):
-            out.append(c3)
+def _form_mul(f, g, p):
+    """Product of two forms given as {exponent triple: coefficient in F_p}."""
+    out = {}
+    for (a, b, c), u in f.items():
+        for (d, e, h), v in g.items():
+            k = (a + d, b + e, c + h)
+            out[k] = (out.get(k, 0) + u * v) % p
     return out
+
+
+def _value_rows(g, prime):
+    """g and its three partials, each as (coefficient vector, degree)."""
+    return [(g, 3)] + [(partial_form(g, 3, v, prime), 2) for v in range(3)]
+
+
+def _pencil_minors(g1, g2, prime):
+    """The six 2x2 minors of [v1 v2], v_i = (g_i, d_x g_i, d_y g_i, d_z g_i),
+    as forms {exponent triple: coefficient in F_p}; zero minors are dropped."""
+    p = prime.p
+    rows = [
+        [{e: c for e, c in zip(monomials(d), f) if c} for f, d in _value_rows(g, prime)]
+        for g in (g1, g2)
+    ]
+    minors = []
+    for j, k in itertools.combinations(range(4), 2):
+        minor = _form_mul(rows[0][j], rows[1][k], p)
+        for e, c in _form_mul(rows[0][k], rows[1][j], p).items():
+            minor[e] = (minor.get(e, 0) - c) % p
+        minor = {e: c for e, c in minor.items() if c}
+        if minor:
+            minors.append(minor)
+    return minors
+
+
+def _horner(f, x, ctx):
+    """f(x) for a little-endian coefficient list f."""
+    add, mul = ctx.add, ctx.mul
+    acc = 0
+    for c in reversed(f):
+        acc = add(mul(acc, x), c)
+    return acc
+
+
+def _poly_gcd(a, b, ctx):
+    """A gcd (not made monic) of two trimmed little-endian polynomials;
+    gcd(0, 0) = 0, the empty list."""
+    sub, mul = ctx.sub, ctx.mul
+    while b:
+        a = a[:]
+        lead = ctx.inv(b[-1])
+        db = len(b) - 1
+        while len(a) > db:
+            c = mul(a[-1], lead)
+            if c:
+                off = len(a) - 1 - db
+                for i in range(db):
+                    a[off + i] = sub(a[off + i], mul(c, b[i]))
+            a.pop()
+        a, b = b, _poly_trim(a)
+    return a
+
+
+def _roots(f, ctx):
+    """The distinct roots in ctx of a nonzero polynomial f."""
+    if len(f) == 2:
+        return [ctx.div(ctx.neg(f[0]), f[1])]
+    if len(f) < 2:
+        return []
+    return [y for y in range(ctx.size) if _horner(f, y, ctx) == 0]
+
+
+class _SingularLocus:
+    """The singular points of all members of the pencil s g1 + t g2
+    together: the points P where rank[v1(P) v2(P)] <= 1, with
+    v_i = (g_i, d_x g_i, d_y g_i, d_z g_i).
+
+    The six 2x2 minors of [v1 v2] are computed once over F_p.  On the
+    chart z = 1 each one is kept as a list, over the powers of y, of
+    coefficient lists in x; on the line z = 0 the minors at [x:1:0] are
+    univariate in x with F_p coefficients, so their gcd is taken once.
+    Raises NotAPencil where the locus is seen not to be finite: a line
+    z = 0 or x = x0 z inside it, or a point where every member is
+    singular.
+    """
+
+    def __init__(self, g1, g2, prime):
+        self.rows = [_value_rows(g, prime) for g in (g1, g2)]
+        self.charts = []
+        line = []
+        self.corner = True  # whether [1:0:0] is in the locus
+        for minor in _pencil_minors(g1, g2, prime):
+            deg = sum(next(iter(minor)))
+            chart = [[0] * (deg + 1) for _ in range(deg + 1)]
+            at_line = [0] * (deg + 1)
+            for (i, j, k), c in minor.items():
+                chart[j][i] = c
+                if k == 0:
+                    at_line[i] = c
+            self.charts.append(_poly_trim([_poly_trim(row) for row in chart]))
+            line = _poly_gcd(line, _poly_trim(at_line), prime)
+            self.corner = self.corner and minor.get((deg, 0, 0), 0) == 0
+        if not line:
+            raise NotAPencil("the minors vanish on the line z = 0")
+        self.line = line
+        # cheapest minors first: the gcd of two is nearly always constant
+        self.charts.sort(key=lambda chart: sum(map(len, chart)))
+
+    def points(self, ctx):
+        """The points of the locus in P^2(ctx), from one x-scan of the
+        chart: at each x0 the gcd in y of the minors stops as soon as it
+        is a constant, so roots are sought only at the x0 of the locus."""
+        out = []
+        for x0 in range(ctx.size):
+            g = []
+            for chart in self.charts:
+                g = _poly_gcd(g, _poly_trim([_horner(row, x0, ctx) for row in chart]), ctx)
+                if len(g) == 1:
+                    break
+            else:
+                if not g:
+                    raise NotAPencil(f"the minors vanish at every point [{x0}:y:1]")
+                out.extend((x0, y0, 1) for y0 in _roots(g, ctx))
+        out.extend((x0, 1, 0) for x0 in _roots(self.line, ctx))
+        if self.corner:
+            out.append((1, 0, 0))
+        return out
+
+    def members(self, ctx):
+        """{(s, t): singular points in P^2(ctx)} over the members singular
+        somewhere in P^2(ctx), each written [1:t] or [0:1]."""
+        out = {}
+        for pt in self.points(ctx):
+            v1, v2 = ([evaluate_form(f, d, pt, ctx) for f, d in r] for r in self.rows)
+            k = next((k for k in range(4) if v1[k] or v2[k]), None)
+            if k is None:
+                raise NotAPencil(f"every member is singular at {pt}")
+            # s v1 + t v2 = 0 for (s, t) = (v2[k], -v1[k])
+            member = (1, ctx.div(ctx.neg(v1[k]), v2[k])) if v2[k] else (0, 1)
+            out.setdefault(member, []).append(pt)
+        return out
 
 
 def count_nodal_members(orbit, extension_cap: int = 8) -> int:
@@ -267,36 +372,34 @@ def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     The orbit must be in general position, so every member is
     geometrically irreducible (a line or conic component would violate
     general position by Bezout) and has at most one singular point,
-    necessarily rational over the member's field of definition.  The
-    count is a lower bound for the count over the algebraic closure;
-    callers assert it stays <= 12.
+    necessarily rational over the member's field of definition.  A
+    member is counted at the level m of its field of definition when it
+    has exactly one singular point in P^2(F_{q^m}) and that point is an
+    ordinary node.  The discriminant of the pencil is a binary form of
+    degree 12, so no singular member has degree above 12: cap 12 counts
+    every nodal member over the algebraic closure.
+
+    The singular points come first.  With v_i = (g_i, d_x g_i, d_y g_i,
+    d_z g_i) for the basis g1, g2, the member s g1 + t g2 is singular at
+    P exactly when s v1(P) + t v2(P) = 0 (the value row keeps this exact
+    in characteristic 3, where Euler's relation fails).  So one scan of
+    the rank-1 locus of [v1 v2] over P^2(F_{q^m}), O(q^m) per level,
+    finds every singular point of every member, and each point names its
+    member.  Raises NotAPencil when that locus is not finite.
     """
     points = orbit.points if hasattr(orbit, "points") else orbit
     ctx = orbit.ctx if hasattr(orbit, "ctx") else points[0].ctx
     g1, g2 = cubic_pencil_basis(points, ctx)
     p = ctx.p
+    locus = _SingularLocus(g1, g2, get_ctx(p, 1))
     count = 0
     for m in range(1, extension_cap + 1):
         sub = get_ctx(p, m)
         proper = [d for d in range(1, m) if m % d == 0]
-        members = itertools.chain(((1, t) for t in range(sub.size)), [(0, 1)])
-        for s, t in members:
-            if _member_level(sub, s, t, proper):
+        for (s, t), sings in locus.members(sub).items():
+            if len(sings) != 1 or any(sub.in_subfield(t, d) for d in proper):
                 continue
-            coeffs = [
-                sub.add(sub.mul(s, a), sub.mul(t, b)) for a, b in zip(g1, g2)
-            ]
-            sings = _singular_points(coeffs, sub)
-            if sings is None or len(sings) != 1:
-                continue
-            curve = PlaneCurve(sub, 3, coeffs)
-            if node_check(curve, ProjPoint(sub, sings[0])):
+            coeffs = [sub.add(sub.mul(s, a), sub.mul(t, b)) for a, b in zip(g1, g2)]
+            if node_check(PlaneCurve(sub, 3, coeffs), ProjPoint(sub, sings[0])):
                 count += 1
     return count
-
-
-def _member_level(sub, s, t, seen_levels):
-    """True if [s:t] is already defined over a proper subfield level."""
-    return any(
-        sub.in_subfield(s, d) and sub.in_subfield(t, d) for d in seen_levels
-    )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cremona import cli_app
 from cremona.cli_app import main
 
 # the cached result of `census --q 2 --sample 25 --seed 3`: modulus
@@ -22,6 +23,16 @@ def test_verify_produit_small():
     assert main(["verify", "produit", "--q", "2", "--samples", "500"]) == 0
     # 11^8 is above the table limit: polynomial-fallback arithmetic
     assert main(["verify", "produit", "--q", "11", "--samples", "20"]) == 0
+
+
+@pytest.mark.parametrize("bad, code", [([2], 2), ([4], 0)])
+def test_verify_lambda_scan_check_can_fail(monkeypatch, capsys, bad, code):
+    # at q = 5 the lambda^6 = 1 check is not vacuous: 2^6 = 4 but 4^6 = 1
+    # in F_5, so a scan reporting lambda = 2 is a violation
+    monkeypatch.setattr(cli_app, "lambda_scan", lambda nf, a: list(bad))
+    assert main(["verify", "lambda-scan", "--q", "5", "--seeds", "1"]) == code
+    exceptions = 1 if code else 0
+    assert f"{exceptions} exceptions to lambda^6 = 1" in capsys.readouterr().out
 
 
 def test_verify_beta_twist():
@@ -117,6 +128,28 @@ def test_chambers_single_degree2_orbit(capsys):
     assert main(["chambers", "--degrees", "2"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert set(data["negative_classes"]) == {"E1", "H-E1"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chambers", "--degrees", "0"],
+        ["chambers", "--degrees", "1,-2"],
+        ["chambers", "--degrees", ","],
+        ["chambers", "--degrees", ""],
+        ["complex", "--degrees", "1,x"],
+        ["complex", "--degrees", "1,,2"],
+        ["complex", "--degrees", "0,1"],
+    ],
+)
+def test_bad_degrees_usage_error(argv, capsys):
+    # empty, non-integer and < 1 entries are refused by argparse: exit 2
+    # with a usage line, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "argument --degrees" in err
 
 
 def test_complex_outside_scope_exits_2(capsys):

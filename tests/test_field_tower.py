@@ -203,6 +203,27 @@ def test_polynomial_fallback_arithmetic():
         assert ctx.frobenius_iter(a, 8) == a
 
 
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (7, 2)])
+def test_quadratic_roots_against_brute_force(p, n):
+    # seeded (a, b, c) with a = 0, b = 0 and the all-zero case among them
+    ctx = get_ctx(p, n)
+    rnd = random.Random(100 * p + n)
+    triples = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
+    for _ in range(150):
+        a, b, c = (rnd.randrange(ctx.size) for _ in range(3))
+        triples += [(a, b, c), (0, b, c), (a, 0, c)]
+    for a, b, c in triples:
+        roots = ctx.quadratic_roots(a, b, c)
+        if a == b == c == 0:
+            assert roots is None
+            continue
+        brute = {
+            y for y in range(ctx.size)
+            if ctx.add(ctx.add(ctx.mul(a, ctx.mul(y, y)), ctx.mul(b, y)), c) == 0
+        }
+        assert len(roots) == len(set(roots)) and set(roots) == brute, (a, b, c)
+
+
 def test_subfield_membership_matches_orbit_length():
     ctx = get_ctx(2, 8)
     for e in range(256):

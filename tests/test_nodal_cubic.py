@@ -1,9 +1,12 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from cremona.field_tower import FieldElement, get_ctx
-from cremona.general_position import orbit_from_seed
+from cremona.bertini_census import pgl3_elements
+from cremona.field_tower import FieldElement, frobenius_orbit, get_ctx
+from cremona.general_position import GaloisOrbit8, orbit_from_seed
 from cremona.general_position import test_general_position as gp_verdict
 from cremona.nodal_cubic import (
     BadPose,
@@ -12,6 +15,7 @@ from cremona.nodal_cubic import (
     ProductNotOne,
     Reducible,
     ZeroArgument,
+    _SingularLocus,
     count_nodal_members,
     cubic_pencil_basis,
     is_cube,
@@ -22,8 +26,12 @@ from cremona.nodal_cubic import (
 from cremona.plane_geometry import (
     PlaneCurve,
     ProjPoint,
+    apply_raw,
     collinear,
+    evaluate_form,
+    monomials,
     node_check,
+    partial_form,
     six_on_conic,
     substitute_form,
 )
@@ -259,3 +267,196 @@ def test_normalize_pose_independent_up_to_cubes():
         _, nf1 = res
         ratio = ctx.div(nf1.c0, nf0.c0)
         assert ratio in cubes
+
+
+# ----------------------------------------------------------------------
+# the nodal-member count against the member-by-member search
+
+def _search_singular_points(coeffs, ctx):
+    """All points of P^2(ctx) where the cubic and its partials vanish, or
+    None when the partials vanish identically: the zero set of one
+    nonzero partial (a conic) by one quadratic per x, then filtered."""
+    parts = [partial_form(coeffs, 3, v, ctx) for v in range(3)]
+    pivot = next((pt for pt in parts if any(pt)), None)
+    if pivot is None:
+        return None
+    idx = {m: i for i, m in enumerate(monomials(2))}
+    q20, q11, q10 = pivot[idx[(2, 0, 0)]], pivot[idx[(1, 1, 0)]], pivot[idx[(1, 0, 1)]]
+    q02, q01, q00 = pivot[idx[(0, 2, 0)]], pivot[idx[(0, 1, 1)]], pivot[idx[(0, 0, 2)]]
+    add, mul = ctx.add, ctx.mul
+    cands = []
+    for x in range(ctx.size):
+        b = add(mul(q11, x), q01)
+        c = add(add(mul(q20, mul(x, x)), mul(q10, x)), q00)
+        roots = ctx.quadratic_roots(q02, b, c)
+        ys = range(ctx.size) if roots is None else set(roots)
+        cands.extend((x, y, 1) for y in ys)
+    for x in range(ctx.size):
+        if add(add(mul(q20, mul(x, x)), mul(q11, x)), q02) == 0:
+            cands.append((x, 1, 0))
+    if q20 == 0:
+        cands.append((1, 0, 0))
+    return [
+        pt for pt in cands
+        if evaluate_form(coeffs, 3, pt, ctx) == 0
+        and all(evaluate_form(part, 2, pt, ctx) == 0 for part in parts)
+    ]
+
+
+def _search_count(orbit, cap):
+    """The nodal members found member by member, O(q^{2m}) per level m:
+    each member [1:t] or [0:1] new at level m is counted when it has
+    exactly one singular point in P^2(F_{q^m}) and that point is a node."""
+    ctx = orbit.ctx
+    g1, g2 = cubic_pencil_basis(orbit.points, ctx)
+    count = 0
+    for m in range(1, cap + 1):
+        sub = get_ctx(ctx.p, m)
+        proper = [d for d in range(1, m) if m % d == 0]
+        members = itertools.chain(((1, t) for t in range(sub.size)), [(0, 1)])
+        for s, t in members:
+            if any(sub.in_subfield(t, d) for d in proper):
+                continue
+            coeffs = [sub.add(sub.mul(s, a), sub.mul(t, b)) for a, b in zip(g1, g2)]
+            sings = _search_singular_points(coeffs, sub)
+            if sings is None or len(sings) != 1:
+                continue
+            if node_check(PlaneCurve(sub, 3, coeffs), ProjPoint(sub, sings[0])):
+                count += 1
+    return count
+
+
+def _gp_nodal_orbits_q2():
+    """The 28 general-position orbits of param_point over F_{2^8}, by least
+    parameter."""
+    ctx = get_ctx(2, 8)
+    nf = NodalCubicNF(2, 1)
+    seen, out = set(), []
+    for e in range(1, ctx.size):
+        if ctx.in_subfield(e, 4) or e in seen:
+            continue
+        seen.update(v for (v,) in frobenius_orbit(ctx, (e,)))
+        orbit = orbit_from_seed(nf, ctx.element(e))
+        if gp_verdict(orbit).ok:
+            out.append(orbit)
+    return out
+
+
+def _gp_orbits_q3(seed, n):
+    """n general-position orbits of param_point over F_{3^8}, drawn with
+    seeded parameters and seeded c0."""
+    ctx = get_ctx(3, 8)
+    rnd = random.Random(seed)
+    out = []
+    while len(out) < n:
+        e = rnd.randrange(1, ctx.size)
+        nf = NodalCubicNF(3, rnd.randrange(1, 3))
+        if ctx.in_subfield(e, 4):
+            continue
+        orbit = orbit_from_seed(nf, ctx.element(e))
+        if gp_verdict(orbit).ok:
+            out.append(orbit)
+    return out
+
+
+@pytest.fixture(scope="module")
+def orbits_q2():
+    orbits = _gp_nodal_orbits_q2()
+    assert len(orbits) == 28
+    return orbits
+
+
+@pytest.fixture(scope="module")
+def caps_8_12_q2(orbits_q2):
+    return [
+        (count_nodal_members(o, extension_cap=8), count_nodal_members(o, extension_cap=12))
+        for o in orbits_q2
+    ]
+
+
+def test_count_matches_member_search_q2(orbits_q2):
+    for orbit in orbits_q2:
+        for cap in (1, 2, 3, 4):
+            assert count_nodal_members(orbit, extension_cap=cap) == _search_count(
+                orbit, cap
+            ), (orbit, cap)
+
+
+def test_count_matches_member_search_q3():
+    for orbit in _gp_orbits_q3(31, 6):
+        for cap in (1, 2, 3):
+            assert count_nodal_members(orbit, extension_cap=cap) == _search_count(
+                orbit, cap
+            ), (orbit, cap)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_count_matches_member_search_off_general_position(q):
+    # six points on a conic and no three on a line: often still a pencil,
+    # but one member is the conic plus a line, with two singular points,
+    # which neither count admits
+    ctx = get_ctx(q, 8)
+    rnd = random.Random(34)
+    tested = 0
+    while tested < 3:
+        orbit = frobenius_orbit(ctx, (1, rnd.randrange(ctx.size), rnd.randrange(ctx.size)))
+        if len(orbit) != 8:
+            continue
+        orbit = GaloisOrbit8(ctx, orbit)
+        report = gp_verdict(orbit)
+        if report.ok or report.failed_lines:
+            continue
+        try:
+            cubic_pencil_basis(orbit.points, ctx)
+        except NotAPencil:
+            continue
+        for cap in (1, 2, 3, 4):
+            assert count_nodal_members(orbit, extension_cap=cap) == _search_count(
+                orbit, cap
+            ), (orbit, cap)
+        tested += 1
+
+
+def test_cap8_histogram_q2(caps_8_12_q2):
+    # the member-by-member search gives this histogram over the 28 orbits
+    hist = Counter(c8 for c8, _ in caps_8_12_q2)
+    assert hist == {1: 6, 5: 4, 6: 4, 8: 8, 12: 6}
+
+
+def test_cap12_counts_every_nodal_member_q2(orbits_q2, caps_8_12_q2):
+    # the discriminant of the pencil has degree 12, so no singular member
+    # has degree above 12 and a larger cap finds nothing new
+    for c8, c12 in caps_8_12_q2:
+        assert c8 <= c12 <= 12
+    assert Counter(c12 for _, c12 in caps_8_12_q2) == {5: 4, 6: 4, 8: 8, 12: 12}
+    orbit = orbits_q2[0]
+    assert count_nodal_members(orbit, extension_cap=13) == caps_8_12_q2[0][1]
+
+
+def test_cap8_count_invariant_under_pgl3_q3():
+    ctx = get_ctx(3, 8)
+    (orbit,) = _gp_orbits_q3(33, 1)
+    g = random.Random(32).choice(list(pgl3_elements(3)))
+    moved = GaloisOrbit8(ctx, [apply_raw(g.matrix, p, ctx) for p in orbit.points])
+    assert moved != orbit
+    assert count_nodal_members(moved, extension_cap=8) == count_nodal_members(
+        orbit, extension_cap=8
+    )
+
+
+def _cubic(ctx, terms):
+    return list(PlaneCurve.from_dict(ctx, 3, terms).coeffs)
+
+
+def test_singular_locus_not_finite():
+    # a member with a double line, or a point where every member is
+    # singular, makes the singular locus of the pencil infinite
+    ctx = get_ctx(3, 1)
+    other = _cubic(ctx, {(0, 3, 0): 1, (0, 0, 3): 1, (1, 0, 2): 1})
+    with pytest.raises(NotAPencil, match="every point"):
+        _SingularLocus(_cubic(ctx, {(2, 1, 0): 1}), other, ctx).members(ctx)
+    with pytest.raises(NotAPencil, match="z = 0"):
+        _SingularLocus(_cubic(ctx, {(1, 0, 2): 1}), other, ctx)
+    cusp = _cubic(ctx, {(2, 0, 1): 1, (0, 3, 0): 1})
+    with pytest.raises(NotAPencil, match="every member"):
+        _SingularLocus(cusp, _cubic(ctx, {(1, 2, 0): 1}), ctx).members(ctx)

@@ -339,6 +339,29 @@ def cmd_amalgam(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """The argparse type of a count: an integer >= 1."""
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+def _prime(text: str) -> int:
+    """The argparse type of the field size of `verify`: a prime."""
+    value = _integer(text)
+    if not _is_prime(value):
+        raise argparse.ArgumentTypeError(f"must be a prime, got {text!r}")
+    return value
+
+
 def _degrees(text: str) -> list[int]:
     """The argparse type of --degrees: comma-separated orbit degrees >= 1."""
     try:
@@ -363,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="count Bertini classes over F_q")
     p.add_argument("--q", type=int, choices=(2, 3), required=True)
     p.add_argument("--exact", action="store_true", help="exhaustive census (default)")
-    p.add_argument("--sample", type=int, default=None, metavar="N",
+    p.add_argument("--sample", type=_count, default=None, metavar="N",
                    help="sampled census over N distinct orbits")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="FILE", help="write the JSON result")
     p.add_argument("--csv", metavar="FILE", help="write class representatives")
@@ -376,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a lemma verification suite")
     p.add_argument("lemma", choices=sorted(VERIFIERS))
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--q", type=_prime, default=2)
+    p.add_argument("--samples", type=_count, default=10000)
+    p.add_argument("--seeds", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q-max", type=int, default=101)
     p.set_defaults(func=cmd_verify)
@@ -392,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complex", help="build a local square complex")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--points", type=int, help="number of degree-1 points")
+    g.add_argument("--points", type=_count, help="number of degree-1 points")
     g.add_argument("--degrees", type=_degrees, metavar="D1,D2,...")
     p.add_argument("--dot", metavar="FILE")
     p.add_argument("--json", metavar="FILE")

@@ -14,6 +14,17 @@ field operation is a few table lookups.  This covers the whole working
 tower F_q c F_{q^2} c F_{q^4} c F_{q^8} for q in {2, 3, 5, 7}.  Larger
 contexts fall back to polynomial arithmetic.
 
+Table layout: exp holds g^0..g^(u-1) twice over (u = size - 1 units), so
+a product is the one lookup exp[log a + log b]; log and Zech hold one
+entry per element and per unit.  Fields up to 2^17 elements keep them as
+Python lists, with a Frobenius table besides; larger ones as array('i'),
+4 bytes an entry, so F_{7^8} takes 4 (2u + size + u) bytes, about 88 MB.
+From 2^20 elements on, the exp table is cached on disk as an int32 .npy
+file under `cache_dir()`.  A cached table is used only after it passes
+checks of its dtype and shape, of its range, of bijectivity onto the
+units, of its generator and of seeded products against the polynomial
+arithmetic; any failure rebuilds it and rewrites the file.
+
 Subfields of F_{q^n} are not separate contexts: membership in F_{q^d}
 is the predicate x^(q^d) == x, and every Galois orbit, of an element or
 of a point, is the one walk `frobenius_orbit`.
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 from array import array
 from functools import lru_cache
 
@@ -46,9 +58,13 @@ __all__ = [
 # back to polynomial arithmetic (7^8 = 5764801 stays below the limit).
 _TABLE_LIMIT = 1 << 23
 
-# Lists are faster for scalar indexing; array('i') saves memory on the
-# multi-megabyte tables of e.g. F_{7^8}.
+# Up to this size the tables are Python lists, which index about twice
+# as fast as arrays at 3^8 entries; above it they are array('i'), 4 bytes
+# an entry where a list slot takes 8 (plus the int it points to).
 _LIST_LIMIT = 1 << 17
+
+# Entries per step of the in-place Zech pass.
+_CHUNK = 1 << 20
 
 
 class ZeroElement(ZeroDivisionError):
@@ -191,6 +207,29 @@ def find_modulus(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def _lookup_table(values, small: bool, copies: int = 1):
+    """The int32 array `values`, repeated `copies` times, as a table for
+    scalar lookups: a list for a small field, otherwise an array('i')
+    filled straight from the array's buffer."""
+    if small:
+        return values.tolist() * copies
+    out = array("i")
+    for _ in range(copies):
+        out.frombytes(memoryview(values).cast("B"))
+    return out
+
+
+def _zech_in_place(exp, log, p: int) -> None:
+    """Overwrite exp[i] = g^i with the Zech log z(i) = log(g^i + 1), or
+    -1 where g^i = -1 (log[0] must be -1), a chunk at a time so that the
+    temporaries stay small."""
+    for lo in range(0, len(exp), _CHUNK):
+        seg = exp[lo: lo + _CHUNK]
+        seg += 1  # 1 added to the constant coefficient, mod p
+        seg[seg % p == 0] -= p
+        seg[:] = log[seg]
+
+
 # ----------------------------------------------------------------------
 
 class FieldCtx:
@@ -245,31 +284,82 @@ class FieldCtx:
         return os.path.join(cache_dir(), f"gftab_p{self.p}_n{self.n}_m{enc}.npy")
 
     def _build_tables(self):
+        """exp (doubled, so that mul is one lookup), log and, in odd
+        characteristic, Zech logs, all built in int32 and each numpy
+        buffer dropped as soon as its table is made; the exp buffer is
+        reused for the Zech logs."""
         import numpy as np
 
-        p, n, units = self.p, self.n, self._units
-        exp_np = None
+        p, units = self.p, self._units
         cache = self._table_cache_path() if self.size > (1 << 20) else None
-        if cache:
-            try:
-                exp_np = np.load(cache).astype(np.int64)
-                if len(exp_np) != units:
-                    exp_np = None
-            except OSError:
-                exp_np = None
-        if exp_np is None:
-            exp_np = self._compute_exp_table(np)
+        tables = self._load_exp_table(np, cache) if cache else None
+        if tables is None:
+            exp = self._compute_exp_table(np)
             if cache:
                 try:
                     os.makedirs(os.path.dirname(cache), exist_ok=True)
                     tmp = cache + ".tmp"
-                    np.save(tmp, exp_np.astype(np.int32))
+                    np.save(tmp, exp)
                     os.replace(tmp + ".npy", cache)
                 except OSError:
                     pass
-        self._finish_tables(np, exp_np)
+            tables = exp, self._log_table(np, exp)
+        exp, log = tables
+        del tables
+        small = self.size <= _LIST_LIMIT
+        if small:
+            frob = np.zeros(self.size, dtype=np.int32)
+            frob[exp] = exp[np.arange(units) * p % units]
+            self._frob_table = frob.tolist()
+        self._exp = _lookup_table(exp, small, copies=2)
+        if p != 2:
+            _zech_in_place(exp, log, p)
+            self._zech = _lookup_table(exp, small)
+        del exp
+        log[0] = 0  # was the Zech pass's -1 marker; never read, all ops guard zero
+        self._log = _lookup_table(log, small)
+
+    def _log_table(self, np, exp):
+        """log[exp[i]] = i by one scatter into int32; log[0] stays -1, as
+        does any unit exp misses."""
+        log = np.full(self.size, -1, dtype=np.int32)
+        log[exp] = np.arange(self._units, dtype=np.int32)
+        return log
+
+    def _load_exp_table(self, np, path):
+        """(exp, log) from the cached exp table at `path`, or None (a cache
+        miss, and the table is rebuilt) when the file cannot be read or
+        does not hold this field's exp table.
+
+        The checks: int32 of shape (units,); exp[0] = 1 and every entry a
+        unit; exp a bijection onto the units (no slot of log left unset);
+        exp[1] the generator `_compute_exp_table` uses; and seeded spot
+        products against polynomial multiplication.
+        """
+        try:
+            exp = np.load(path)
+        except (OSError, ValueError, EOFError):
+            return None
+        units = self._units
+        if not isinstance(exp, np.ndarray) or exp.dtype != np.int32 or exp.shape != (units,):
+            return None
+        if exp[0] != 1 or exp.min() < 1 or exp.max() >= self.size:
+            return None
+        log = self._log_table(np, exp)
+        if log[1:].min() < 0:
+            return None
+        if exp[1] != _encode(self._find_generator_poly(), self.p):
+            return None
+        rnd = random.Random(units)
+        for _ in range(16):
+            i, j = rnd.randrange(units), rnd.randrange(units)
+            if exp[(i + j) % units] != self._mul_poly(int(exp[i]), int(exp[j])):
+                return None
+        return exp, log
 
     def _compute_exp_table(self, np):
+        """exp[i] = g^i for the generator g of `_find_generator_poly`, as
+        an int32 array of the units' encodings."""
         p, n, units = self.p, self.n, self._units
         g = self._find_generator_poly()
         gv = np.array(g + [0] * (n - len(g)), dtype=np.int64)
@@ -312,35 +402,12 @@ class FieldCtx:
             mul_block(block[:take], gm[0], block[m: m + take])
             m += take
 
-        pows = np.array([p ** i for i in range(n)], dtype=np.int64)
-        return block.astype(np.int64) @ pows
-
-    def _finish_tables(self, np, exp_np):
-        p, units = self.p, self._units
-        log_np = np.empty(self.size, dtype=np.int64)
-        log_np[0] = 0  # never read: all ops guard zero explicitly
-        log_np[exp_np] = np.arange(units, dtype=np.int64)
-
-        zech_np = None
-        if p != 2:
-            c0 = exp_np % p
-            plus1 = np.where(c0 < p - 1, exp_np + 1, exp_np - (p - 1))
-            idx = np.where(plus1 == 0, 1, plus1)
-            zech_np = np.where(plus1 == 0, -1, log_np[idx])
-
-        exp2 = np.concatenate([exp_np, exp_np])
-        if self.size <= _LIST_LIMIT:
-            self._exp = exp2.tolist()
-            self._log = log_np.tolist()
-            self._zech = zech_np.tolist() if zech_np is not None else None
-            ft = np.empty(self.size, dtype=np.int64)
-            ft[0] = 0
-            ft[exp_np] = exp_np[(np.arange(units) * p) % units]
-            self._frob_table = ft.tolist()
-        else:
-            self._exp = array("q", exp2.tobytes())
-            self._log = array("q", log_np.tobytes())
-            self._zech = array("q", zech_np.tobytes()) if zech_np is not None else None
+        # base-p encoding, by Horner's rule over the coefficient columns
+        exp = np.zeros(units, dtype=np.int32)
+        for i in reversed(range(n)):
+            exp *= p
+            exp += block[:, i]
+        return exp
 
     # -- scalar arithmetic on encodings ---------------------------------
 

@@ -152,6 +152,31 @@ def test_bad_degrees_usage_error(argv, capsys):
     assert err.startswith("usage:") and "argument --degrees" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["census", "--q", "2", "--sample", "0"], "--sample"),
+        (["census", "--q", "2", "--sample", "-3"], "--sample"),
+        (["census", "--q", "2", "--threads", "-4"], "--threads"),
+        (["complex", "--points", "0"], "--points"),
+        (["complex", "--points", "-1"], "--points"),
+        (["complex", "--points", "two"], "--points"),
+        (["verify", "lambda-scan", "--q", "4"], "--q"),
+        (["verify", "produit", "--q", "9"], "--q"),
+        (["verify", "lambda-scan", "--seeds", "-1"], "--seeds"),
+        (["verify", "produit", "--samples", "0"], "--samples"),
+    ],
+)
+def test_bad_count_usage_error(argv, option, capsys):
+    # a count below 1 or a non-prime field size is refused by argparse:
+    # exit 2 with a usage line, before any work and without a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {option}:" in err
+
+
 def test_complex_outside_scope_exits_2(capsys):
     assert main(["complex", "--degrees", "8,1"]) == 2
     err = capsys.readouterr().err.strip().splitlines()

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cremona.field_tower import (
@@ -198,7 +199,7 @@ def test_polynomial_fallback_arithmetic():
     for _ in range(40):
         a, b, c = (rnd.randrange(1, ctx.size) for _ in range(3))
         assert ctx.mul(a, ctx.inv(a)) == 1
-        assert ctx.add(a, ctx.neg(a)) == 0
+        assert ctx.add(a, ctx.neg(a)) == 0  # the Zech table's -1 entry
         assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
         assert ctx.frobenius_iter(a, 8) == a
 
@@ -313,3 +314,120 @@ def test_serialization():
     assert data == {"p": 2, "n": 8, "modulus": list(F2_OCTIC)}
     again = FieldCtx(data["p"], data["n"], tuple(data["modulus"]))
     assert again == ctx
+
+
+# 3^13 = 1594323 elements: above the 2^20 size from which the exp table
+# is cached on disk, and built fresh in about a second
+BIG = (3, 13)
+
+
+def _tables(ctx):
+    return [ctx._exp, ctx._log, ctx._zech]
+
+
+@pytest.fixture(scope="module")
+def big_fresh(tmp_path_factory):
+    """A fresh 3^13 context and the exp table it wrote to its cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CREMONA_CACHE_DIR", str(tmp_path_factory.mktemp("gftab")))
+        ctx = FieldCtx(*BIG)
+        exp = np.load(ctx._table_cache_path())
+    return ctx, exp
+
+
+def test_table_cache_hit_does_not_rebuild(big_fresh, tmp_path, monkeypatch):
+    ref, exp = big_fresh
+    monkeypatch.setenv("CREMONA_CACHE_DIR", str(tmp_path))
+    np.save(ref._table_cache_path(), exp)
+
+    def fail(self, np_mod):
+        raise AssertionError("cache hit rebuilt the exp table")
+
+    monkeypatch.setattr(FieldCtx, "_compute_exp_table", fail)
+    assert _tables(FieldCtx(*BIG)) == _tables(ref)
+
+
+def _write_corrupt(kind, path, exp):
+    """Write a corrupt cache file of the given kind in place of `exp`."""
+    if kind == "garbage":
+        with open(path, "wb") as fh:
+            fh.write(b"not a table " * 1000)
+    elif kind == "truncated":
+        np.save(path, exp)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:-4096])
+    elif kind == "int64":
+        np.save(path, exp.astype(np.int64))
+    elif kind in ("duplicate", "out-of-range"):
+        bad = exp.copy()
+        bad[7] = bad[8] if kind == "duplicate" else len(exp) + 1
+        np.save(path, bad)
+    elif kind == "reversed-tail":
+        # bijective and exp[1] = g, but almost every product is wrong
+        bad = exp.copy()
+        bad[2:] = bad[2:][::-1]
+        np.save(path, bad)
+    else:
+        # exp[k i] with gcd(k, units) = 1: the exp table of the generator
+        # g^k, bijective and with exact products, but not of g
+        units = len(exp)
+        k = next(k for k in range(2, units) if math.gcd(k, units) == 1)
+        np.save(path, exp[(k * np.arange(units)) % units])
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "garbage", "truncated", "int64", "duplicate", "out-of-range",
+        "reversed-tail", "other-generator",
+    ],
+)
+def test_corrupt_table_cache_is_rebuilt(big_fresh, tmp_path, monkeypatch, kind):
+    ref, exp = big_fresh
+    monkeypatch.setenv("CREMONA_CACHE_DIR", str(tmp_path))
+    path = ref._table_cache_path()
+    _write_corrupt(kind, path, exp)
+    builds = []
+    build = FieldCtx._compute_exp_table
+
+    def counted(self, np_mod):
+        builds.append(1)
+        return build(self, np_mod)
+
+    monkeypatch.setattr(FieldCtx, "_compute_exp_table", counted)
+    ctx = FieldCtx(*BIG)
+    assert builds == [1]
+    assert _tables(ctx) == _tables(ref)
+    rewritten = np.load(path)
+    assert rewritten.dtype == np.int32 and np.array_equal(rewritten, exp)
+
+
+def test_large_table_arithmetic_matches_polynomial_path(big_fresh):
+    ctx = big_fresh[0]
+    assert ctx._exp.itemsize == ctx._log.itemsize == ctx._zech.itemsize == 4
+    rnd = random.Random(313)
+    for _ in range(200):
+        a, b, c = (rnd.randrange(1, ctx.size) for _ in range(3))
+        k, i = rnd.randrange(-ctx.size, ctx.size), rnd.randrange(ctx.n)
+        assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+        assert ctx.add(a, c) == ctx._add_poly(a, c)
+        assert ctx.add(a, ctx.neg(a)) == 0  # the Zech table's -1 entry
+        assert ctx.neg(b) == ctx._neg_poly(b)
+        assert ctx.inv(c) == ctx._inv_poly(c)
+        expected = ctx._pow_poly(a, k) if k >= 0 else ctx._inv_poly(ctx._pow_poly(a, -k))
+        assert ctx.pow(a, k) == expected
+        assert ctx.frobenius_iter(b, i) == ctx._pow_poly(b, ctx.p ** i)
+
+
+def test_f7_8_tables_stay_small():
+    # what perfbench/tracing.table_mb reads: len x itemsize, 8 bytes a
+    # list slot; the int32 tables of F_{7^8} take about 88 MB
+    ctx = get_ctx(7, 8)
+    total = sum(
+        len(tab) * getattr(tab, "itemsize", 8)
+        for tab in (ctx._exp, ctx._log, ctx._zech, ctx._frob_table, ctx._as_root)
+        if tab is not None
+    )
+    assert total <= 100 * 2 ** 20

@@ -354,6 +354,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _nonnegative(text: str) -> int:
+    """The argparse type of a ball radius: an integer >= 0."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _prime(text: str) -> int:
     """The argparse type of the field size of `verify`: a prime."""
     value = _integer(text)
@@ -426,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default="")
     p.add_argument("--factors", default="b1,b2")
     p.add_argument("--etokens", default="j")
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=_nonnegative, default=2)
     p.add_argument("--dot", metavar="FILE")
     p.set_defaults(func=cmd_amalgam)
     return parser

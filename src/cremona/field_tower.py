@@ -248,12 +248,13 @@ class FieldCtx:
         self.n = n
         self.size = p ** n
         if modulus is None:
-            modulus = find_modulus(p, n)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree n")
-        if not _poly_is_irreducible(list(modulus), p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+            modulus = find_modulus(p, n)  # proved irreducible there
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != n + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree n")
+            if not _poly_is_irreducible(list(modulus), p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
         self._units = self.size - 1
         self._exp = self._log = self._zech = None

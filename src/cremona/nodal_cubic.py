@@ -11,16 +11,27 @@ here.
 
 The count finds singular points before members: the singular points of
 all members of the pencil together are the rank-1 locus of a 4x2
-matrix of forms, found by one scan over x in F_{q^m} at each extension
-level m, O(q^m), and each point names the one member singular there.
+matrix of forms, and each point names the one member singular there.
+The forms have F_p coefficients, so Frobenius permutes the locus: at
+each extension level m the scan tests one x per Frobenius orbit of
+F_{q^m}, about q^m/m of them, and gets the other points by conjugation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .field_tower import FieldCtx, FieldElement, _poly_trim, get_ctx, nullspace
+from .field_tower import (
+    FieldCtx,
+    FieldElement,
+    _poly_trim,
+    frobenius_orbit,
+    get_ctx,
+    nullspace,
+)
 from .plane_geometry import (
     PlaneCurve,
     ProjPoint,
@@ -285,13 +296,43 @@ def _poly_gcd(a, b, ctx):
     return a
 
 
-def _roots(f, ctx):
-    """The distinct roots in ctx of a nonzero polynomial f."""
+@lru_cache(maxsize=None)
+def _frobenius_orbits(ctx):
+    """[(least element, orbit size)] over the Frobenius orbits of ctx, by
+    least element: one pass marking a visited bytearray, so that each
+    element is stepped once.  Built on first use and kept per context."""
+    frob = ctx.frobenius
+    seen = bytearray(ctx.size)
+    out = []
+    for x in range(ctx.size):
+        if seen[x]:
+            continue
+        size, y = 1, frob(x)
+        while y != x:
+            seen[y] = 1
+            size, y = size + 1, frob(y)
+        out.append((x, size))
+    return tuple(out)
+
+
+def _roots(f, ctx, k=1):
+    """One root in ctx from each F^k-orbit of roots of a nonzero
+    polynomial f with coefficients in F_{p^k}, where F is the p-power
+    Frobenius: F^k fixes f, so it permutes the roots.  An F-orbit of size
+    s splits into gcd(k, s) orbits of F^k, one through each of y, Fy, ...,
+    F^(gcd(k, s) - 1) y for its least element y; only these are tested."""
     if len(f) == 2:
         return [ctx.div(ctx.neg(f[0]), f[1])]
     if len(f) < 2:
         return []
-    return [y for y in range(ctx.size) if _horner(f, y, ctx) == 0]
+    frob = ctx.frobenius
+    out = []
+    for y, size in _frobenius_orbits(ctx):
+        for _ in range(math.gcd(k, size)):
+            if _horner(f, y, ctx) == 0:
+                out.append(y)
+            y = frob(y)
+    return out
 
 
 class _SingularLocus:
@@ -303,9 +344,11 @@ class _SingularLocus:
     chart z = 1 each one is kept as a list, over the powers of y, of
     coefficient lists in x; on the line z = 0 the minors at [x:1:0] are
     univariate in x with F_p coefficients, so their gcd is taken once.
-    Raises NotAPencil where the locus is seen not to be finite: a line
-    z = 0 or x = x0 z inside it, or a point where every member is
-    singular.
+    Since the minors have F_p coefficients, `points` visits one x per
+    Frobenius orbit of the field, O(q^m/m) x-steps at level m, and the
+    list of orbits of each field is built once, on first use.  Raises
+    NotAPencil where the locus is seen not to be finite: a line z = 0 or
+    x = x0 z inside it, or a point where every member is singular.
     """
 
     def __init__(self, g1, g2, prime):
@@ -331,11 +374,16 @@ class _SingularLocus:
         self.charts.sort(key=lambda chart: sum(map(len, chart)))
 
     def points(self, ctx):
-        """The points of the locus in P^2(ctx), from one x-scan of the
-        chart: at each x0 the gcd in y of the minors stops as soon as it
-        is a constant, so roots are sought only at the x0 of the locus."""
+        """The points of the locus in P^2(ctx), from a scan of the chart
+        over one x0 per Frobenius orbit of ctx.  At each x0 the gcd in y
+        of the minors stops as soon as it is a constant, so roots are
+        sought only at the x0 of the locus.  The minors have F_p
+        coefficients, so Frobenius maps the fibre over x0 onto the fibre
+        over F(x0): each root y0 over x0 yields the Frobenius orbit of
+        (x0, y0), which covers its F^k-conjugates over x0 (k the orbit
+        size of x0) and their images over F(x0), ..., F^(k-1)(x0)."""
         out = []
-        for x0 in range(ctx.size):
+        for x0, k in _frobenius_orbits(ctx):
             g = []
             for chart in self.charts:
                 g = _poly_gcd(g, _poly_trim([_horner(row, x0, ctx) for row in chart]), ctx)
@@ -344,8 +392,10 @@ class _SingularLocus:
             else:
                 if not g:
                     raise NotAPencil(f"the minors vanish at every point [{x0}:y:1]")
-                out.extend((x0, y0, 1) for y0 in _roots(g, ctx))
-        out.extend((x0, 1, 0) for x0 in _roots(self.line, ctx))
+                for y0 in _roots(g, ctx, k):
+                    out.extend((x, y, 1) for x, y in frobenius_orbit(ctx, (x0, y0)))
+        for x0 in _roots(self.line, ctx):
+            out.extend((x, 1, 0) for (x,) in frobenius_orbit(ctx, (x0,)))
         if self.corner:
             out.append((1, 0, 0))
         return out
@@ -383,9 +433,11 @@ def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     d_z g_i) for the basis g1, g2, the member s g1 + t g2 is singular at
     P exactly when s v1(P) + t v2(P) = 0 (the value row keeps this exact
     in characteristic 3, where Euler's relation fails).  So one scan of
-    the rank-1 locus of [v1 v2] over P^2(F_{q^m}), O(q^m) per level,
-    finds every singular point of every member, and each point names its
-    member.  Raises NotAPencil when that locus is not finite.
+    the rank-1 locus of [v1 v2] over P^2(F_{q^m}) finds every singular
+    point of every member, and each point names its member.  The scan
+    tests one x per Frobenius orbit of F_{q^m} and conjugates what it
+    finds, O(q^m/m) x-steps per level.  Raises NotAPencil when that
+    locus is not finite.
     """
     points = orbit.points if hasattr(orbit, "points") else orbit
     ctx = orbit.ctx if hasattr(orbit, "ctx") else points[0].ctx

@@ -165,11 +165,13 @@ def test_bad_degrees_usage_error(argv, capsys):
         (["verify", "produit", "--q", "9"], "--q"),
         (["verify", "lambda-scan", "--seeds", "-1"], "--seeds"),
         (["verify", "produit", "--samples", "0"], "--samples"),
+        (["amalgam", "ball", "--radius", "-2"], "--radius"),
     ],
 )
 def test_bad_count_usage_error(argv, option, capsys):
-    # a count below 1 or a non-prime field size is refused by argparse:
-    # exit 2 with a usage line, before any work and without a traceback
+    # a count below 1, a negative radius or a non-prime field size is
+    # refused by argparse: exit 2 with a usage line, before any work and
+    # without a traceback
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -214,3 +216,8 @@ def test_amalgam_ball(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["vertices"] == summary["edges"] + 1
     assert dot.read_text().startswith("graph bass_serre")
+
+
+def test_amalgam_ball_radius_zero(capsys):
+    assert main(["amalgam", "ball", "--radius", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"radius": 0, "vertices": 1, "edges": 0}

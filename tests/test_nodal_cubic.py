@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from cremona.bertini_census import pgl3_elements
-from cremona.field_tower import FieldElement, frobenius_orbit, get_ctx
+from cremona.field_tower import FieldElement, _poly_trim, frobenius_orbit, get_ctx
 from cremona.general_position import GaloisOrbit8, orbit_from_seed
 from cremona.general_position import test_general_position as gp_verdict
 from cremona.nodal_cubic import (
@@ -15,6 +15,10 @@ from cremona.nodal_cubic import (
     ProductNotOne,
     Reducible,
     ZeroArgument,
+    _frobenius_orbits,
+    _horner,
+    _poly_gcd,
+    _roots,
     _SingularLocus,
     count_nodal_members,
     cubic_pencil_basis,
@@ -31,6 +35,7 @@ from cremona.plane_geometry import (
     evaluate_form,
     monomials,
     node_check,
+    normalize_coords,
     partial_form,
     six_on_conic,
     substitute_form,
@@ -390,15 +395,14 @@ def test_count_matches_member_search_q3():
             ), (orbit, cap)
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_count_matches_member_search_off_general_position(q):
-    # six points on a conic and no three on a line: often still a pencil,
-    # but one member is the conic plus a line, with two singular points,
-    # which neither count admits
+def _off_gp_orbits(q, n):
+    """n seeded orbits over F_{q^8} with no three points on a line that
+    still span a pencil but are not in general position: six of the
+    points lie on a conic."""
     ctx = get_ctx(q, 8)
     rnd = random.Random(34)
-    tested = 0
-    while tested < 3:
+    out = []
+    while len(out) < n:
         orbit = frobenius_orbit(ctx, (1, rnd.randrange(ctx.size), rnd.randrange(ctx.size)))
         if len(orbit) != 8:
             continue
@@ -410,11 +414,20 @@ def test_count_matches_member_search_off_general_position(q):
             cubic_pencil_basis(orbit.points, ctx)
         except NotAPencil:
             continue
+        out.append(orbit)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_count_matches_member_search_off_general_position(q):
+    # six points on a conic and no three on a line: often still a pencil,
+    # but one member is the conic plus a line, with two singular points,
+    # which neither count admits
+    for orbit in _off_gp_orbits(q, 3):
         for cap in (1, 2, 3, 4):
             assert count_nodal_members(orbit, extension_cap=cap) == _search_count(
                 orbit, cap
             ), (orbit, cap)
-        tested += 1
 
 
 def test_cap8_histogram_q2(caps_8_12_q2):
@@ -442,6 +455,136 @@ def test_cap8_count_invariant_under_pgl3_q3():
     assert count_nodal_members(moved, extension_cap=8) == count_nodal_members(
         orbit, extension_cap=8
     )
+
+
+@pytest.mark.slow
+def test_cap12_q3_seeded_orbit():
+    # one seeded q=3 orbit over the whole tower up to F_{3^12}: every
+    # nodal member over the algebraic closure, a few seconds per orbit
+    (orbit,) = _gp_orbits_q3(31, 1)
+    c8 = count_nodal_members(orbit, extension_cap=8)
+    c12 = count_nodal_members(orbit, extension_cap=12)
+    assert c8 <= c12 <= 12
+    assert c12 == 12
+
+
+# ----------------------------------------------------------------------
+# the Frobenius-orbit scan of the singular locus against the full scan
+
+def _scan_points(locus, ctx):
+    """The points of the locus in P^2(ctx) by scanning every x0 of ctx,
+    and every y of ctx in a fibre of degree >= 2: O(q^m) x-steps per
+    level, where the orbit scan takes one x0 per Frobenius orbit."""
+    out = []
+    for x0 in range(ctx.size):
+        g = []
+        for chart in locus.charts:
+            g = _poly_gcd(g, _poly_trim([_horner(row, x0, ctx) for row in chart]), ctx)
+            if len(g) == 1:
+                break
+        else:
+            if not g:
+                raise NotAPencil(f"the minors vanish at every point [{x0}:y:1]")
+            out.extend((x0, y0, 1) for y0 in range(ctx.size) if _horner(g, y0, ctx) == 0)
+    out.extend((x0, 1, 0) for x0 in range(ctx.size) if _horner(locus.line, x0, ctx) == 0)
+    if locus.corner:
+        out.append((1, 0, 0))
+    return out
+
+
+def _assert_points_match_scan(orbit, top):
+    ctx = orbit.ctx
+    g1, g2 = cubic_pencil_basis(orbit.points, ctx)
+    locus = _SingularLocus(g1, g2, get_ctx(ctx.p, 1))
+    for m in range(1, top + 1):
+        sub = get_ctx(ctx.p, m)
+        pts = locus.points(sub)
+        assert len(pts) == len(set(pts)), (orbit, m)
+        assert set(pts) == set(_scan_points(locus, sub)), (orbit, m)
+
+
+def test_points_match_full_scan_q2(orbits_q2):
+    for orbit in orbits_q2:
+        _assert_points_match_scan(orbit, 12)
+
+
+def test_points_match_full_scan_q3():
+    for orbit in _gp_orbits_q3(31, 6):
+        _assert_points_match_scan(orbit, 8)
+
+
+@pytest.mark.parametrize("q, top", [(2, 12), (3, 8)])
+def test_points_match_full_scan_off_general_position(q, top):
+    for orbit in _off_gp_orbits(q, 3):
+        _assert_points_match_scan(orbit, top)
+
+
+def test_points_match_full_scan_conjugate_pair_at_infinity(orbits_q2):
+    # the line through a conjugate pair of singular points over F_4 is
+    # F_2-rational; a PGL_3(F_2) element that moves it to z = 0 gives a
+    # pencil whose line gcd has roots outside the prime field
+    orbit = orbits_q2[1]
+    ctx, c2 = orbit.ctx, get_ctx(2, 2)
+    g1, g2 = cubic_pencil_basis(orbit.points, ctx)
+    pts = _SingularLocus(g1, g2, get_ctx(2, 1)).points(c2)
+    a = next(pt for pt in pts if not all(c2.in_subfield(c, 1) for c in pt))
+    b = tuple(map(c2.frobenius, a))
+    line = normalize_coords(
+        [c2.sub(c2.mul(a[i], b[j]), c2.mul(a[j], b[i])) for i, j in ((1, 2), (2, 0), (0, 1))],
+        c2,
+    )
+    assert all(c2.in_subfield(c, 1) for c in line)
+    pivot = next(i for i in range(3) if line[i])
+    rows = [[int(i == j) for j in range(3)] for i in range(3) if i != pivot]
+    moved = GaloisOrbit8(ctx, [apply_raw(rows + [list(line)], p, ctx) for p in orbit.points])
+    g1, g2 = cubic_pencil_basis(moved.points, ctx)
+    at_infinity = [pt for pt in _SingularLocus(g1, g2, get_ctx(2, 1)).points(c2) if pt[2] == 0]
+    assert any(not c2.in_subfield(x, 1) for x, _, _ in at_infinity)
+    _assert_points_match_scan(moved, 12)
+    assert count_nodal_members(moved, extension_cap=8) == count_nodal_members(
+        orbit, extension_cap=8
+    )
+
+
+def _poly_mul(a, b, ctx):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(u, v))
+    return out
+
+
+def _power_orbit(ctx, y, k):
+    """[y, F^k y, F^2k y, ...] up to the first repetition."""
+    out = [y]
+    y = ctx.frobenius_iter(y, k)
+    while y != out[0]:
+        out.append(y)
+        y = ctx.frobenius_iter(y, k)
+    return out
+
+
+@pytest.mark.parametrize("p, m, k", [(2, 12, 4), (2, 12, 6), (3, 6, 2), (3, 6, 3)])
+def test_roots_over_subfield_match_full_scan(p, m, k):
+    # a polynomial with coefficients in F_{p^k}, k > 1, of degree >= 2: the
+    # minimal polynomial over F_{p^k} of a random r times a random factor
+    # y - a with a in F_{p^k}, times a random quadratic over F_{p^k}
+    ctx = get_ctx(p, m)
+    assert sum(size for _, size in _frobenius_orbits(ctx)) == ctx.size
+    sub = [e for e in range(ctx.size) if ctx.in_subfield(e, k)]
+    rnd = random.Random(35 + m + k)
+    for _ in range(20):
+        r = rnd.randrange(ctx.size)
+        f = [1]
+        for y in _power_orbit(ctx, r, k):
+            f = _poly_mul(f, [ctx.neg(y), 1], ctx)
+        f = _poly_mul(f, [ctx.neg(rnd.choice(sub)), 1], ctx)
+        f = _poly_mul(f, [rnd.choice(sub), rnd.choice(sub), 1], ctx)
+        assert all(ctx.in_subfield(c, k) for c in f)
+        # one root per F^k-orbit of roots
+        found = [z for y in _roots(f, ctx, k) for z in _power_orbit(ctx, y, k)]
+        assert len(found) == len(set(found))
+        assert set(found) == {y for y in range(ctx.size) if _horner(f, y, ctx) == 0}
 
 
 def _cubic(ctx, terms):

@@ -1,11 +1,24 @@
-"""Exhaustive census of Bertini classes over F_q, q in {2, 3}.
+"""Census of Bertini classes over F_q, q in {2, 3}.
 
 A Bertini involution with a base point of degree 8 corresponds to a
-general-position degree-8 orbit in P^2(F_{q^8}); counting such orbits
-up to the action of PGL_3(F_q) gives the number of Bertini classes the
-construction produces.  The census enumerates every degree-8 orbit by
-minimal seed, filters by the general-position test, and reduces each
-survivor to a canonical class key.
+general-position (GP) degree-8 orbit in P^2(F_{q^8}); counting such
+orbits up to the action of PGL_3(F_q) gives the number of Bertini
+classes the construction produces.
+
+The exact census counts subspaces, not points.  The coordinates of a
+point p = [x0:x1:x2] off every F_q-rational line span a 3-dimensional
+F_q-subspace V of F_{q^8}, defined up to scaling by F_{q^8}^*.  Changing
+the F_q-basis of V is the action of PGL_3(F_q) on p, and Frobenius sends
+V to V^q, so the PGL_3(F_q)-classes of Frobenius orbits are the orbits
+of G = F_{q^8}^* x| Gal on 3-subspaces.  A G-orbit meets the
+[7 choose 2]_q subspaces that contain 1 (2667 at q = 2, 99,463 at q = 3)
+in 8(q^2+q+1)/s of them, s the stabilizer order of the class in
+PGL_3(F_q), and these reach each other by V -> t^{-1} V (t in V) and
+V -> V^q.  A search over these moves gives one point [1:u:v] per class
+for the GP test and the class key.  Every run asserts the orbit
+identity: the sum of |PGL_3(F_q)|/s over the degree-8 classes, plus the
+(q^2+q+1)(q^8 - q^4)/8 orbits on rational lines, is (q^16 - q^4)/8.
+Sampled mode draws random points instead.
 
 The key is a Frobenius-frame key.  Elements of PGL_3(F_q) commute with
 Frobenius F, so they carry the cyclic order p, Fp, ..., F^7 p of one
@@ -26,13 +39,11 @@ N1.N2.N3 / (12 |PGL_3|), are implemented in `mq_bound` / `mq_cross_check`.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
-import json
 import math
-import os
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -43,11 +54,9 @@ from .plane_geometry import ProjTransform, apply_raw
 
 __all__ = [
     "CensusResult",
-    "CheckpointCorrupt",
     "ClassKey",
     "ResourceBudgetExceeded",
     "canonical_class",
-    "enumerate_orbits",
     "mq_bound",
     "mq_cross_check",
     "pgl3_elements",
@@ -58,11 +67,6 @@ __all__ = [
 ]
 
 RESULT_VERSION = 2
-
-
-class CheckpointCorrupt(RuntimeError):
-    """A checkpoint file failed to parse, carries a stale version, or
-    holds a range that is not one of the run's chunk ranges."""
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -96,7 +100,7 @@ def pgl3_elements(q: int):
 
 
 # ----------------------------------------------------------------------
-# orbit enumeration
+# the point index space of sampled mode
 
 def _point_count(q: int) -> int:
     """|P^2(F_{q^8})|, the size of the linear index space of `_point_at`."""
@@ -116,26 +120,6 @@ def _point_at(q: int, index: int):
     return (1, index // size, index % size)
 
 
-def _orbits_in(q: int, lo: int, hi: int):
-    """The degree-8 orbits whose minimal seed has its index in [lo, hi),
-    each once, in seed order, as point lists in Frobenius order from the
-    seed."""
-    ctx = get_ctx(q, 8)
-    for index in range(lo, hi):
-        coords = _point_at(q, index)
-        orbit = frobenius_orbit(ctx, coords)
-        if len(orbit) == 8 and min(orbit) == coords:
-            yield orbit
-
-
-def enumerate_orbits(q: int):
-    """Each degree-8 orbit of P^2(F_{q^8}) exactly once, as a
-    GaloisOrbit8, keyed and ordered by minimal seed."""
-    ctx = get_ctx(q, 8)
-    for orbit in _orbits_in(q, 0, _point_count(q)):
-        yield GaloisOrbit8(ctx, orbit)
-
-
 # ----------------------------------------------------------------------
 # canonical class keys
 
@@ -145,9 +129,6 @@ class ClassKey:
     (see `canonical_class`), four normalized coordinate triples."""
 
     serialized: tuple
-
-    def to_json(self):
-        return {"images": [list(p) for p in self.serialized]}
 
 
 def _cross(u, v, ctx):
@@ -324,43 +305,18 @@ class CensusResult:
         }
 
 
-def _seed_ranges(q: int, chunk: int):
-    """Split the linear index space of `_point_at` into ranges."""
-    total = _point_count(q)
-    lo = 0
-    while lo < total:
-        yield (lo, min(lo + chunk, total))
-        lo += chunk
-
-
-def _merge_keys(target: dict, part: dict):
-    for key, rep in part.items():
-        if key not in target or rep < target[key]:
-            target[key] = rep
-
-
 def _add_class(keys: dict, points, ctx) -> bool:
-    """The per-orbit census step: run the general-position test on one
-    degree-8 orbit and, when it passes, file its class key in `keys` with
-    the least sorted representative.  Returns whether the orbit passed."""
+    """The per-orbit step of a sampled census and of the nodal keys: run
+    the general-position test on one degree-8 orbit and, when it passes,
+    file its class key in `keys` with the least sorted representative.
+    Returns whether the orbit passed."""
     if not general_position_report(points, ctx).ok:
         return False
     orbit = GaloisOrbit8(ctx, points)
-    _merge_keys(keys, {canonical_class(orbit): orbit.points})
+    key = canonical_class(orbit)
+    if key not in keys or orbit.points < keys[key]:
+        keys[key] = orbit.points
     return True
-
-
-def _census_range(args):
-    """Process point indices [lo, hi): returns orbit/GP counts and the
-    class keys (with minimal representative orbit per key)."""
-    q, lo, hi = args
-    ctx = get_ctx(q, 8)
-    orbits = gp = 0
-    keys: dict = {}
-    for points in _orbits_in(q, lo, hi):
-        orbits += 1
-        gp += _add_class(keys, points, ctx)
-    return orbits, gp, keys
 
 
 @functools.cache
@@ -381,83 +337,119 @@ def _nodal_class_keys(q: int) -> frozenset:
     return frozenset(keys)
 
 
-# how every record line begins: "version" is the first key written
-_RECORD_HEAD = b'{"version":'
+def _subspace_states(q: int):
+    """Each 3-subspace V of F_{q^8} containing 1 once, as the reduced
+    echelon basis (u, v), u > v, of its image in F_{q^8}/F_q: both
+    encodings have constant digit 0 (the quotient drops it), u has
+    leading digit 1 in place i, v has leading digit 1 in place j < i, and
+    u has digit 0 in place j."""
+    for i in range(2, 8):
+        for j in range(1, i):
+            for low_v in range(q ** (j - 1)):
+                v = q ** j + low_v * q
+                for rest in range(q ** (i - 2)):
+                    high, low = divmod(rest, q ** (j - 1))
+                    yield q ** i + high * q ** (j + 1) + low * q, v
 
 
-def _checkpoint_record(fh, q, lo, hi, orbits, gp, keys):
-    """Append one finished range to the checkpoint and make it durable."""
-    record = {
-        "version": RESULT_VERSION,
-        "q": q,
-        "lo": lo,
-        "hi": hi,
-        "orbits": orbits,
-        "gp": gp,
-        "keys": [
-            [key.to_json(), [list(p) for p in rep]] for key, rep in keys.items()
-        ],
-    }
-    fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-    fh.flush()
-    os.fsync(fh.fileno())
+def _subspace_components(q: int) -> list:
+    """The orbits of F_{q^8}^* x| Gal on the 3-subspaces of F_{q^8}, as
+    the components of the subspaces containing 1 under the moves
+    V -> V^q and V -> t^{-1} V, t in V \\ 0 up to F_q^*.  Returns, for
+    each component, the point [1:u:v] of its first state (u, v) in the
+    order of `_subspace_states`, and the number of subspaces in it."""
+    ctx = get_ctx(q, 8)
+    mul, add, sub, inv, frob = ctx.mul, ctx.add, ctx.sub, ctx.inv, ctx.frobenius
+    powers = [q ** k for k in range(9)]
+
+    def state(a, b):
+        # the reduced echelon basis of the image of span(1, a, b)
+        a -= a % q
+        b -= b % q
+        if a < b:
+            a, b = b, a
+        lead = powers[bisect_right(powers, a) - 1]
+        if a >= 2 * lead:
+            a = mul(inv(a // lead), a)
+        if b >= lead:
+            b = sub(b, mul(b // lead, a))
+        lead = powers[bisect_right(powers, b) - 1]
+        if b >= 2 * lead:
+            b = mul(inv(b // lead), b)
+        c = a // lead % q
+        if c:
+            a = sub(a, mul(c, b))
+        return a, b
+
+    def moves(u, v):
+        # V^q, then t^{-1} V for each t != 1 of V up to F_q^*, that is
+        # t = 1 + bu + cv, u + cv or v: t^{-1} times the two other vectors
+        # of the basis (1, u, v) spans the image of t^{-1} V
+        yield frob(u), frob(v)
+        us = [mul(b, u) for b in range(q)]
+        vs = [mul(c, v) for c in range(q)]
+        for b in range(q):
+            for c in range(1 if b == 0 else 0, q):
+                t = inv(add(1, add(us[b], vs[c])))
+                yield mul(t, u), mul(t, v)
+            t = inv(add(u, vs[b]))
+            yield t, mul(t, v)
+        t = inv(v)
+        yield t, mul(t, u)
+
+    seen = set()
+    components = []
+    for start in _subspace_states(q):
+        if start in seen:
+            continue
+        seen.add(start)
+        todo = [start]
+        size = 0
+        while todo:
+            size += 1
+            for a, b in moves(*todo.pop()):
+                s = state(a, b)
+                if s not in seen:
+                    seen.add(s)
+                    todo.append(s)
+        components.append(((1, *start), size))
+    return components
 
 
-def _cut_torn_record(path):
-    """Cut an unterminated final line that begins like a record.  A crash
-    tore it while it was written, so its range never finished and runs
-    again; left in place, it would run into the next record's line."""
-    if not path or not os.path.exists(path):
-        return
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        cut = data.rfind(b"\n") + 1
-        torn = data[cut:]
-        if torn and (torn.startswith(_RECORD_HEAD) or _RECORD_HEAD.startswith(torn)):
-            fh.truncate(cut)
-
-
-def _read_checkpoint(path, q):
-    done = {}
-    if not path or not os.path.exists(path):
-        return done
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                if rec.get("version") != RESULT_VERSION or rec.get("q") != q:
-                    raise ValueError("stale checkpoint record")
-                keys = {
-                    ClassKey(tuple(tuple(p) for p in k["images"])):
-                    tuple(tuple(p) for p in rep)
-                    for k, rep in rec["keys"]
-                }
-                done[(rec["lo"], rec["hi"])] = (rec["orbits"], rec["gp"], keys)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CheckpointCorrupt(f"{path}: {exc}") from exc
-    return done
+def _class_of(job):
+    """The per-component census step: the general-position test on the
+    Frobenius orbit of the component's point and, when it passes, the
+    class key with the sorted orbit as its representative.  The number of
+    frame rotations reaching the key is the stabilizer order of the orbit
+    in PGL_3(F_q), which must equal `stab`, the order the search gives."""
+    q, point, stab = job
+    ctx = get_ctx(q, 8)
+    points = frobenius_orbit(ctx, point)
+    if not general_position_report(points, ctx).ok:
+        return None
+    records = _frame_records(points, ctx)
+    key = min(records)
+    if records.count(key) != stab:
+        raise AssertionError(f"stabilizer of {point}: frame rotations != {stab}")
+    return ClassKey(key), tuple(sorted(points))
 
 
 def run_census(
     q: int,
     mode: str = "exact",
     threads: int = 1,
-    checkpoint_path: str | None = None,
     sample_size: int | None = None,
     rng_seed: int = 0,
-    chunk: int = 1 << 14,
 ) -> CensusResult:
     """Count general-position degree-8 orbits and their PGL_3(F_q)
     classes; assert the class count meets the M_q bound.
 
-    Exact mode streams every orbit (q = 2 takes under a minute; q = 3 is a
-    long-running job, resumable through `checkpoint_path`; a checkpoint
-    holding a range other than the chunk-`chunk` ranges is refused with
-    CheckpointCorrupt before any work, and a torn last record, left by a
-    crash during its write, is cut and its range run again).  Sampled
+    Exact mode searches the 3-subspaces of F_{q^8} (see the module
+    docstring): each component of degree 8 is a class of |PGL_3(F_q)|/s
+    orbits, s = 8(q^2+q+1)/|component|, reported in key order by one
+    sorted orbit.  It asserts the orbit identity, that each GP class has
+    s minimal frame rotations, and that no two classes share a key; with
+    threads > 1 the GP tests and keys run on a worker pool.  Sampled
     mode tests `sample_size` distinct orbits chosen by a seeded RNG and
     reports a certified lower bound on the class count (distinct
     canonical keys are distinct classes; it can never overcount).
@@ -473,39 +465,37 @@ def run_census(
     gp = 0
 
     if mode == "exact":
-        _cut_torn_record(checkpoint_path)
-        done = _read_checkpoint(checkpoint_path, q)
-        ranges = list(_seed_ranges(q, chunk))
-        stray = sorted(set(done) - set(ranges))
-        if stray:
-            raise CheckpointCorrupt(
-                f"{checkpoint_path}: range {stray[0]} is not one of the "
-                f"chunk-{chunk} ranges; it was written with another chunk size"
-            )
-        for _, (o, g, part) in sorted(done.items()):
-            orbits += o
-            gp += g
-            _merge_keys(keys, part)
-        jobs = [(q, lo, hi) for lo, hi in ranges if (lo, hi) not in done]
-        with contextlib.ExitStack() as stack:
-            ck = None
-            if checkpoint_path:
-                ck = stack.enter_context(open(checkpoint_path, "a"))
-            run = map
-            if threads > 1 and jobs:
-                import multiprocessing as mp
-
-                run = stack.enter_context(mp.Pool(threads)).imap
-            for (_, lo, hi), (o, g, part) in zip(jobs, run(_census_range, jobs)):
-                orbits += o
-                gp += g
-                _merge_keys(keys, part)
-                if ck:
-                    _checkpoint_record(ck, q, lo, hi, o, g, part)
-        if orbits != total:
+        ctx = get_ctx(q, 8)
+        group = pgl3_order(q)
+        jobs = []
+        for point, size in _subspace_components(q):
+            if len(frobenius_orbit(ctx, point)) != 8:
+                continue
+            stab, rest = divmod(8 * (q * q + q + 1), size)
+            if rest:
+                raise AssertionError(f"stabilizer of {point}: {size} subspaces")
+            orbits += group // stab
+            jobs.append((q, point, stab))
+        # the degree-8 orbits on the q^2 + q + 1 rational lines span no
+        # 3-subspace, so the search leaves them out
+        on_lines = (q * q + q + 1) * (q ** 8 - q ** 4) // 8
+        if orbits + on_lines != total:
             raise AssertionError(
-                f"orbit stream count {orbits} != formula {total}"
+                f"orbit identity: {orbits} + {on_lines} != {total} degree-8 orbits"
             )
+        if threads > 1:
+            import multiprocessing as mp
+
+            with mp.get_context("spawn").Pool(threads) as pool:
+                found = list(pool.imap(_class_of, jobs))
+        else:
+            found = list(map(_class_of, jobs))
+        for (_, point, stab), hit in zip(jobs, found):
+            if hit:
+                if hit[0] in keys:
+                    raise AssertionError(f"two components share the key of {point}")
+                keys[hit[0]] = hit[1]
+                gp += group // stab
     else:
         if not sample_size or sample_size < 1:
             raise ValueError("sampled mode needs a positive sample_size")

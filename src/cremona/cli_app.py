@@ -1,18 +1,19 @@
 """Command-line entry point.
 
-Subcommands: `census` (exhaustive or sampled Bertini-class counts with
-JSON/CSV artifacts and checkpointing), `verify` (the finite-field lemma
-suites), `chambers` (chamber decompositions of small lattices),
-`complex` (local Sarkisov square complexes with DOT/JSON export), and
-`amalgam` (word reductions, signature, parity, Bass-Serre balls).
+Subcommands: `census` (exact or sampled Bertini-class counts with
+JSON/CSV artifacts), `verify` (the finite-field lemma suites),
+`chambers` (chamber decompositions of small lattices), `complex` (local
+Sarkisov square complexes with DOT/JSON export), and `amalgam` (word
+reductions, signature, parity, Bass-Serre balls).
 
-Exit codes: 0 success, 2 mathematical violation (a bound or lemma
-failed: treat as a regression alarm) or a lattice outside the modelled
-scope (K^2 <= 0, refused before any work), 3 infrastructure failure
-(corrupt checkpoint or cache).  Results of census runs are cached under
---cache-dir (default $CREMONA_CACHE_DIR or ~/.cache/cremona), keyed by
-the field modulus and the result-format version; stale versions are
-recomputed, never migrated.
+Exit codes: 0 success, 2 mathematical violation (a bound, lemma or
+census identity failed: treat as a regression alarm) or a lattice
+outside the modelled scope (K^2 <= 0, refused before any work), 3
+infrastructure failure (an output file that cannot be written).  Results
+of census runs are cached under --cache-dir (default $CREMONA_CACHE_DIR
+or ~/.cache/cremona), keyed by the field modulus and the result-format
+version; stale versions are recomputed, never migrated, and a cache that
+cannot be read or written is skipped.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import sys
 from . import bertini_census as census_mod
 from . import amalgam_words as words
 from .bertini_census import (
-    CensusResult,
-    CheckpointCorrupt,
     mq_bound,
     mq_cross_check,
     run_census,
@@ -86,13 +85,11 @@ def cmd_census(args) -> int:
                 args.q,
                 mode=mode,
                 threads=args.threads,
-                checkpoint_path=args.checkpoint,
                 sample_size=args.sample,
                 rng_seed=args.seed,
             )
-        except CheckpointCorrupt as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return EXIT_INFRA
+        except AssertionError as exc:
+            return _violation(exc)
         result = res.to_json(with_reps=True)
         if not args.no_cache:
             try:
@@ -400,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="FILE", help="write the JSON result")
     p.add_argument("--csv", metavar="FILE", help="write class representatives")
-    p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--cache-dir")
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=cmd_census)
@@ -442,7 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"infrastructure failure: {exc}", file=sys.stderr)
+        return EXIT_INFRA
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@ import os
 
 import pytest
 
+from cremona import bertini_census
 from cremona.bertini_census import run_census
+from cremona.field_tower import frobenius_orbit, get_ctx
+from cremona.general_position import general_position_report
 
 # Golden regression values, frozen after the first verified exhaustive
 # run at q = 2 (modulus encoding 283).
@@ -26,9 +29,47 @@ def _cache_dir_env(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def census_q2(tmp_path_factory):
-    """The exhaustive q = 2 census, shared across the whole session."""
-    ck = tmp_path_factory.mktemp("census") / "q2.ckpt"
-    result = run_census(2, mode="exact", threads=1, checkpoint_path=str(ck))
-    result.checkpoint_path = str(ck)
-    return result
+def census_q2():
+    """The exact q = 2 census, shared across the whole session."""
+    return run_census(2, mode="exact", threads=1)
+
+
+# the check of `run_census` that each fault of `broken_search` trips
+BROKEN_SEARCH = {
+    "drop": "orbit identity",
+    "size": "orbit identity",
+    "swap": "frame rotations",
+    "point": "share the key",
+}
+
+
+def broken_search(how):
+    """The q = 2 subspace search with one fault: a GP class dropped; a
+    non-GP class of stabilizer order 2 given the size of a class of order
+    1; the sizes of a GP class (order 1) and of that non-GP class swapped,
+    which keeps the orbit identity; or the point of one GP class given to
+    another class of the same size."""
+    ctx = get_ctx(2, 8)
+    comps = bertini_census._subspace_components(2)
+
+    def where(ok, stab, skip=-1):
+        # a component of degree 8, GP verdict ok, stabilizer order stab
+        for i, (point, size) in enumerate(comps):
+            orbit = frobenius_orbit(ctx, point)
+            if (i != skip and len(orbit) == 8 and 56 // size == stab
+                    and general_position_report(orbit, ctx).ok == ok):
+                return i
+        raise LookupError("no such component")
+
+    i, j = where(True, 1), where(False, 2)
+    (p, size), (p2, size2) = comps[i], comps[j]
+    if how == "drop":
+        del comps[i]
+    elif how == "size":
+        comps[j] = (p2, size)
+    elif how == "swap":
+        comps[i], comps[j] = (p, size2), (p2, size)
+    else:
+        k = where(True, 1, skip=i)
+        comps[k] = (p, comps[k][1])
+    return comps

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
@@ -9,16 +8,10 @@ import pytest
 from cremona import bertini_census
 from cremona import general_position as gp
 from cremona.bertini_census import (
-    CheckpointCorrupt,
-    _census_range,
-    _checkpoint_record,
     _frame_records,
-    _merge_keys,
     _point_at,
     _point_count,
-    _read_checkpoint,
     canonical_class,
-    enumerate_orbits,
     mq_bound,
     mq_cross_check,
     pgl3_elements,
@@ -33,11 +26,31 @@ from cremona.nodal_cubic import NodalCubicNF
 from cremona.plane_geometry import ProjTransform, apply, apply_raw
 
 from conftest import (
+    BROKEN_SEARCH,
     Q2_CLASS_COUNT,
     Q2_GENERAL_POSITION,
     Q2_NODAL_CLASSES,
     Q2_TOTAL_ORBITS,
+    broken_search,
 )
+
+
+def enumerate_orbits(q: int):
+    """The exhaustive point stream, the slow oracle of the subspace
+    census: each degree-8 orbit of P^2(F_{q^8}) once, as a GaloisOrbit8,
+    in the order of its minimal seed."""
+    ctx = get_ctx(q, 8)
+    for index in range(_point_count(q)):
+        coords = _point_at(q, index)
+        orbit = frobenius_orbit(ctx, coords)
+        if len(orbit) == 8 and min(orbit) == coords:
+            yield GaloisOrbit8(ctx, orbit)
+
+
+@pytest.fixture(scope="module")
+def orbits_q2():
+    """Every degree-8 orbit at q = 2, streamed once for this module."""
+    return list(enumerate_orbits(2))
 
 
 def test_pgl3_element_counts():
@@ -58,10 +71,10 @@ def test_total_orbit_formula():
     assert total_degree8_orbits(3) == 5380830
 
 
-def test_enumerate_orbits_q2_count_and_validity():
+def test_enumerate_orbits_q2_count_and_validity(orbits_q2):
     count = 0
     prev_seed = None
-    for orbit in enumerate_orbits(2):
+    for orbit in orbits_q2:
         count += 1
         if count <= 50 or count % 500 == 0:
             assert len(set(orbit.points)) == 8
@@ -98,14 +111,15 @@ def test_canonical_class_invariance_and_stability():
     assert canonical_class(other) != key
 
 
-def test_frame_key_matches_group_sweep_q2():
+def test_frame_key_matches_group_sweep_q2(orbits_q2, census_q2):
     # exhaustive cross-check against the 168-element sweep: the orbits
     # sharing a frame key are exactly the PGL_3(F_2)-images of any one of
-    # them, so the frame key and the sweep induce the same partition
+    # them, so the frame key and the sweep induce the same partition; and
+    # the subspace census finds the same classes as the point stream
     ctx = get_ctx(2, 8)
     mats = [g.matrix for g in pgl3_elements(2)]
     blocks: dict = {}
-    for orbit in enumerate_orbits(2):
+    for orbit in orbits_q2:
         if gp.general_position_report(orbit.points, ctx).ok:
             blocks.setdefault(canonical_class(orbit), []).append(orbit.points)
     assert sum(len(b) for b in blocks.values()) == Q2_GENERAL_POSITION
@@ -117,6 +131,10 @@ def test_frame_key_matches_group_sweep_q2():
         # trivial stabilizer: the minimum is reached by one rotation only
         records = _frame_records(frobenius_orbit(ctx, rep[0]), ctx)
         assert records.count(key.serialized) == 1
+    reps = {canonical_class(GaloisOrbit8(ctx, rep)): rep for rep in census_q2.class_reps}
+    assert list(reps) == sorted(blocks)  # one representative per class, in key order
+    for key, rep in reps.items():
+        assert rep in blocks[key]
 
 
 def test_frame_key_invariance_q3():
@@ -228,48 +246,57 @@ def test_census_q2_golden(census_q2):
     assert len(res.class_reps) == Q2_CLASS_COUNT
 
 
-def test_census_checkpoint_resume_identical(census_q2, tmp_path):
-    res = run_census(2, mode="exact", checkpoint_path=census_q2.checkpoint_path)
-    assert res.pgl3_class_count == census_q2.pgl3_class_count
-    assert res.general_position_count == census_q2.general_position_count
-    assert res.class_reps == census_q2.class_reps
+def _subspace_count(q):
+    """[7 choose 2]_q, the number of 3-subspaces of F_{q^8} containing 1."""
+    return (q ** 7 - 1) * (q ** 6 - 1) // ((q ** 2 - 1) * (q - 1))
 
 
-def test_threaded_resume_matches_fixture(census_q2, tmp_path):
-    # resume 3 of the fixture's 5 ranges on a 2-worker pool: the last two
-    # hold no orbit, so range 1 (1400 orbits) is dropped as well
-    lines = open(census_q2.checkpoint_path).read().splitlines()
-    assert len(lines) == 5
-    path = tmp_path / "resume.ckpt"
-    path.write_text(lines[0] + "\n" + lines[2] + "\n")
-    res = run_census(2, mode="exact", threads=2, checkpoint_path=str(path))
-    assert res.general_position_count == census_q2.general_position_count
-    assert res.pgl3_class_count == census_q2.pgl3_class_count
-    assert res.nodal_class_count == census_q2.nodal_class_count
-    assert res.class_reps == census_q2.class_reps
-    assert len(path.read_text().splitlines()) == 5
-    assert _read_checkpoint(str(path), 2) == _read_checkpoint(
-        census_q2.checkpoint_path, 2
-    )
+@pytest.mark.parametrize("q", [2, 3])
+def test_subspace_states_list_each_subspace_once(q):
+    states = list(bertini_census._subspace_states(q))
+    assert len(set(states)) == len(states) == _subspace_count(q)
+    assert _subspace_count(2) == 2667 and _subspace_count(3) == 99463
+    assert all(u > v > 0 and u % q == v % q == 0 for u, v in states)
 
 
-def test_resume_after_torn_last_record(census_q2, tmp_path):
-    # a crash during the last write leaves an unterminated line: that
-    # range is run again and its record starts on a line of its own
-    text = open(census_q2.checkpoint_path).read()
-    path = tmp_path / "torn.ckpt"
-    torn = text[: text.rstrip("\n").rfind("\n") + 40]
-    assert not torn.endswith("\n") and torn.count("\n") == 4
-    path.write_text(torn)
-    res = run_census(2, mode="exact", checkpoint_path=str(path))
-    assert res.general_position_count == census_q2.general_position_count
-    assert res.pgl3_class_count == census_q2.pgl3_class_count
-    assert res.class_reps == census_q2.class_reps
-    lines = path.read_text().splitlines()
-    assert len(lines) == 5 and all(json.loads(line) for line in lines)
-    assert _read_checkpoint(str(path), 2) == _read_checkpoint(
-        census_q2.checkpoint_path, 2
-    )
+def test_subspace_components_q2():
+    ctx = get_ctx(2, 8)
+    comps = bertini_census._subspace_components(2)
+    assert sum(size for _, size in comps) == 2667
+    degrees = [len(frobenius_orbit(ctx, point)) for point, _ in comps]
+    assert sorted(degrees) == [4] + [8] * 52
+    stabs = [56 // size for (_, size), d in zip(comps, degrees) if d == 8]
+    assert sorted(stabs) == [1] * 44 + [2] * 6 + [4] * 2  # 38 GP classes, all free
+
+
+@pytest.mark.parametrize("how", sorted(BROKEN_SEARCH))
+def test_census_checks_catch_a_broken_search(monkeypatch, how):
+    comps = broken_search(how)
+    monkeypatch.setattr(bertini_census, "_subspace_components", lambda q: comps)
+    with pytest.raises(AssertionError, match=BROKEN_SEARCH[how]):
+        run_census(2)
+
+
+def test_census_on_a_pool_matches_one_worker(census_q2):
+    res = run_census(2, threads=2)
+    assert res.threads == 2
+    for name in ("general_position_count", "pgl3_class_count",
+                 "nodal_class_count", "non_nodal_class_count", "class_reps"):
+        assert getattr(res, name) == getattr(census_q2, name)
+
+
+@pytest.mark.slow
+def test_exact_census_q3():
+    res = run_census(3)
+    assert res.total_degree8_orbits == 5380830
+    assert res.pgl3_class_count == 900
+    assert res.general_position_count == 5_054_400 == 900 * pgl3_order(3)
+    assert res.bound_satisfied
+    ctx = get_ctx(3, 8)
+    spot = res.class_reps[::150]
+    assert all(gp.general_position_report(rep, ctx).ok for rep in spot)
+    keys = [canonical_class(GaloisOrbit8(ctx, rep)) for rep in spot]
+    assert keys == sorted(set(keys))  # distinct classes, in key order
 
 
 def test_nodal_keys_computed_once_per_process(monkeypatch):
@@ -286,59 +313,6 @@ def test_nodal_keys_computed_once_per_process(monkeypatch):
     run_census(2, mode="sampled", sample_size=3, rng_seed=2)
     assert isinstance(bertini_census._nodal_class_keys(2), frozenset)
     assert calls == [(2, 1)]  # one normal form at q = 2, built once
-
-
-def test_checkpoint_corruption_detected(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_text('{"version": 1, "q": 2, "lo": 0\n')
-    with pytest.raises(CheckpointCorrupt):
-        _read_checkpoint(str(path), 2)
-    path.write_text('{"version": 99, "q": 2, "lo": 0, "hi": 1, "orbits": 0, "gp": 0, "keys": []}\n')
-    with pytest.raises(CheckpointCorrupt):
-        _read_checkpoint(str(path), 2)
-
-
-def test_checkpoint_stray_range_refused(tmp_path, monkeypatch):
-    # a record from a run with another chunk size would double-count
-    path = tmp_path / "other-chunk.ckpt"
-    with open(path, "w") as fh:
-        _checkpoint_record(fh, 2, 0, 4000, 0, 0, {})
-
-    def no_work(args):
-        raise AssertionError("census ran before refusing the checkpoint")
-
-    monkeypatch.setattr(bertini_census, "_census_range", no_work)
-    with pytest.raises(CheckpointCorrupt):
-        run_census(2, mode="exact", checkpoint_path=str(path))
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    path = tmp_path / "rt.ckpt"
-    orbits, gpc, keys = _census_range((2, 0, 4000))
-    with open(path, "w") as fh:
-        _checkpoint_record(fh, 2, 0, 4000, orbits, gpc, keys)
-    done = _read_checkpoint(str(path), 2)
-    assert done == {(0, 4000): (orbits, gpc, keys)}
-
-
-def test_parallel_reduction_deterministic():
-    # the same index range processed in one chunk or four gives the same
-    # merged class keys (associative commutative reduce)
-    ranges = [(0, 6000), (6000, 12000), (12000, 18000), (18000, 24000)]
-    single = _census_range((2, 0, 24000))
-    import multiprocessing as mp
-
-    with mp.Pool(4) as pool:
-        parts = pool.map(_census_range, [(2, lo, hi) for lo, hi in ranges])
-    merged: dict = {}
-    orbits = gpc = 0
-    for o, g, part in parts:
-        orbits += o
-        gpc += g
-        _merge_keys(merged, part)
-    assert orbits == single[0]
-    assert gpc == single[1]
-    assert merged == single[2]
 
 
 def test_sampled_census_deterministic_and_monotone(census_q2):

@@ -2,8 +2,16 @@ import json
 
 import pytest
 
-from cremona import cli_app
+from cremona import bertini_census, cli_app
 from cremona.cli_app import main
+
+from conftest import (
+    Q2_CLASS_COUNT,
+    Q2_GENERAL_POSITION,
+    Q2_NODAL_CLASSES,
+    Q2_TOTAL_ORBITS,
+    broken_search,
+)
 
 # the cached result of `census --q 2 --sample 25 --seed 3`: modulus
 # encoding 283, result version 2
@@ -83,9 +91,9 @@ def test_census_cache_defaults_to_env_dir(tmp_path, monkeypatch, capsys):
 
 
 def test_census_thread_determinism(tmp_path):
-    # sampled censuses are single-threaded by construction; the exact
-    # reduce path is exercised over a subrange in test_census; here the
-    # CLI just needs to produce identical JSON for repeat runs
+    # a sampled census runs on one worker whatever --threads says; the
+    # exact census on a pool is compared with one worker in test_census;
+    # here the CLI just needs to produce identical JSON for repeat runs
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     for out in (out1, out2):
         assert main(
@@ -97,6 +105,43 @@ def test_census_thread_determinism(tmp_path):
     d1, d2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     d1.pop("elapsed_ms"), d2.pop("elapsed_ms")
     assert d1 == d2
+
+
+def test_census_exact_q2(tmp_path, capsys):
+    csv_path = tmp_path / "reps.csv"
+    assert main(["census", "--q", "2", "--exact", "--no-cache", "--csv", str(csv_path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["mode"] == "exact"
+    assert data["total_degree8_orbits"] == Q2_TOTAL_ORBITS
+    assert data["general_position_count"] == Q2_GENERAL_POSITION
+    assert data["pgl3_class_count"] == Q2_CLASS_COUNT
+    assert data["nodal_class_count"] == Q2_NODAL_CLASSES
+    rows = csv_path.read_text().strip().splitlines()
+    assert len(rows) == 1 + Q2_CLASS_COUNT  # header + one row per class
+    assert all(len(row.split(",")) == 24 for row in rows)
+
+
+def test_census_identity_violation_exits_2(monkeypatch, capsys):
+    # a search that loses a class breaks the orbit identity: one line on
+    # stderr and exit code 2, not a traceback
+    comps = broken_search("drop")
+    monkeypatch.setattr(bertini_census, "_subspace_components", lambda q: comps)
+    assert main(["census", "--q", "2", "--exact", "--no-cache"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("mathematical violation: orbit identity")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--q", "2", "--sample", "3", "--no-cache", "--out"],
+        ["complex", "--points", "2", "--dot"],
+    ],
+)
+def test_unwritable_output_exits_3(tmp_path, capsys, argv):
+    assert main(argv + [str(tmp_path / "missing" / "out")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("infrastructure failure:")
 
 
 def test_chambers_example(tmp_path, capsys):

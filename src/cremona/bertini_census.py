@@ -20,6 +20,15 @@ identity: the sum of |PGL_3(F_q)|/s over the degree-8 classes, plus the
 (q^2+q+1)(q^8 - q^4)/8 orbits on rational lines, is (q^16 - q^4)/8.
 Sampled mode draws random points instead.
 
+A class is nodal when the paper's explicit construction reaches it: the
+orbit of a point [a : c0(a^3 - 1)/a : 1], a of degree 8, on a nodal cubic
+xyz = c0 x^3 - c0 z^3.  The coordinates of that point span
+U_a = span(1, a, a^2 - a^{-1}) whatever c0 in F_q^*, and U_a^q = U_{a^q}.
+So a class with subspace V is nodal iff t^{-1} V = U_a for some t in V
+and some a of degree 8: the q^2 + q + 1 states that the scaling moves
+reach from V, V included, are looked up among the states of the U_a,
+which are built once per q.  Both modes run this test on every GP class.
+
 The key is a Frobenius-frame key.  Elements of PGL_3(F_q) commute with
 Frobenius F, so they carry the cyclic order p, Fp, ..., F^7 p of one
 orbit to the cyclic order of its image.  For each of the 8 rotations,
@@ -49,13 +58,11 @@ from fractions import Fraction
 
 from .field_tower import euler_phi, frobenius_orbit, get_ctx
 from .general_position import GaloisOrbit8, general_position_report
-from .nodal_cubic import NodalCubicNF, param_point
 from .plane_geometry import ProjTransform, apply_raw
 
 __all__ = [
     "CensusResult",
     "ClassKey",
-    "ResourceBudgetExceeded",
     "canonical_class",
     "mq_bound",
     "mq_cross_check",
@@ -66,11 +73,7 @@ __all__ = [
     "verify_orbit_lemma",
 ]
 
-RESULT_VERSION = 2
-
-
-class ResourceBudgetExceeded(RuntimeError):
-    """Sampled mode ran out of budget before reaching the target."""
+RESULT_VERSION = 3
 
 
 def pgl3_order(q: int) -> int:
@@ -305,38 +308,6 @@ class CensusResult:
         }
 
 
-def _add_class(keys: dict, points, ctx) -> bool:
-    """The per-orbit step of a sampled census and of the nodal keys: run
-    the general-position test on one degree-8 orbit and, when it passes,
-    file its class key in `keys` with the least sorted representative.
-    Returns whether the orbit passed."""
-    if not general_position_report(points, ctx).ok:
-        return False
-    orbit = GaloisOrbit8(ctx, points)
-    key = canonical_class(orbit)
-    if key not in keys or orbit.points < keys[key]:
-        keys[key] = orbit.points
-    return True
-
-
-@functools.cache
-def _nodal_class_keys(q: int) -> frozenset:
-    """Class keys of the general-position orbits produced by the nodal
-    construction (all normal forms, all parameters with full orbit).
-    Conjugate parameters give the same orbit, so only the least parameter
-    of each Frobenius orbit is taken.  Computed once per q and process."""
-    ctx = get_ctx(q, 8)
-    keys: dict = {}
-    for c0 in range(1, q):
-        nf = NodalCubicNF(q, c0)
-        for e in range(1, ctx.size):
-            params = frobenius_orbit(ctx, (e,))
-            if len(params) == 8 and min(params) == params[0]:
-                coords = param_point(nf, ctx.element(e)).coords
-                _add_class(keys, frobenius_orbit(ctx, coords), ctx)
-    return frozenset(keys)
-
-
 def _subspace_states(q: int):
     """Each 3-subspace V of F_{q^8} containing 1 once, as the reduced
     echelon basis (u, v), u > v, of its image in F_{q^8}/F_q: both
@@ -352,14 +323,14 @@ def _subspace_states(q: int):
                     yield q ** i + high * q ** (j + 1) + low * q, v
 
 
-def _subspace_components(q: int) -> list:
-    """The orbits of F_{q^8}^* x| Gal on the 3-subspaces of F_{q^8}, as
-    the components of the subspaces containing 1 under the moves
-    V -> V^q and V -> t^{-1} V, t in V \\ 0 up to F_q^*.  Returns, for
-    each component, the point [1:u:v] of its first state (u, v) in the
-    order of `_subspace_states`, and the number of subspaces in it."""
+def _subspace_ops(q: int):
+    """The two operations of the subspace model over F_{q^8}:
+    `state(a, b)`, the reduced echelon basis (u, v) of the image of
+    span(1, a, b) in F_{q^8}/F_q (see `_subspace_states`), and
+    `scalings(u, v)`, which yields for each t != 1 of V = span(1, u, v)
+    up to F_q^* a pair (a, b) with t^{-1} V = span(1, a, b)."""
     ctx = get_ctx(q, 8)
-    mul, add, sub, inv, frob = ctx.mul, ctx.add, ctx.sub, ctx.inv, ctx.frobenius
+    mul, add, sub, inv = ctx.mul, ctx.add, ctx.sub, ctx.inv
     powers = [q ** k for k in range(9)]
 
     def state(a, b):
@@ -381,11 +352,9 @@ def _subspace_components(q: int) -> list:
             a = sub(a, mul(c, b))
         return a, b
 
-    def moves(u, v):
-        # V^q, then t^{-1} V for each t != 1 of V up to F_q^*, that is
+    def scalings(u, v):
         # t = 1 + bu + cv, u + cv or v: t^{-1} times the two other vectors
         # of the basis (1, u, v) spans the image of t^{-1} V
-        yield frob(u), frob(v)
         us = [mul(b, u) for b in range(q)]
         vs = [mul(c, v) for c in range(q)]
         for b in range(q):
@@ -397,6 +366,17 @@ def _subspace_components(q: int) -> list:
         t = inv(v)
         yield t, mul(t, u)
 
+    return state, scalings
+
+
+def _subspace_components(q: int) -> list:
+    """The orbits of F_{q^8}^* x| Gal on the 3-subspaces of F_{q^8}, as
+    the components of the subspaces containing 1 under the moves
+    V -> V^q and V -> t^{-1} V, t in V \\ 0 up to F_q^*.  Returns, for
+    each component, the point [1:u:v] of its first state (u, v) in the
+    order of `_subspace_states`, and the number of subspaces in it."""
+    frob = get_ctx(q, 8).frobenius
+    state, scalings = _subspace_ops(q)
     seen = set()
     components = []
     for start in _subspace_states(q):
@@ -407,7 +387,8 @@ def _subspace_components(q: int) -> list:
         size = 0
         while todo:
             size += 1
-            for a, b in moves(*todo.pop()):
+            u, v = todo.pop()
+            for a, b in ((frob(u), frob(v)), *scalings(u, v)):
                 s = state(a, b)
                 if s not in seen:
                     seen.add(s)
@@ -416,12 +397,29 @@ def _subspace_components(q: int) -> list:
     return components
 
 
+@functools.cache
+def _nodal_states(q: int) -> frozenset:
+    """The states of the subspaces U_a = span(1, a, a^2 - a^{-1}), a of
+    degree 8 over F_q, each packed as u q^8 + v: the coordinate spans of
+    the points [a : c0(a^3 - 1)/a : 1] of the nodal cubics
+    xyz = c0 x^3 - c0 z^3, whatever c0 in F_q^*.  Built once per q and
+    process."""
+    ctx = get_ctx(q, 8)
+    state, _ = _subspace_ops(q)
+    states = (state(a, ctx.sub(ctx.mul(a, a), ctx.inv(a)))
+              for a in range(1, ctx.size) if not ctx.in_subfield(a, 4))
+    return frozenset(u * ctx.size + v for u, v in states)
+
+
 def _class_of(job):
-    """The per-component census step: the general-position test on the
-    Frobenius orbit of the component's point and, when it passes, the
-    class key with the sorted orbit as its representative.  The number of
-    frame rotations reaching the key is the stabilizer order of the orbit
-    in PGL_3(F_q), which must equal `stab`, the order the search gives."""
+    """The per-orbit census step: the general-position test on the
+    Frobenius orbit of `point` and, when it passes, the class key, the
+    sorted orbit as its representative, and whether the class is nodal.
+    The class of a point with coordinate span V is nodal iff t^{-1} V is
+    some U_a of `_nodal_states` for a t in V (t = 1 included).  The number
+    of frame rotations reaching the key is the stabilizer order of the
+    orbit in PGL_3(F_q); the exact census passes the order its search
+    gives as `stab`, which must match, and the sampled census None."""
     q, point, stab = job
     ctx = get_ctx(q, 8)
     points = frobenius_orbit(ctx, point)
@@ -429,9 +427,14 @@ def _class_of(job):
         return None
     records = _frame_records(points, ctx)
     key = min(records)
-    if records.count(key) != stab:
+    if stab and records.count(key) != stab:
         raise AssertionError(f"stabilizer of {point}: frame rotations != {stab}")
-    return ClassKey(key), tuple(sorted(points))
+    state, scalings = _subspace_ops(q)
+    x = ctx.inv(point[0])  # nonzero: a GP point lies off the line x = 0
+    u, v = state(ctx.mul(x, point[1]), ctx.mul(x, point[2]))
+    states = [(u, v)] + [state(a, b) for a, b in scalings(u, v)]
+    nodal = not _nodal_states(q).isdisjoint(a * ctx.size + b for a, b in states)
+    return ClassKey(key), tuple(sorted(points)), nodal
 
 
 def run_census(
@@ -450,9 +453,15 @@ def run_census(
     sorted orbit.  It asserts the orbit identity, that each GP class has
     s minimal frame rotations, and that no two classes share a key; with
     threads > 1 the GP tests and keys run on a worker pool.  Sampled
-    mode tests `sample_size` distinct orbits chosen by a seeded RNG and
-    reports a certified lower bound on the class count (distinct
-    canonical keys are distinct classes; it can never overcount).
+    mode tests `sample_size` distinct orbits chosen by a seeded RNG, on
+    one worker whatever `threads` says, and reports a certified lower
+    bound on the class count (distinct canonical keys are distinct
+    classes; it can never overcount).  A sample larger than the
+    (q^16 - q^4)/8 degree-8 orbits raises ValueError before any work.
+
+    Both modes flag each GP class nodal or not by the subspace lookup of
+    the module docstring; the exact census finds 14 nodal classes of 38
+    at q = 2 and 351 of 900 at q = 3.
     """
     if q not in (2, 3):
         raise ValueError("exhaustive censuses are supported for q in {2, 3}")
@@ -494,24 +503,23 @@ def run_census(
             if hit:
                 if hit[0] in keys:
                     raise AssertionError(f"two components share the key of {point}")
-                keys[hit[0]] = hit[1]
+                keys[hit[0]] = hit[1:]
                 gp += group // stab
     else:
         if not sample_size or sample_size < 1:
             raise ValueError("sampled mode needs a positive sample_size")
+        if sample_size > total:
+            raise ValueError(
+                f"a sample of {sample_size} orbits exceeds the {total} "
+                f"degree-8 orbits over F_{q}"
+            )
         import random
 
         rng = random.Random(rng_seed)
         ctx = get_ctx(q, 8)
         index_space = _point_count(q)
         tested = set()
-        budget = 200 * sample_size
         while len(tested) < sample_size:
-            budget -= 1
-            if budget <= 0:
-                raise ResourceBudgetExceeded(
-                    f"could not reach {sample_size} orbits"
-                )
             points = frobenius_orbit(ctx, _point_at(q, rng.randrange(index_space)))
             if len(points) != 8:
                 continue
@@ -520,10 +528,13 @@ def run_census(
                 continue
             tested.add(canon)
             orbits += 1
-            gp += _add_class(keys, canon, ctx)
+            hit = _class_of((q, canon[0], None))
+            if hit:
+                gp += 1
+                if hit[0] not in keys or canon < keys[hit[0]][0]:
+                    keys[hit[0]] = hit[1:]
 
-    nodal_keys = _nodal_class_keys(q) if q == 2 else frozenset()
-    nodal = len(nodal_keys & keys.keys())
+    nodal = sum(flag for _, flag in keys.values())
     bound = mq_bound(q)
     class_count = len(keys)
     return CensusResult(
@@ -535,9 +546,9 @@ def run_census(
         mq_bound=str(bound),
         bound_satisfied=class_count >= math.ceil(bound),
         elapsed_ms=int((time.monotonic() - t0) * 1000),
-        threads=threads,
+        threads=threads if mode == "exact" else 1,
         sample_size=sample_size,
         nodal_class_count=nodal,
-        non_nodal_class_count=class_count - nodal if nodal_keys else 0,
-        class_reps=[rep for _, rep in sorted(keys.items())],
+        non_nodal_class_count=class_count - nodal,
+        class_reps=[keys[key][0] for key in sorted(keys)],
     )

@@ -7,13 +7,14 @@ Sarkisov square complexes with DOT/JSON export), and `amalgam` (word
 reductions, signature, parity, Bass-Serre balls).
 
 Exit codes: 0 success, 2 mathematical violation (a bound, lemma or
-census identity failed: treat as a regression alarm) or a lattice
-outside the modelled scope (K^2 <= 0, refused before any work), 3
-infrastructure failure (an output file that cannot be written).  Results
-of census runs are cached under --cache-dir (default $CREMONA_CACHE_DIR
-or ~/.cache/cremona), keyed by the field modulus and the result-format
-version; stale versions are recomputed, never migrated, and a cache that
-cannot be read or written is skipped.
+census identity failed: treat as a regression alarm), a lattice outside
+the modelled scope (K^2 <= 0) or a census sample larger than the orbit
+count (both refused before any work), 3 infrastructure failure (an
+output file that cannot be written).  Results of census runs are cached
+under --cache-dir (default $CREMONA_CACHE_DIR or ~/.cache/cremona), keyed
+by the field modulus and the result-format version; stale versions are
+recomputed, never migrated, and a cache that cannot be read or written
+is skipped.
 """
 
 from __future__ import annotations
@@ -90,6 +91,9 @@ def cmd_census(args) -> int:
             )
         except AssertionError as exc:
             return _violation(exc)
+        except ValueError as exc:
+            print(f"census refused: {exc}", file=sys.stderr)
+            return EXIT_VIOLATION
         result = res.to_json(with_reps=True)
         if not args.no_cache:
             try:

@@ -22,7 +22,7 @@ from cremona.bertini_census import (
 )
 from cremona.field_tower import frobenius_orbit, get_ctx
 from cremona.general_position import GaloisOrbit8, orbit_from_seed
-from cremona.nodal_cubic import NodalCubicNF
+from cremona.nodal_cubic import NodalCubicNF, param_point
 from cremona.plane_geometry import ProjTransform, apply, apply_raw
 
 from conftest import (
@@ -45,6 +45,25 @@ def enumerate_orbits(q: int):
         orbit = frobenius_orbit(ctx, coords)
         if len(orbit) == 8 and min(orbit) == coords:
             yield GaloisOrbit8(ctx, orbit)
+
+
+def nodal_class_keys(q: int) -> set:
+    """The nodal parameter sweep, the slow oracle of the nodal flag: the
+    class keys of the GP orbits the nodal construction produces, over all
+    normal forms and the least parameter of each Frobenius orbit of
+    degree 8 (conjugate parameters give the same orbit)."""
+    ctx = get_ctx(q, 8)
+    keys = set()
+    for c0 in range(1, q):
+        nf = NodalCubicNF(q, c0)
+        for e in range(1, ctx.size):
+            params = frobenius_orbit(ctx, (e,))
+            if len(params) == 8 and min(params) == params[0]:
+                coords = param_point(nf, ctx.element(e)).coords
+                points = frobenius_orbit(ctx, coords)
+                if gp.general_position_report(points, ctx).ok:
+                    keys.add(canonical_class(GaloisOrbit8(ctx, points)))
+    return keys
 
 
 @pytest.fixture(scope="module")
@@ -112,25 +131,34 @@ def test_canonical_class_invariance_and_stability():
 
 
 def test_frame_key_matches_group_sweep_q2(orbits_q2, census_q2):
-    # exhaustive cross-check against the 168-element sweep: the orbits
-    # sharing a frame key are exactly the PGL_3(F_2)-images of any one of
-    # them, so the frame key and the sweep induce the same partition; and
-    # the subspace census finds the same classes as the point stream
+    # exhaustive cross-check against the 168-element sweep: the sweep
+    # cuts the orbits into PGL_3(F_2)-blocks, each orbit visited once;
+    # every member of a GP block has the block's frame key and no two
+    # blocks share one, so the frame key and the sweep induce the same
+    # partition; and the subspace census finds the same classes as the
+    # point stream.  GP is PGL_3-invariant (see test_general_position),
+    # so one member per block is tested.
     ctx = get_ctx(2, 8)
     mats = [g.matrix for g in pgl3_elements(2)]
+    seen = set()
     blocks: dict = {}
     for orbit in orbits_q2:
-        if gp.general_position_report(orbit.points, ctx).ok:
-            blocks.setdefault(canonical_class(orbit), []).append(orbit.points)
+        if orbit.points in seen:
+            continue
+        block = {tuple(sorted(apply_raw(m, p, ctx) for p in orbit.points)) for m in mats}
+        seen |= block
+        if not gp.general_position_report(orbit.points, ctx).ok:
+            continue
+        key = canonical_class(orbit)
+        assert key not in blocks
+        assert {canonical_class(GaloisOrbit8(ctx, member)) for member in block} == {key}
+        blocks[key] = block
+        # trivial stabilizer: the minimum is reached by one rotation only
+        records = _frame_records(frobenius_orbit(ctx, orbit.seed), ctx)
+        assert records.count(key.serialized) == 1
+    assert len(seen) == Q2_TOTAL_ORBITS
     assert sum(len(b) for b in blocks.values()) == Q2_GENERAL_POSITION
     assert len(blocks) == Q2_CLASS_COUNT
-    for key, members in blocks.items():
-        rep = members[0]
-        images = {tuple(sorted(apply_raw(m, p, ctx) for p in rep)) for m in mats}
-        assert images == set(members)
-        # trivial stabilizer: the minimum is reached by one rotation only
-        records = _frame_records(frobenius_orbit(ctx, rep[0]), ctx)
-        assert records.count(key.serialized) == 1
     reps = {canonical_class(GaloisOrbit8(ctx, rep)): rep for rep in census_q2.class_reps}
     assert list(reps) == sorted(blocks)  # one representative per class, in key order
     for key, rep in reps.items():
@@ -297,22 +325,58 @@ def test_exact_census_q3():
     assert all(gp.general_position_report(rep, ctx).ok for rep in spot)
     keys = [canonical_class(GaloisOrbit8(ctx, rep)) for rep in spot]
     assert keys == sorted(set(keys))  # distinct classes, in key order
+    assert (res.nodal_class_count, res.non_nodal_class_count) == (351, 549)
+    # seeded GP orbits of the nodal construction are flagged nodal
+    rnd = random.Random(23)
+    flagged = 0
+    while flagged < 6:
+        e = rnd.randrange(1, ctx.size)
+        if ctx.in_subfield(e, 4):
+            continue
+        nf = NodalCubicNF(3, rnd.randrange(1, 3))
+        hit = bertini_census._class_of((3, param_point(nf, ctx.element(e)).coords, None))
+        if hit:
+            assert hit[2], f"parameter {e}, c0 = {nf.c0}"
+            flagged += 1
 
 
-def test_nodal_keys_computed_once_per_process(monkeypatch):
-    calls = []
-    real = bertini_census.NodalCubicNF
+def test_nodal_flag_matches_the_nodal_sweep_q2(census_q2):
+    ctx = get_ctx(2, 8)
+    sweep = nodal_class_keys(2)
+    assert len(sweep) == Q2_NODAL_CLASSES
+    flags = {}
+    for rep in census_q2.class_reps:
+        key, _, nodal = bertini_census._class_of((2, rep[0], None))
+        flags[key] = nodal
+        # another point of the orbit gives the same flag: the nodal
+        # states are Frobenius-stable
+        assert bertini_census._class_of((2, rep[-1], None))[2] == nodal
+    assert {key for key, nodal in flags.items() if nodal} == sweep
+    sampled = run_census(2, mode="sampled", sample_size=60, rng_seed=5)
+    keys = {canonical_class(GaloisOrbit8(ctx, rep)) for rep in sampled.class_reps}
+    assert sampled.nodal_class_count == len(keys & sweep) > 0
+    assert sampled.non_nodal_class_count == len(keys - sweep) > 0
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(bertini_census, "NodalCubicNF", counting)
-    bertini_census._nodal_class_keys.cache_clear()
+@pytest.mark.parametrize("q, count", [(2, 240), (3, 6312)])
+def test_nodal_states_are_frobenius_stable_subspaces(q, count):
+    ctx = get_ctx(q, 8)
+    state, _ = bertini_census._subspace_ops(q)
+    nodal = bertini_census._nodal_states(q)
+    assert len(nodal) == count  # one per parameter of degree 8, some shared
+    assert nodal <= {u * ctx.size + v for u, v in bertini_census._subspace_states(q)}
+    images = (state(ctx.frobenius(u), ctx.frobenius(v))
+              for u, v in (divmod(s, ctx.size) for s in nodal))
+    assert {u * ctx.size + v for u, v in images} == nodal
+
+
+def test_nodal_states_built_once_per_q():
+    bertini_census._nodal_states.cache_clear()
     run_census(2, mode="sampled", sample_size=3, rng_seed=1)
     run_census(2, mode="sampled", sample_size=3, rng_seed=2)
-    assert isinstance(bertini_census._nodal_class_keys(2), frozenset)
-    assert calls == [(2, 1)]  # one normal form at q = 2, built once
+    info = bertini_census._nodal_states.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+    assert isinstance(bertini_census._nodal_states(2), frozenset)
 
 
 def test_sampled_census_deterministic_and_monotone(census_q2):
@@ -347,3 +411,6 @@ def test_census_rejects_bad_arguments():
         run_census(2, mode="other")
     with pytest.raises(ValueError):
         run_census(2, mode="sampled", sample_size=0)
+    # no sample can exceed the 8190 orbits: refused before any draw
+    with pytest.raises(ValueError, match="exceeds the 8190"):
+        run_census(2, mode="sampled", sample_size=Q2_TOTAL_ORBITS + 1)

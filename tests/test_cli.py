@@ -14,8 +14,8 @@ from conftest import (
 )
 
 # the cached result of `census --q 2 --sample 25 --seed 3`: modulus
-# encoding 283, result version 2
-CACHE_FILE = "census_q2_sampled_m283_v2_n25_s3.json"
+# encoding 283, result version 3
+CACHE_FILE = "census_q2_sampled_m283_v3_n25_s3.json"
 
 
 def test_verify_mq_identity():
@@ -105,6 +105,25 @@ def test_census_thread_determinism(tmp_path):
     d1, d2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     d1.pop("elapsed_ms"), d2.pop("elapsed_ms")
     assert d1 == d2
+
+
+def test_census_sampled_records_one_worker(tmp_path):
+    # a sampled census never starts a pool, whatever --threads says
+    out = tmp_path / "census.json"
+    argv = ["census", "--q", "2", "--sample", "5", "--threads", "4", "--no-cache"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["threads"] == 1
+
+
+def test_census_oversized_sample_exits_2(tmp_path, capsys):
+    # a sample beyond the 8190 orbits at q = 2 is refused before any
+    # draw: one line on stderr and exit code 2, not a traceback
+    argv = ["census", "--q", "2", "--sample", str(Q2_TOTAL_ORBITS + 1),
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("census refused:") and "8190" in err[0]
+    assert list(tmp_path.iterdir()) == []  # nothing cached
 
 
 def test_census_exact_q2(tmp_path, capsys):

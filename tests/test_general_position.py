@@ -5,7 +5,7 @@ import pytest
 
 from cremona import general_position as gp
 from cremona.bertini_census import pgl3_elements
-from cremona.field_tower import FieldElement, galois_orbit, get_ctx
+from cremona.field_tower import FieldElement, frobenius_orbit, galois_orbit, get_ctx
 from cremona.general_position import (
     Collision,
     GaloisOrbit8,
@@ -242,3 +242,21 @@ def test_lambda_scan_q7_sample():
         for lam in bad:
             assert ctx7.pow(lam, 6) == 1
         done += 1
+
+
+@pytest.mark.parametrize("a, witness, bad", [(264619, 4, [2, 3]), (80835, 1, [1, 4])])
+def test_lambda_scan_q5_bad_values_follow_a_six_conjugate_product(a, witness, bad):
+    # the six points of lam * a at the conjugates i in {0, 1, 2, 4, 5, 6}
+    # lie on a conic iff lam^6 times the product of those conjugates is 1
+    # (the produit lemma).  For a = 264619 the product is 4, not 1, so the
+    # bad lam are the roots of lam^6 = 4 in F_5, and `verify lambda-scan`
+    # counts both as exceptions to lambda^6 = 1
+    ctx = get_ctx(5, 8)
+    conj = [v for (v,) in frobenius_orbit(ctx, (a,))]
+    product = 1
+    for i in (0, 1, 2, 4, 5, 6):
+        product = ctx.mul(product, conj[i])
+    assert product == witness
+    for c0 in range(1, 5):
+        assert lambda_scan(NodalCubicNF(5, c0), FieldElement(ctx, a)) == bad
+    assert bad == [lam for lam in range(1, 5) if ctx.mul(ctx.pow(lam, 6), product) == 1]

@@ -63,7 +63,8 @@ _TABLE_LIMIT = 1 << 23
 # an entry where a list slot takes 8 (plus the int it points to).
 _LIST_LIMIT = 1 << 17
 
-# Entries per step of the in-place Zech pass.
+# Entries per step of the in-place Zech pass, and rows per step of the
+# exp table's block doubling.
 _CHUNK = 1 << 20
 
 
@@ -391,7 +392,9 @@ class FieldCtx:
             else:
                 np.mod(acc[:, :n], p, out=out, casting="unsafe")
 
-        # block doubling in place: rows 0..m-1 hold g^0..g^(m-1)
+        # block doubling in place: rows 0..m-1 hold g^0..g^(m-1); the last
+        # steps run _CHUNK rows at a time, so that the temporaries of
+        # mul_block stay small
         block = np.zeros((units, n), dtype=dt)
         block[0, 0] = 1
         gv = gv.astype(dt)
@@ -400,7 +403,9 @@ class FieldCtx:
             take = min(m, units - m)
             gm = np.zeros((1, n), dtype=dt)
             mul_block(block[m - 1: m], gv, gm)  # g^m
-            mul_block(block[:take], gm[0], block[m: m + take])
+            for lo in range(0, take, _CHUNK):
+                hi = min(lo + _CHUNK, take)
+                mul_block(block[lo:hi], gm[0], block[m + lo: m + hi])
             m += take
 
         # base-p encoding, by Horner's rule over the coefficient columns

@@ -40,6 +40,7 @@ __all__ = [
     "orbit_from_seed",
     "pair_products",
     "test_general_position",
+    "unexplained_lambda_failures",
 ]
 
 
@@ -166,7 +167,8 @@ def orbit_from_seed(nf: NodalCubicNF, a: FieldElement) -> GaloisOrbit8:
 
 def lambda_scan(nf: NodalCubicNF, a: FieldElement) -> list[int]:
     """All lambda in F_q* for which the orbit of lambda * a fails general
-    position.  Callers assert every bad lambda satisfies lambda^6 = 1."""
+    position.  Callers check each bad lambda with
+    `unexplained_lambda_failures`."""
     ctx = a.ctx
     bad = []
     for lam in range(1, ctx.p):
@@ -174,6 +176,38 @@ def lambda_scan(nf: NodalCubicNF, a: FieldElement) -> list[int]:
         if not test_general_position(orbit).ok:
             bad.append(lam)
     return bad
+
+
+def unexplained_lambda_failures(nf: NodalCubicNF, a: FieldElement, lam: int) -> list[str]:
+    """The failures of general position of the orbit of lam * a that the
+    produit lemma does not explain; empty when it explains every one.
+
+    The points param_point(nf, lam a_i), with a_i = a^(q^i), are taken in
+    Frobenius order, so the report's indices name conjugates.  Three of
+    them are collinear iff lam^3 times the product of their a_i is 1, and
+    six lie on a conic iff lam^6 times that product is 1.  A failed
+    triple or sextuple where this product is not 1, every singular-cubic
+    failure, and a lam whose points pass the test are returned.
+    """
+    ctx = a.ctx
+    conj = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
+    pts = [param_point(nf, FieldElement(ctx, ctx.mul(lam, v))) for v in conj]
+    report = general_position_report(pts, ctx)
+    if report.ok:
+        return ["not bad: the points are in general position"]
+
+    def explained(t):
+        prod = ctx.pow(lam, len(t))
+        for i in t:
+            prod = ctx.mul(prod, conj[i])
+        return prod == 1
+
+    return [
+        f"{kind} {t}"
+        for kind, tuples in (("line", report.failed_lines), ("conic", report.failed_conics))
+        for t in tuples
+        if not explained(t)
+    ] + [f"singular cubic at {i}" for i in report.failed_cubics]
 
 
 def beta_twist(a: FieldElement, beta: FieldElement) -> FieldElement:

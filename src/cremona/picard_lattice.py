@@ -24,6 +24,12 @@ the chamber decomposition of the big cone (each chamber is the set of
 divisors whose ample model contracts exactly that state), the windows
 (rank-1 fibrations) on its non-big boundary, and the raw material for
 the square complexes built in `sarkisov_complex`.
+
+The explorer works in integers: walls, fibers, states and the
+collapse test of `LatticeExplorer._kept` never leave Z, and the sign
+tests on a rational class D run on D's positive integral multiple.
+Fractions appear only where an answer is rational: the projections of
+`_project_away`, the chamber certificates and the pushforwards.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 __all__ = [
     "BadNesting",
@@ -88,11 +95,20 @@ class Lattice:
     def rank(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _gram_terms(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(
+            (i, j, g)
+            for i, row in enumerate(self.gram)
+            for j, g in enumerate(row)
+            if g
+        )
+
     def dot(self, u, v):
-        """The intersection form; exact on ints and on Fractions."""
-        g = self.gram
-        n = self.rank
-        return sum(u[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+        """The intersection form, summed over the nonzero Gram entries
+        only (one per basis vector in the diagonal models); exact on ints
+        and on Fractions."""
+        return sum(u[i] * g * v[j] for i, j, g in self._gram_terms)
 
     def selfint(self, v) -> int:
         return self.dot(v, v)
@@ -314,6 +330,7 @@ class LatticeExplorer:
         self.wall_candidates, self.fibers = _walls_and_fibers(lat)
         self.curves = self.wall_candidates + list(lat.eff_gens)
         self._contractible_cache: dict[frozenset, list] = {}
+        self._kept_cache: dict[frozenset, list] = {}
         self.states = self._explore()
         self.wall_classes = sorted(
             {c for s in self.states for c in self._contractible(s)}
@@ -365,12 +382,25 @@ class LatticeExplorer:
         return self.lat.k_squared() + sum(-self.lat.selfint(s) for s in state)
 
     def _kept(self, state: frozenset):
-        """The curves and fibers not collapsed by the contraction."""
-        return [
-            g
-            for g in self.curves + self.fibers
-            if any(_project_away(self.lat, g, state))
-        ]
+        """The curves and fibers not collapsed by the contraction: those
+        outside the span of the state, which has an orthogonal basis.
+        With D the product of the s.s, g is collapsed iff
+        D g - sum (D / s.s)(g.s) s = 0, D times the projection of
+        `_project_away`, so the test stays in integers."""
+        if state not in self._kept_cache:
+            lat = self.lat
+            squares = [(s, lat.selfint(s)) for s in state]
+            d = math.prod(sq for _, sq in squares)
+            kept = []
+            for g in self.curves + self.fibers:
+                scaled = [d * c for c in g]
+                for s, sq in squares:
+                    coef = d // sq * lat.dot(g, s)
+                    scaled = [a - coef * b for a, b in zip(scaled, s)]
+                if any(scaled):
+                    kept.append(g)
+            self._kept_cache[state] = kept
+        return self._kept_cache[state]
 
     def is_del_pezzo(self, state: frozenset) -> bool:
         """The point-base model at this state has ample -K (lattice-level
@@ -422,13 +452,16 @@ def _ample_base(lat: Lattice) -> Vec:
 
 def _project_away(lat: Lattice, v, state):
     """Orthogonal projection killing the contracted classes: the
-    pullback of the pushforward of v (exact rationals).  One pass is
-    enough because contracted classes are pairwise orthogonal."""
-    out = [Fraction(c) for c in v]
-    for s in state:
-        coef = Fraction(lat.dot(out, s), lat.selfint(s))
-        out = [p - coef * sc for p, sc in zip(out, s)]
-    return tuple(out)
+    pullback of the pushforward of v, v - sum (v.s)/(s.s) s, as a tuple
+    of Fractions.  The contracted classes are pairwise orthogonal, so
+    every coefficient comes from v itself: the dot products run on v's
+    own entries (ints for an integral v), and Fractions enter only in
+    the final combination."""
+    coefs = [(Fraction(lat.dot(v, s), lat.selfint(s)), s) for s in state]
+    return tuple(
+        Fraction(c) - sum(coef * s[i] for coef, s in coefs)
+        for i, c in enumerate(v)
+    )
 
 
 def chambers(lat: Lattice) -> list[Chamber]:
@@ -475,15 +508,23 @@ def chambers(lat: Lattice) -> list[Chamber]:
     return sorted(out, key=lambda ch: (len(ch.contracted), ch.contracted))
 
 
+def _integral_multiple(D) -> Vec:
+    """D scaled by the positive lcm of its denominators: an integral
+    class with the same sign against every class, for the sign tests."""
+    m = math.lcm(*(Fraction(c).denominator for c in D))
+    return tuple(int(c * m) for c in D)
+
+
 def chamber_of(lat: Lattice, chamber_list, D) -> "Chamber":
     """The unique chamber whose sign conditions D.C <= 0 (contracted)
     and D.C > 0 (other wall classes) the big adjoint class D satisfies."""
     walls = explorer(lat).wall_classes
+    sign = _integral_multiple(D)
     matches = []
     for ch in chamber_list:
         inn = set(ch.contracted)
-        ok = all(lat.dot(D, c) <= 0 for c in inn) and all(
-            lat.dot(D, c) > 0 for c in walls if c not in inn
+        ok = all(lat.dot(sign, c) <= 0 for c in inn) and all(
+            lat.dot(sign, c) > 0 for c in walls if c not in inn
         )
         if ok:
             matches.append(ch)
@@ -501,18 +542,19 @@ def run_ample_model(lat: Lattice, D, rng: random.Random | None = None):
     """
     ex = explorer(lat)
     D = tuple(D)
+    sign = _integral_multiple(D)
     state = frozenset()
     while True:
         for f in ex.fibers_at(state):
-            if lat.dot(D, f) <= 0:
+            if lat.dot(sign, f) <= 0:
                 raise NotBig(f"nonpositive on the fibration class {lat.describe(f)}")
-        cands = [c for c in ex._contractible(state) if lat.dot(D, c) <= 0]
+        cands = [c for c in ex._contractible(state) if lat.dot(sign, c) <= 0]
         if not cands:
             break
         c = rng.choice(cands) if rng is not None else min(cands)
         state = state | {c}
     kint = ex.k_int(state)
-    if lat.dot(D, kint) >= 0:
+    if lat.dot(sign, kint) >= 0:
         raise NotBig("pushforward is not ample on the target")
     push = _project_away(lat, D, state)
     if all(isinstance(c, int) for c in D):

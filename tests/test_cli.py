@@ -33,14 +33,16 @@ def test_verify_produit_small():
     assert main(["verify", "produit", "--q", "11", "--samples", "20"]) == 0
 
 
-@pytest.mark.parametrize("bad, code", [([2], 2), ([4], 0)])
+@pytest.mark.parametrize("bad, code", [([2], 2), ([], 0)])
 def test_verify_lambda_scan_check_can_fail(monkeypatch, capsys, bad, code):
-    # at q = 5 the lambda^6 = 1 check is not vacuous: 2^6 = 4 but 4^6 = 1
-    # in F_5, so a scan reporting lambda = 2 is a violation
+    # a doctored scan: lambda = 2 leaves the seed's orbit in general
+    # position, so the rebuilt points explain nothing and it is reported
     monkeypatch.setattr(cli_app, "lambda_scan", lambda nf, a: list(bad))
     assert main(["verify", "lambda-scan", "--q", "5", "--seeds", "1"]) == code
+    out, err = capsys.readouterr()
     exceptions = 1 if code else 0
-    assert f"{exceptions} exceptions to lambda^6 = 1" in capsys.readouterr().out
+    assert f"{exceptions} failures the produit lemma does not explain" in out
+    assert ("lambda=2: not bad: the points are in general position" in err) == bool(code)
 
 
 def test_verify_beta_twist():

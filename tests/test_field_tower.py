@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from cremona import field_tower
 from cremona.field_tower import (
     FieldCtx,
     FieldElement,
@@ -419,6 +420,19 @@ def test_large_table_arithmetic_matches_polynomial_path(big_fresh):
         expected = ctx._pow_poly(a, k) if k >= 0 else ctx._inv_poly(ctx._pow_poly(a, -k))
         assert ctx.pow(a, k) == expected
         assert ctx.frobenius_iter(b, i) == ctx._pow_poly(b, ctx.p ** i)
+
+
+def test_chunked_exp_table_build_matches_single_block(monkeypatch):
+    # 3^8 sits below _CHUNK, so the default build multiplies each doubling
+    # step in one block; 100-row chunks must give the same tables
+    ref = FieldCtx(3, 8)
+    monkeypatch.setattr(field_tower, "_CHUNK", 100)
+    ctx = FieldCtx(3, 8)
+    assert _tables(ctx) == _tables(ref)
+    rnd = random.Random(38)
+    for _ in range(200):
+        a, b = rnd.randrange(1, ctx.size), rnd.randrange(1, ctx.size)
+        assert ctx.mul(a, b) == ctx._mul_poly(a, b)
 
 
 def test_f7_8_tables_stay_small():

@@ -16,6 +16,7 @@ from cremona.general_position import (
     orbit_from_point,
     orbit_from_seed,
     pair_products,
+    unexplained_lambda_failures,
 )
 from cremona.nodal_cubic import NodalCubicNF, param_point
 from cremona.plane_geometry import ProjPoint, apply, singular_cubic_through
@@ -237,10 +238,8 @@ def test_lambda_scan_q7_sample():
         if ctx7.in_subfield(e, 4):
             continue
         nf = NodalCubicNF(7, rnd.randrange(1, 7))
-        bad = lambda_scan(nf, FieldElement(ctx7, e))
-        assert len(bad) <= 6
-        for lam in bad:
-            assert ctx7.pow(lam, 6) == 1
+        for lam in lambda_scan(nf, FieldElement(ctx7, e)):
+            assert unexplained_lambda_failures(nf, FieldElement(ctx7, e), lam) == []
         done += 1
 
 
@@ -249,8 +248,7 @@ def test_lambda_scan_q5_bad_values_follow_a_six_conjugate_product(a, witness, ba
     # the six points of lam * a at the conjugates i in {0, 1, 2, 4, 5, 6}
     # lie on a conic iff lam^6 times the product of those conjugates is 1
     # (the produit lemma).  For a = 264619 the product is 4, not 1, so the
-    # bad lam are the roots of lam^6 = 4 in F_5, and `verify lambda-scan`
-    # counts both as exceptions to lambda^6 = 1
+    # bad lam are the roots of lam^6 = 4 in F_5, not of lam^6 = 1
     ctx = get_ctx(5, 8)
     conj = [v for (v,) in frobenius_orbit(ctx, (a,))]
     product = 1
@@ -260,3 +258,6 @@ def test_lambda_scan_q5_bad_values_follow_a_six_conjugate_product(a, witness, ba
     for c0 in range(1, 5):
         assert lambda_scan(NodalCubicNF(5, c0), FieldElement(ctx, a)) == bad
     assert bad == [lam for lam in range(1, 5) if ctx.mul(ctx.pow(lam, 6), product) == 1]
+    for lam in range(1, 5):
+        why = unexplained_lambda_failures(NodalCubicNF(5, 1), FieldElement(ctx, a), lam)
+        assert why == ([] if lam in bad else ["not bad: the points are in general position"])

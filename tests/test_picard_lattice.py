@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from cremona import picard_lattice
 from cremona.picard_lattice import (
     BadNesting,
+    Lattice,
     NotBig,
     NotNested,
     OutsideScope,
@@ -18,7 +20,8 @@ from cremona.picard_lattice import (
     run_ample_model,
     windows,
 )
-from cremona.picard_lattice import _ample_base, _plane_classes
+from cremona.picard_lattice import _ample_base, _plane_classes, _project_away
+from cremona.sarkisov_complex import build_local, elementary_relation, export
 
 
 def adjoint_sample(lat, rnd):
@@ -308,3 +311,99 @@ def test_lattice_serialization():
     cj = ch.to_json()
     assert set(cj) == {"contracted", "certificate"}
     assert all(isinstance(s, str) for s in cj["certificate"])
+
+
+# ----------------------------------------------------------------------
+# the integer explorer against the Fraction arithmetic it replaced
+
+CROSS_CHECK_LATTICES = {
+    "Bl1": ([1], None),
+    "Bl2": ([1, 1], None),
+    "Bl3": ([1, 1, 1], None),
+    "Bl4": ([1, 1, 1, 1], None),
+    "nested": ([1, 1], [None, 0]),
+    "[2]": ([2], None),
+    "[1,2]": ([1, 2], None),
+    "[1,1,2]": ([1, 1, 2], None),
+    "[8]": ([8], None),
+}
+
+
+def full_gram_dot(lat, u, v):
+    n = lat.rank
+    return sum(u[i] * lat.gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+def sequential_project_away(lat, v, state):
+    # one Fraction pass per contracted class, each coefficient taken from
+    # the partly projected vector
+    out = [Fraction(c) for c in v]
+    for s in state:
+        coef = Fraction(lat.dot(out, s), lat.selfint(s))
+        out = [p - coef * sc for p, sc in zip(out, s)]
+    return tuple(out)
+
+
+def fraction_kept(ex, state):
+    return [
+        g
+        for g in ex.curves + ex.fibers
+        if any(sequential_project_away(ex.lat, g, state))
+    ]
+
+
+def lattice_answers(lat):
+    """Everything the explorer feeds: states, kept curves, the ample
+    base, chambers with their certificates and ample models, windows,
+    and the square complex with its elementary relations."""
+    ex = explorer(lat)
+    chs = chambers(lat)
+    cx = build_local(lat)
+    return {
+        "walls": (ex.wall_candidates, ex.fibers, ex.wall_classes),
+        "states": ex.states,
+        "kept": [ex._kept(s) for s in ex.states],
+        "ample": _ample_base(lat),
+        "chambers": [(c.contracted, c.certificate, c.to_json()) for c in chs],
+        "ample models": [
+            (run_ample_model(lat, c.certificate), chamber_of(lat, chs, c.certificate))
+            for c in chs
+        ],
+        "windows": [w.to_json() for w in windows(lat)],
+        "json": export(cx, "json"),
+        "dot": export(cx, "dot"),
+        "relations": [
+            elementary_relation(cx, v.name) for v in cx.vertices if v.rank == 3
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", list(CROSS_CHECK_LATTICES))
+def test_integer_explorer_matches_fraction_projection(name, monkeypatch):
+    degrees, nesting = CROSS_CHECK_LATTICES[name]
+    lat = blowup_lattice(degrees, nesting=nesting)
+    fast = lattice_answers(lat)
+    ex = explorer(lat)
+    for state in ex.states:
+        for g in ex.curves + ex.fibers + [_ample_base(lat)]:
+            assert _project_away(lat, g, state) == sequential_project_away(lat, g, state)
+
+    # the same answers with the old full-Gram dot, sequential projection
+    # and Fraction collapse test, from an empty explorer cache
+    monkeypatch.setattr(picard_lattice, "_EXPLORER_CACHE", {})
+    monkeypatch.setattr(Lattice, "dot", full_gram_dot)
+    monkeypatch.setattr(picard_lattice, "_project_away", sequential_project_away)
+    monkeypatch.setattr(picard_lattice.LatticeExplorer, "_kept", fraction_kept)
+    slow = lattice_answers(lat)
+    assert fast.keys() == slow.keys()
+    for key in fast:
+        assert fast[key] == slow[key], key
+
+
+def test_negative_classes_bl4_are_the_classical_ten():
+    lat = blowup_lattice([1, 1, 1, 1])
+    expected = {lat.vector({f"E{i}": 1}) for i in range(1, 5)}
+    for i, j in itertools.combinations(range(1, 5), 2):
+        expected.add(lat.vector({"H": 1, f"E{i}": -1, f"E{j}": -1}))
+    assert len(expected) == 10
+    assert set(negative_classes(lat)) == expected

@@ -423,6 +423,8 @@ def _class_of(job):
     q, point, stab = job
     ctx = get_ctx(q, 8)
     points = frobenius_orbit(ctx, point)
+    # the all-tuples test, not orbit_report: a faster census-q3 would
+    # outgrow its per-item oracle check (ROADMAP item 7)
     if not general_position_report(points, ctx).ok:
         return None
     records = _frame_records(points, ctx)

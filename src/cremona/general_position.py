@@ -9,9 +9,26 @@ Bertini involutions.
 
 The test runs in tiers (lines, then conics, then singular cubics),
 short-circuiting at the first failing tier but listing every failure
-inside it.  Orbits on a nodal cubic are produced from a single
-multiplicative parameter; the lambda-scaling and beta-twist moves that
-repair non-general orbits are implemented on the parameter side.
+inside it.  `general_position_report` checks every tuple of an arbitrary
+8-point set: 56 triples, 28 sextuples and 8 cubic systems.
+
+`orbit_report` uses that the 8 points are one Frobenius orbit.  List them
+in Frobenius order, points[k + 1] = F(points[k]) with indices mod 8.  F
+acts on coordinates as a field automorphism, so it maps the determinant
+of a triple, and the Veronese and gradient systems of a sextuple or a
+cubic, to their images under F, which have the same rank; and it sends
+the tuple of indices T to T + 1.  So each predicate takes one value on
+the rotation class {T + r : r in Z/8} of T, and one representative per
+class decides it: 7 classes of triples (56 / 8, none of them fixed by a
+rotation), 4 of sextuples (the complements of the pairs {i, i + d},
+d = 1..4, with 8, 8, 8 and 4 members) and 1 of cubic systems.  A failing
+representative stands for its whole class, so the failure lists are the
+same as those of `general_position_report` on the same points.
+
+Orbits on a nodal cubic are produced from a single multiplicative
+parameter, in Frobenius order, since the parametrization is defined over
+F_q; the lambda-scaling and beta-twist moves that repair non-general
+orbits are implemented on the parameter side.
 """
 
 from __future__ import annotations
@@ -38,6 +55,7 @@ __all__ = [
     "lambda_scan",
     "orbit_from_point",
     "orbit_from_seed",
+    "orbit_report",
     "pair_products",
     "test_general_position",
     "unexplained_lambda_failures",
@@ -121,14 +139,19 @@ def orbit_from_point(pt: ProjPoint):
     return GaloisOrbit8(pt.ctx, orbit) if len(orbit) == 8 else None
 
 
+def _coords(points) -> list[tuple]:
+    return [p.coords if isinstance(p, ProjPoint) else tuple(p) for p in points]
+
+
 def general_position_report(points, ctx: FieldCtx) -> GeneralPositionReport:
     """Tiered general-position test on 8 raw coordinate triples.
 
     Tier order: lines (56 triples), conics (28 sextuples), singular
     cubics (8 systems).  The first failing tier short-circuits, with all
-    failures at that tier listed.
+    failures at that tier listed.  Any 8 points will do; for one
+    Frobenius orbit, `orbit_report` gives the same report faster.
     """
-    pts = [p.coords if isinstance(p, ProjPoint) else tuple(p) for p in points]
+    pts = _coords(points)
     bad = tuple(
         t for t in itertools.combinations(range(8), 3)
         if collinear_raw(pts[t[0]], pts[t[1]], pts[t[2]], ctx)
@@ -147,33 +170,113 @@ def general_position_report(points, ctx: FieldCtx) -> GeneralPositionReport:
     return GeneralPositionReport(True)
 
 
+def _rotation_classes(size: int) -> tuple:
+    """The classes of the size-subsets of Z/8 under i -> i + 1, each as
+    the sorted tuple of its members (sorted tuples); the first member
+    represents the class."""
+    classes, seen = [], set()
+    for t in itertools.combinations(range(8), size):
+        if t not in seen:
+            members = sorted({tuple(sorted((i + r) % 8 for i in t)) for r in range(8)})
+            seen.update(members)
+            classes.append(tuple(members))
+    return tuple(classes)
+
+
+_LINE_CLASSES = _rotation_classes(3)  # 7 classes of 8 triples
+_CONIC_CLASSES = _rotation_classes(6)  # 4 classes: 8, 8, 8 and 4 sextuples
+
+
+def _failed(classes, fails) -> tuple:
+    """Every member of the classes whose representative fails, sorted."""
+    return tuple(sorted(t for members in classes if fails(members[0]) for t in members))
+
+
+def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
+    """The report of `general_position_report` for 8 points in Frobenius
+    order, points[k + 1] = F(points[k]) cyclically, from one predicate per
+    rotation class: 7 line triples, 4 conic sextuples and the cubic system
+    at points[0] (see the module docstring).  Raises ValueError when the
+    points are not in that order, since a sorted orbit would get a wrong
+    verdict.
+    """
+    pts = _coords(points)
+    frob = ctx.frobenius
+    if len(pts) != 8 or any(
+        tuple(map(frob, pts[k])) != pts[(k + 1) % 8] for k in range(8)
+    ):
+        raise ValueError("orbit_report needs 8 points in Frobenius order")
+    bad = _failed(_LINE_CLASSES, lambda t: collinear_raw(*(pts[i] for i in t), ctx))
+    if bad:
+        return GeneralPositionReport(False, failed_lines=bad)
+    bad = _failed(_CONIC_CLASSES, lambda t: six_on_conic([pts[i] for i in t], ctx))
+    if bad:
+        return GeneralPositionReport(False, failed_conics=bad)
+    if singular_cubic_through(pts, 0, ctx):
+        return GeneralPositionReport(False, failed_cubics=tuple(range(8)))
+    return GeneralPositionReport(True)
+
+
 def test_general_position(orbit: GaloisOrbit8) -> GeneralPositionReport:
-    return general_position_report(orbit.points, orbit.ctx)
+    """The report of `general_position_report(orbit.points, orbit.ctx)`.
+
+    When the 8 points are one Frobenius orbit, this is `orbit_report` on
+    them in Frobenius order from the seed, with the indices mapped back to
+    the sorted `orbit.points`; 8 points closed under Frobenius that make
+    up several shorter orbits get the all-tuples test."""
+    ctx = orbit.ctx
+    frob_order = frobenius_orbit(ctx, orbit.points[0])
+    if len(frob_order) != 8:
+        return general_position_report(orbit.points, ctx)
+    report = orbit_report(frob_order, ctx)
+    if report.ok:
+        return report
+    where = {p: k for k, p in enumerate(orbit.points)}
+    sorted_index = [where[p] for p in frob_order]
+
+    def back(tuples):
+        return tuple(sorted(tuple(sorted(sorted_index[i] for i in t)) for t in tuples))
+
+    return GeneralPositionReport(
+        False,
+        back(report.failed_lines),
+        back(report.failed_conics),
+        tuple(sorted(sorted_index[i] for i in report.failed_cubics)),
+    )
+
+
+def _param_points(nf: NodalCubicNF, a: FieldElement) -> list[tuple]:
+    """The coordinates of param_point(nf, a^(q^k)), k = 0..7, in
+    Frobenius order.  Requires the multiplicative orbit of a to have
+    size 8 and the 8 points to be distinct."""
+    ctx = a.ctx
+    vals = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
+    if len(vals) != 8:
+        raise ShortOrbit(f"parameter orbit has size {len(vals)}")
+    pts = [param_point(nf, FieldElement(ctx, v)).coords for v in vals]
+    if len(set(pts)) != 8:
+        raise Collision("parametrized points collide")
+    return pts
 
 
 def orbit_from_seed(nf: NodalCubicNF, a: FieldElement) -> GaloisOrbit8:
     """The Galois orbit of param_point(nf, a); defined over F_q because
     the parametrization is.  Requires the multiplicative orbit of a to
     have size 8."""
-    ctx = a.ctx
-    vals = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
-    if len(vals) != 8:
-        raise ShortOrbit(f"parameter orbit has size {len(vals)}")
-    pts = [param_point(nf, FieldElement(ctx, v)) for v in vals]
-    if len({p.coords for p in pts}) != 8:
-        raise Collision("parametrized points collide")
-    return GaloisOrbit8(ctx, pts)
+    return GaloisOrbit8(a.ctx, _param_points(nf, a))
 
 
 def lambda_scan(nf: NodalCubicNF, a: FieldElement) -> list[int]:
     """All lambda in F_q* for which the orbit of lambda * a fails general
-    position.  Callers check each bad lambda with
+    position.  The points of lambda * a come in Frobenius order (lambda
+    is fixed by F), so each lambda costs one `orbit_report`: at most 12
+    predicates instead of up to 92.  Callers check each bad lambda with
     `unexplained_lambda_failures`."""
     ctx = a.ctx
     bad = []
     for lam in range(1, ctx.p):
-        orbit = orbit_from_seed(nf, FieldElement(ctx, ctx.mul(lam, a.e)))
-        if not test_general_position(orbit).ok:
+        points = _param_points(nf, FieldElement(ctx, ctx.mul(lam, a.e)))
+        if not orbit_report(points, ctx).ok:
             bad.append(lam)
     return bad
 
@@ -191,8 +294,7 @@ def unexplained_lambda_failures(nf: NodalCubicNF, a: FieldElement, lam: int) -> 
     """
     ctx = a.ctx
     conj = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
-    pts = [param_point(nf, FieldElement(ctx, ctx.mul(lam, v))) for v in conj]
-    report = general_position_report(pts, ctx)
+    report = orbit_report(_param_points(nf, FieldElement(ctx, ctx.mul(lam, a.e))), ctx)
     if report.ok:
         return ["not bad: the points are in general position"]
 

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -32,6 +33,29 @@ def _cache_dir_env(tmp_path_factory):
 def census_q2():
     """The exact q = 2 census, shared across the whole session."""
     return run_census(2, mode="exact", threads=1)
+
+
+def q7_seed_bad_at_every_lambda(ctx) -> int:
+    """A parameter a of degree 8 over F_7 whose nodal orbit fails general
+    position for every lambda in F_7^*.
+
+    The six points of lambda a at the complement of the conjugates
+    {i, i + 4} lie on a conic iff lambda^6 times their product is 1 (the
+    produit lemma).  At q = 7, lambda^6 = 1, and that product is a
+    conjugate of a^(S - 1 - 7^4), S = (7^8 - 1) / 6, so every lambda
+    fails once a^(S - 1 - 7^4) = 1: a lies in the subgroup of order
+    gcd(S - 1 - 7^4, 7^8 - 1) = 7206 = 6 * 1201.  As 1201 divides
+    7^4 + 1 but not 7^4 - 1, the subgroup is not inside F_{7^4}.  Returns
+    the first power of g^((7^8 - 1) / 7206) outside F_{7^4}, for the
+    least generator g of the context's unit group.
+    """
+    units = ctx.size - 1
+    assert math.gcd(units // 6 - 1 - 7**4, units) == 7206
+    g = next(e for e in range(2, ctx.size) if ctx.order(e) == units)
+    h = a = ctx.pow(g, units // 7206)
+    while ctx.in_subfield(a, 4):
+        a = ctx.mul(a, h)
+    return a
 
 
 # the check of `run_census` that each fault of `broken_search` trips

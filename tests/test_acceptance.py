@@ -59,6 +59,7 @@ from conftest import (
     Q2_GENERAL_POSITION,
     Q2_NODAL_CLASSES,
     Q2_TOTAL_ORBITS,
+    q7_seed_bad_at_every_lambda,
 )
 
 
@@ -310,24 +311,29 @@ def test_criterion_8_amalgam_suite():
 def test_criterion_9_lambda_scan_q7():
     ctx = get_ctx(7, 8)
     rnd = random.Random(109)
-    seeds_done = total = 0
-    exceptions = []
-    while seeds_done < 100:
+    # a pinned seed that fails at every lambda, then a fixed 100-seed sample
+    pinned = q7_seed_bad_at_every_lambda(ctx)
+    seeds = [(pinned, c0) for c0 in range(1, 7)]
+    while len(seeds) < 106:
         e = rnd.randrange(1, ctx.size)
-        if ctx.in_subfield(e, 4):
-            continue
-        c0 = rnd.randrange(1, 7)
+        if not ctx.in_subfield(e, 4):
+            seeds.append((e, rnd.randrange(1, 7)))
+    total = 0
+    exceptions = []
+    for e, c0 in seeds:
         nf = NodalCubicNF(7, c0)
         bad = lambda_scan(nf, FieldElement(ctx, e))
+        if e == pinned:
+            assert bad == [1, 2, 3, 4, 5, 6]
         total += len(bad)
         for lam in bad:
             for why in unexplained_lambda_failures(nf, FieldElement(ctx, e), lam):
                 exceptions.append((e, c0, lam, why))
-        seeds_done += 1
     assert exceptions == []
     _report(
         9,
-        f"q=7 lambda scan over a fixed 100-seed sample: {total} bad lambda "
-        "values, each explained by the produit lemma (lambda^3 or lambda^6 "
-        "times a product of conjugates is 1)",
+        f"q=7 lambda scan over a pinned seed (a = {pinned}, every c0) and a "
+        f"fixed 100-seed sample: {total} bad lambda values, each explained "
+        "by the produit lemma (lambda^3 or lambda^6 times a product of "
+        "conjugates is 1)",
     )

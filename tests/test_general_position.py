@@ -1,8 +1,10 @@
+import collections
 import itertools
 import random
 
 import pytest
 
+from cremona import bertini_census
 from cremona import general_position as gp
 from cremona.bertini_census import pgl3_elements
 from cremona.field_tower import FieldElement, frobenius_orbit, galois_orbit, get_ctx
@@ -15,11 +17,14 @@ from cremona.general_position import (
     lambda_scan,
     orbit_from_point,
     orbit_from_seed,
+    orbit_report,
     pair_products,
     unexplained_lambda_failures,
 )
 from cremona.nodal_cubic import NodalCubicNF, param_point
 from cremona.plane_geometry import ProjPoint, apply, singular_cubic_through
+
+from conftest import Q2_GENERAL_POSITION, Q2_TOTAL_ORBITS, q7_seed_bad_at_every_lambda
 
 CTX = get_ctx(2, 8)
 NF = NodalCubicNF(2, 1)
@@ -72,6 +77,17 @@ def test_orbit_invariants_enforced():
         GaloisOrbit8(CTX, pts)
 
 
+def test_two_degree_4_points_get_the_all_tuples_test():
+    # 8 points closed under Frobenius, in two orbits of size 4 on z = 0
+    f16 = [e for e in range(2, 256) if CTX.order(e) == 15]
+    union = frobenius_orbit(CTX, (f16[0], 1, 0))
+    union += frobenius_orbit(CTX, (next(e for e in f16 if (e, 1, 0) not in union), 1, 0))
+    orbit = GaloisOrbit8(CTX, union)
+    report = gp.test_general_position(orbit)
+    assert report == general_position_report(orbit.points, CTX)
+    assert len(report.failed_lines) == 56
+
+
 def test_tier_short_circuit_on_synthetic_collinear_set():
     # synthetic 8-point set with a collinear triple: the line tier fires
     # and the later tiers are not reported
@@ -83,6 +99,72 @@ def test_tier_short_circuit_on_synthetic_collinear_set():
     assert (0, 1, 2) in report.failed_lines
     data = report.to_json()
     assert data["ok"] is False and data["failed_lines"]
+
+
+def tier(report):
+    for name, failed in (("line", report.failed_lines), ("conic", report.failed_conics),
+                         ("cubic", report.failed_cubics)):
+        if failed:
+            return name
+    return "ok"
+
+
+def test_orbit_report_needs_frobenius_order():
+    orbit = orbit_from_seed(NF, CTX.element(2))
+    frob_order = frobenius_orbit(CTX, orbit.seed)
+    assert orbit_report(frob_order, CTX).ok == gp.test_general_position(orbit).ok
+    assert list(orbit.points) != frob_order
+    with pytest.raises(ValueError, match="Frobenius order"):
+        orbit_report(orbit.points, CTX)
+    with pytest.raises(ValueError, match="Frobenius order"):
+        orbit_report(frob_order[:7], CTX)
+
+
+@pytest.mark.slow
+def test_orbit_report_matches_all_tuples_q2():
+    """The rotation-class test against the all-tuples test on every
+    degree-8 orbit at q = 2: it finds the golden number of GP orbits,
+    and on each of the others the same failure lists.  On a seeded
+    sample, `test_general_position` maps the indices back to the sorted
+    orbit."""
+    points = [(x, y, 1) for x in range(256) for y in range(256)]
+    points += [(x, 1, 0) for x in range(256)]
+    orbits = []  # Frobenius order from the least point
+    for coords in points:
+        orbit = frobenius_orbit(CTX, coords)
+        if len(orbit) == 8 and min(orbit) == coords:
+            orbits.append(orbit)
+    assert len(orbits) == Q2_TOTAL_ORBITS
+    reports = [orbit_report(orbit, CTX) for orbit in orbits]
+    assert collections.Counter(map(tier, reports)) == {
+        "ok": Q2_GENERAL_POSITION, "conic": 1092, "line": 714}
+    failing = [k for k, report in enumerate(reports) if not report.ok]
+    for k in failing:
+        assert general_position_report(orbits[k], CTX) == reports[k]
+    rnd = random.Random(35)
+    passing = [k for k, report in enumerate(reports) if report.ok]
+    for k in rnd.sample(failing, 40) + rnd.sample(passing, 10):
+        orbit = GaloisOrbit8(CTX, orbits[k])
+        assert gp.test_general_position(orbit) == general_position_report(orbit.points, CTX)
+
+
+@pytest.mark.slow
+def test_orbit_report_matches_all_tuples_q3():
+    """The same on the exact q = 3 census: the 76 non-GP components of
+    degree 8 and a seeded sample of the 900 GP ones, in Frobenius order
+    and sorted."""
+    ctx = get_ctx(3, 8)
+    orbits = [frobenius_orbit(ctx, point) for point, _ in bertini_census._subspace_components(3)]
+    orbits = [orbit for orbit in orbits if len(orbit) == 8]
+    reports = [orbit_report(orbit, ctx) for orbit in orbits]
+    assert collections.Counter(map(tier, reports)) == {"ok": 900, "conic": 61, "line": 15}
+    rnd = random.Random(36)
+    failing = [k for k, report in enumerate(reports) if not report.ok]
+    passing = rnd.sample([k for k, report in enumerate(reports) if report.ok], 20)
+    for k in failing + passing:
+        assert general_position_report(orbits[k], ctx) == reports[k]
+        orbit = GaloisOrbit8(ctx, orbits[k])
+        assert gp.test_general_position(orbit) == general_position_report(orbit.points, ctx)
 
 
 def test_nodal_orbits_q2_exhaustive_facts():
@@ -229,8 +311,15 @@ def test_pair_products_need_full_orbit():
 
 @pytest.mark.slow
 def test_lambda_scan_q7_sample():
-    # 20-seed spot check at q = 7 (the acceptance suite runs 100)
+    # a pinned seed that fails at every lambda, then a 20-seed spot check
+    # at q = 7 (the acceptance suite runs 100)
     ctx7 = get_ctx(7, 8)
+    a = FieldElement(ctx7, q7_seed_bad_at_every_lambda(ctx7))
+    for c0 in (1, 6):
+        nf = NodalCubicNF(7, c0)
+        assert lambda_scan(nf, a) == [1, 2, 3, 4, 5, 6]
+        for lam in range(1, 7):
+            assert unexplained_lambda_failures(nf, a, lam) == []
     rnd = random.Random(34)
     done = 0
     while done < 20:

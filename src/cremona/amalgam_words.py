@@ -125,10 +125,6 @@ def _free_reduce(seq):
     return tuple(out)
 
 
-def _free_reduced(seq) -> bool:
-    return _free_reduce(seq) == tuple(seq)
-
-
 def normal_form(w: TaggedWord) -> TaggedWord:
     """The unique free-product normal form: merge adjacent e-letters
     with free cancellation, cancel b.b, drop empty letters; idempotent

@@ -5,41 +5,35 @@ general-position (GP) degree-8 orbit in P^2(F_{q^8}); counting such
 orbits up to the action of PGL_3(F_q) gives the number of Bertini
 classes the construction produces.
 
-The exact census counts subspaces, not points.  The coordinates of a
+Classes are counted as subspaces, not points.  The coordinates of a
 point p = [x0:x1:x2] off every F_q-rational line span a 3-dimensional
 F_q-subspace V of F_{q^8}, defined up to scaling by F_{q^8}^*.  Changing
 the F_q-basis of V is the action of PGL_3(F_q) on p, and Frobenius sends
 V to V^q, so the PGL_3(F_q)-classes of Frobenius orbits are the orbits
-of G = F_{q^8}^* x| Gal on 3-subspaces.  A G-orbit meets the
-[7 choose 2]_q subspaces that contain 1 (2667 at q = 2, 99,463 at q = 3)
-in 8(q^2+q+1)/s of them, s the stabilizer order of the class in
-PGL_3(F_q), and these reach each other by V -> t^{-1} V (t in V) and
-V -> V^q.  A search over these moves gives one point [1:u:v] per class
-for the GP test and the class key.  Every run asserts the orbit
-identity: the sum of |PGL_3(F_q)|/s over the degree-8 classes, plus the
-(q^2+q+1)(q^8 - q^4)/8 orbits on rational lines, is (q^16 - q^4)/8.
-Sampled mode draws random points instead.
+of G = F_{q^8}^* x| Gal on 3-subspaces.  A state is a subspace that
+contains 1, stored as the reduced echelon basis (u, v) of its image in
+F_{q^8}/F_q; the point [1:u:v] spans it.  The component of V is the set
+of states of its G-orbit: the t^{-1} V^{q^k}, k = 0..7 and t in V^{q^k}
+up to F_q^*.  These are 8(q^2+q+1) states with repeats, and
+8(q^2+q+1)/s distinct ones, s the stabilizer order of the class in
+PGL_3(F_q).
+
+A class is named by its key, the least state of its component, and
+represented by the sorted orbit of the point [1:u:v] of that state:
+both are the same for every orbit of the class.  The exact census takes
+the components of all [7 choose 2]_q states (2667 at q = 2, 99,463 at
+q = 3) and asserts the orbit identity: the sum of |PGL_3(F_q)|/s over
+the degree-8 classes, plus the (q^2+q+1)(q^8 - q^4)/8 orbits on
+rational lines, is (q^16 - q^4)/8.  Sampled mode draws states uniformly,
+which weights each class by 1/s, as drawing points would.
 
 A class is nodal when the paper's explicit construction reaches it: the
 orbit of a point [a : c0(a^3 - 1)/a : 1], a of degree 8, on a nodal cubic
 xyz = c0 x^3 - c0 z^3.  The coordinates of that point span
 U_a = span(1, a, a^2 - a^{-1}) whatever c0 in F_q^*, and U_a^q = U_{a^q}.
-So a class with subspace V is nodal iff t^{-1} V = U_a for some t in V
-and some a of degree 8: the q^2 + q + 1 states that the scaling moves
-reach from V, V included, are looked up among the states of the U_a,
-which are built once per q.  Both modes run this test on every GP class.
-
-The key is a Frobenius-frame key.  Elements of PGL_3(F_q) commute with
-Frobenius F, so they carry the cyclic order p, Fp, ..., F^7 p of one
-orbit to the cyclic order of its image.  For each of the 8 rotations,
-the unique projective map sending four consecutive points to the
-standard frame [1:0:0], [0:1:0], [0:0:1], [1:1:1] records the images of
-the other four; the key is the least of the 8 records.  Equal keys mean
-some g in PGL_3(F_{q^8}) maps one Frobenius-ordered orbit onto the
-other; then g and g^F agree on four points in general position, so
-g = g^F, and by Hilbert 90 g lies in PGL_3(F_q).  The key therefore
-separates classes exactly, at 8 frame maps per orbit instead of one
-image per group element.
+So a class is nodal iff its component holds the state of some U_a, a of
+degree 8; those states are built once per q.  Both modes run this test
+on every GP class.
 
 The lower bound M_q for the class count, and the exact-rational identity
 between its closed form (q^6 - 1)/640 and the counting product
@@ -58,7 +52,7 @@ from fractions import Fraction
 
 from .field_tower import euler_phi, frobenius_orbit, get_ctx
 from .general_position import GaloisOrbit8, general_position_report
-from .plane_geometry import ProjTransform, apply_raw
+from .plane_geometry import ProjTransform
 
 __all__ = [
     "CensusResult",
@@ -73,7 +67,7 @@ __all__ = [
     "verify_orbit_lemma",
 ]
 
-RESULT_VERSION = 3
+RESULT_VERSION = 4
 
 
 def pgl3_order(q: int) -> int:
@@ -103,102 +97,31 @@ def pgl3_elements(q: int):
 
 
 # ----------------------------------------------------------------------
-# the point index space of sampled mode
-
-def _point_count(q: int) -> int:
-    """|P^2(F_{q^8})|, the size of the linear index space of `_point_at`."""
-    return q ** 16 + q ** 8 + 1
-
-
-def _point_at(q: int, index: int):
-    """The normalized point of P^2(F_{q^8}) with the given index, in
-    lexicographic order of coordinate triples: [0:0:1], [0:1:z], [1:y:z]."""
-    size = q ** 8
-    if index == 0:
-        return (0, 0, 1)
-    index -= 1
-    if index < size:
-        return (0, 1, index)
-    index -= size
-    return (1, index // size, index % size)
-
-
-# ----------------------------------------------------------------------
 # canonical class keys
 
 @dataclass(frozen=True, order=True)
 class ClassKey:
-    """PGL_3(F_q)-canonical form of an orbit: the least frame record
-    (see `canonical_class`), four normalized coordinate triples."""
+    """The PGL_3(F_q)-canonical name of a class: the least state (u, v)
+    of its component (see `canonical_class`)."""
 
-    serialized: tuple
-
-
-def _cross(u, v, ctx):
-    mul, sub = ctx.mul, ctx.sub
-    return (
-        sub(mul(u[1], v[2]), mul(u[2], v[1])),
-        sub(mul(u[2], v[0]), mul(u[0], v[2])),
-        sub(mul(u[0], v[1]), mul(u[1], v[0])),
-    )
-
-
-def _dot(u, v, ctx):
-    mul, add = ctx.mul, ctx.add
-    return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
-
-
-def _frame_records(points, ctx):
-    """One record per rotation i of the Frobenius-ordered points
-    p_0, ..., p_7: the normalized images of p_{i+4}, ..., p_{i+7} under
-    the map sending p_i, p_{i+1}, p_{i+2} to the coordinate points and
-    p_{i+3} to [1:1:1].
-
-    The rows of the adjugate of [p_i p_{i+1} p_{i+2}] are the cross
-    products p_{i+1} x p_{i+2}, p_{i+2} x p_i, p_i x p_{i+1}; scaling
-    each row by the inverse of its product with p_{i+3} fixes [1:1:1].
-    Raises ValueError when four consecutive points are not a frame.
-    """
-    records = []
-    for i in range(8):
-        p0, p1, p2, p3 = (points[(i + k) % 8] for k in range(4))
-        rows = (_cross(p1, p2, ctx), _cross(p2, p0, ctx), _cross(p0, p1, ctx))
-        scales = [_dot(r, p3, ctx) for r in rows]
-        if _dot(rows[0], p0, ctx) == 0 or 0 in scales:
-            raise ValueError(f"points {i}..{i + 3} of the orbit are not a frame")
-        mat = tuple(
-            tuple(ctx.mul(inv, x) for x in r)
-            for r, inv in zip(rows, map(ctx.inv, scales))
-        )
-        records.append(
-            tuple(apply_raw(mat, points[(i + k) % 8], ctx) for k in range(4, 8))
-        )
-    return records
+    state: tuple
 
 
 def canonical_class(orbit: GaloisOrbit8) -> ClassKey:
-    """The Frobenius-frame key: the least of the 8 frame records of the
-    orbit walked in Frobenius order p, Fp, ..., F^7 p.
+    """The least state of the component of the orbit's coordinate span.
 
-    Two orbits get the same key iff they are PGL_3(F_q)-equivalent.  Any
-    g in PGL_3(F_q) commutes with Frobenius, so it carries rotation i of
-    one orbit to some rotation of the image, with the same record.
-    Conversely, if rotation i of one orbit and rotation j of another give
-    the same record, the composite g of the two frame maps lies in
-    PGL_3(F_{q^8}) and sends p_{i+k} to p'_{j+k} for every k.  Then g^F
-    sends p_{i+k+1} to p'_{j+k+1} as well, so g and g^F agree on the
-    frame p_{i+1}, ..., p_{i+4}; hence g = g^F, and by Hilbert 90 g is
-    represented by a matrix over F_q.  The number of rotations reaching
-    the minimum is the order of the orbit's stabilizer in PGL_3(F_q).
+    Two orbits get the same key iff they are PGL_3(F_q)-equivalent: the
+    class is the G-orbit of the span (see the module docstring), and its
+    states are the component.
 
-    Raises ValueError when the points are not one Frobenius orbit, or
-    when some four consecutive points are not a frame (never for an
-    orbit in general position).
+    Raises ValueError when the points are not one Frobenius orbit of
+    size 8, or when they lie on an F_q-rational line (never for an orbit
+    in general position).
     """
-    points = frobenius_orbit(orbit.ctx, orbit.points[0])
-    if len(points) != 8:
+    q = orbit.ctx.p
+    if len(frobenius_orbit(orbit.ctx, orbit.points[0])) != 8:
         raise ValueError("the points are not one Frobenius orbit of size 8")
-    return ClassKey(min(_frame_records(points, orbit.ctx)))
+    return ClassKey(min(_component(q, *_point_state(q, orbit.points[0]))))
 
 
 # ----------------------------------------------------------------------
@@ -326,9 +249,10 @@ def _subspace_states(q: int):
 def _subspace_ops(q: int):
     """The two operations of the subspace model over F_{q^8}:
     `state(a, b)`, the reduced echelon basis (u, v) of the image of
-    span(1, a, b) in F_{q^8}/F_q (see `_subspace_states`), and
-    `scalings(u, v)`, which yields for each t != 1 of V = span(1, u, v)
-    up to F_q^* a pair (a, b) with t^{-1} V = span(1, a, b)."""
+    span(1, a, b) in F_{q^8}/F_q (see `_subspace_states`), with v = 0
+    exactly when 1, a and b are dependent over F_q; and `scalings(u, v)`,
+    which yields for each t != 1 of V = span(1, u, v) up to F_q^* a pair
+    (a, b) with t^{-1} V = span(1, a, b)."""
     ctx = get_ctx(q, 8)
     mul, add, sub, inv = ctx.mul, ctx.add, ctx.sub, ctx.inv
     powers = [q ** k for k in range(9)]
@@ -369,31 +293,45 @@ def _subspace_ops(q: int):
     return state, scalings
 
 
-def _subspace_components(q: int) -> list:
-    """The orbits of F_{q^8}^* x| Gal on the 3-subspaces of F_{q^8}, as
-    the components of the subspaces containing 1 under the moves
-    V -> V^q and V -> t^{-1} V, t in V \\ 0 up to F_q^*.  Returns, for
-    each component, the point [1:u:v] of its first state (u, v) in the
-    order of `_subspace_states`, and the number of subspaces in it."""
+def _component(q: int, u: int, v: int) -> list:
+    """The 8(q^2+q+1) states t^{-1} V^{q^k} of V = span(1, u, v), with
+    repeats: for k = 0..7, the state of V^{q^k} and its scalings."""
     frob = get_ctx(q, 8).frobenius
     state, scalings = _subspace_ops(q)
+    states = []
+    for _ in range(8):
+        states.append((u, v))
+        states.extend(state(a, b) for a, b in scalings(u, v))
+        u, v = state(frob(u), frob(v))
+    return states
+
+
+def _point_state(q: int, point) -> tuple:
+    """The state of the coordinate span of a point of P^2(F_{q^8}).
+    Raises ValueError when the point lies on an F_q-rational line, whose
+    coordinates span no 3-subspace."""
+    ctx = get_ctx(q, 8)
+    state, _ = _subspace_ops(q)
+    if point[0]:
+        x = ctx.inv(point[0])
+        u, v = state(ctx.mul(x, point[1]), ctx.mul(x, point[2]))
+        if v:
+            return u, v
+    raise ValueError(f"{point} lies on an F_{q}-rational line")
+
+
+def _subspace_components(q: int) -> list:
+    """The orbits of F_{q^8}^* x| Gal on the 3-subspaces of F_{q^8}, as
+    the components of the states.  Returns, for each component, the
+    point [1:u:v] of its first state (u, v) in the order of
+    `_subspace_states`, and its number of distinct states."""
     seen = set()
     components = []
     for start in _subspace_states(q):
-        if start in seen:
-            continue
-        seen.add(start)
-        todo = [start]
-        size = 0
-        while todo:
-            size += 1
-            u, v = todo.pop()
-            for a, b in ((frob(u), frob(v)), *scalings(u, v)):
-                s = state(a, b)
-                if s not in seen:
-                    seen.add(s)
-                    todo.append(s)
-        components.append(((1, *start), size))
+        if start not in seen:
+            states = set(_component(q, *start))
+            seen |= states
+            components.append(((1, *start), len(states)))
     return components
 
 
@@ -414,29 +352,28 @@ def _nodal_states(q: int) -> frozenset:
 def _class_of(job):
     """The per-orbit census step: the general-position test on the
     Frobenius orbit of `point` and, when it passes, the class key, the
-    sorted orbit as its representative, and whether the class is nodal.
-    The class of a point with coordinate span V is nodal iff t^{-1} V is
-    some U_a of `_nodal_states` for a t in V (t = 1 included).  The number
-    of frame rotations reaching the key is the stabilizer order of the
-    orbit in PGL_3(F_q); the exact census passes the order its search
-    gives as `stab`, which must match, and the sampled census None."""
+    representative and whether the class is nodal, all read off the
+    component of the point's state.  The representative is the sorted
+    orbit of [1:u:v] for the key (u, v); the class is nodal iff some state
+    of the component is in `_nodal_states`.  The exact census passes the
+    stabilizer order its search gives as `stab`, which must equal
+    8(q^2+q+1) over the number of distinct states; the sampled census
+    passes None."""
     q, point, stab = job
     ctx = get_ctx(q, 8)
-    points = frobenius_orbit(ctx, point)
     # the all-tuples test, not orbit_report: a faster census-q3 would
     # outgrow its per-item oracle check (ROADMAP item 7)
-    if not general_position_report(points, ctx).ok:
+    if not general_position_report(frobenius_orbit(ctx, point), ctx).ok:
         return None
-    records = _frame_records(points, ctx)
-    key = min(records)
-    if stab and records.count(key) != stab:
-        raise AssertionError(f"stabilizer of {point}: frame rotations != {stab}")
-    state, scalings = _subspace_ops(q)
-    x = ctx.inv(point[0])  # nonzero: a GP point lies off the line x = 0
-    u, v = state(ctx.mul(x, point[1]), ctx.mul(x, point[2]))
-    states = [(u, v)] + [state(a, b) for a, b in scalings(u, v)]
-    nodal = not _nodal_states(q).isdisjoint(a * ctx.size + b for a, b in states)
-    return ClassKey(key), tuple(sorted(points)), nodal
+    states = set(_component(q, *_point_state(q, point)))
+    if stab and stab * len(states) != 8 * (q * q + q + 1):
+        raise AssertionError(
+            f"stabilizer order of {point}: {stab} from the search, "
+            f"{len(states)} states in its component"
+        )
+    key = min(states)
+    nodal = not _nodal_states(q).isdisjoint(u * ctx.size + v for u, v in states)
+    return ClassKey(key), tuple(sorted(frobenius_orbit(ctx, (1, *key)))), nodal
 
 
 def run_census(
@@ -449,21 +386,26 @@ def run_census(
     """Count general-position degree-8 orbits and their PGL_3(F_q)
     classes; assert the class count meets the M_q bound.
 
-    Exact mode searches the 3-subspaces of F_{q^8} (see the module
-    docstring): each component of degree 8 is a class of |PGL_3(F_q)|/s
-    orbits, s = 8(q^2+q+1)/|component|, reported in key order by one
-    sorted orbit.  It asserts the orbit identity, that each GP class has
-    s minimal frame rotations, and that no two classes share a key; with
-    threads > 1 the GP tests and keys run on a worker pool.  Sampled
-    mode tests `sample_size` distinct orbits chosen by a seeded RNG, on
-    one worker whatever `threads` says, and reports a certified lower
-    bound on the class count (distinct canonical keys are distinct
-    classes; it can never overcount).  A sample larger than the
+    Both modes name a class by its key, the least state of its
+    component, and report one representative per class in key order: the
+    sorted orbit of the point of that state (see the module docstring).
+
+    Exact mode takes the components of all states: each component of
+    degree 8 is a class of |PGL_3(F_q)|/s orbits,
+    s = 8(q^2+q+1)/|component|.  It asserts the orbit identity, that the
+    component of each GP class gives the same s, and that no two
+    components share a key; with threads > 1 the GP tests and keys run on
+    a worker pool.
+
+    Sampled mode makes `sample_size` draws of states of degree 8 by a
+    seeded RNG, on one worker whatever `threads` says, and reports a
+    certified lower bound on the class count: distinct keys are distinct
+    classes, so it can never overcount.  A sample larger than the
     (q^16 - q^4)/8 degree-8 orbits raises ValueError before any work.
 
-    Both modes flag each GP class nodal or not by the subspace lookup of
-    the module docstring; the exact census finds 14 nodal classes of 38
-    at q = 2 and 351 of 900 at q = 3.
+    Both modes flag each GP class nodal or not by the lookup of the
+    module docstring; the exact census finds 14 nodal classes of 38 at
+    q = 2 and 351 of 900 at q = 3.
     """
     if q not in (2, 3):
         raise ValueError("exhaustive censuses are supported for q in {2, 3}")
@@ -471,13 +413,13 @@ def run_census(
         raise ValueError("mode must be 'exact' or 'sampled'")
     t0 = time.monotonic()
     total = total_degree8_orbits(q)
+    ctx = get_ctx(q, 8)
     keys: dict = {}
-    orbits = 0
     gp = 0
 
     if mode == "exact":
-        ctx = get_ctx(q, 8)
         group = pgl3_order(q)
+        orbits = 0
         jobs = []
         for point, size in _subspace_components(q):
             if len(frobenius_orbit(ctx, point)) != 8:
@@ -512,29 +454,24 @@ def run_census(
             raise ValueError("sampled mode needs a positive sample_size")
         if sample_size > total:
             raise ValueError(
-                f"a sample of {sample_size} orbits exceeds the {total} "
+                f"a sample of {sample_size} draws exceeds the {total} "
                 f"degree-8 orbits over F_{q}"
             )
         import random
 
         rng = random.Random(rng_seed)
-        ctx = get_ctx(q, 8)
-        index_space = _point_count(q)
-        tested = set()
-        while len(tested) < sample_size:
-            points = frobenius_orbit(ctx, _point_at(q, rng.randrange(index_space)))
-            if len(points) != 8:
+        state, _ = _subspace_ops(q)
+        draws = 0
+        while draws < sample_size:
+            u, v = state(rng.randrange(ctx.size), rng.randrange(ctx.size))
+            # 1, a and b dependent, or the one component of degree < 8
+            if not v or len(frobenius_orbit(ctx, (1, u, v))) != 8:
                 continue
-            canon = tuple(sorted(points))
-            if canon in tested:
-                continue
-            tested.add(canon)
-            orbits += 1
-            hit = _class_of((q, canon[0], None))
+            draws += 1
+            hit = _class_of((q, (1, u, v), None))
             if hit:
                 gp += 1
-                if hit[0] not in keys or canon < keys[hit[0]][0]:
-                    keys[hit[0]] = hit[1:]
+                keys.setdefault(hit[0], hit[1:])
 
     nodal = sum(flag for _, flag in keys.values())
     bound = mq_bound(q)

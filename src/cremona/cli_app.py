@@ -356,6 +356,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _at_least_2(text: str) -> int:
+    """The argparse type of --q-max: an integer >= 2, so that some prime
+    is checked."""
+    value = _integer(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {text!r}")
+    return value
+
+
 def _nonnegative(text: str) -> int:
     """The argparse type of a ball radius: an integer >= 0."""
     value = _integer(text)
@@ -395,9 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="count Bertini classes over F_q")
     p.add_argument("--q", type=int, choices=(2, 3), required=True)
-    p.add_argument("--exact", action="store_true", help="exhaustive census (default)")
-    p.add_argument("--sample", type=_count, default=None, metavar="N",
-                   help="sampled census over N distinct orbits")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--exact", action="store_true", help="exhaustive census (default)")
+    g.add_argument("--sample", type=_count, default=None, metavar="N",
+                   help="sampled census of N draws")
     p.add_argument("--threads", type=_count, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="FILE", help="write the JSON result")
@@ -412,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=10000)
     p.add_argument("--seeds", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q-max", type=int, default=101)
+    p.add_argument("--q-max", type=_at_least_2, default=101)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chambers", help="chamber decomposition of a lattice")

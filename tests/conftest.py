@@ -62,7 +62,7 @@ def q7_seed_bad_at_every_lambda(ctx) -> int:
 BROKEN_SEARCH = {
     "drop": "orbit identity",
     "size": "orbit identity",
-    "swap": "frame rotations",
+    "swap": "stabilizer order",
     "point": "share the key",
 }
 

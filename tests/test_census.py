@@ -8,9 +8,6 @@ import pytest
 from cremona import bertini_census
 from cremona import general_position as gp
 from cremona.bertini_census import (
-    _frame_records,
-    _point_at,
-    _point_count,
     canonical_class,
     mq_bound,
     mq_cross_check,
@@ -35,6 +32,24 @@ from conftest import (
 )
 
 
+def _point_count(q: int) -> int:
+    """|P^2(F_{q^8})|, the size of the index space of `_point_at`."""
+    return q ** 16 + q ** 8 + 1
+
+
+def _point_at(q: int, index: int):
+    """The normalized point of P^2(F_{q^8}) with the given index, in
+    lexicographic order of coordinate triples: [0:0:1], [0:1:z], [1:y:z]."""
+    size = q ** 8
+    if index == 0:
+        return (0, 0, 1)
+    index -= 1
+    if index < size:
+        return (0, 1, index)
+    index -= size
+    return (1, index // size, index % size)
+
+
 def enumerate_orbits(q: int):
     """The exhaustive point stream, the slow oracle of the subspace
     census: each degree-8 orbit of P^2(F_{q^8}) once, as a GaloisOrbit8,
@@ -45,6 +60,79 @@ def enumerate_orbits(q: int):
         orbit = frobenius_orbit(ctx, coords)
         if len(orbit) == 8 and min(orbit) == coords:
             yield GaloisOrbit8(ctx, orbit)
+
+
+def _cross(u, v, ctx):
+    mul, sub = ctx.mul, ctx.sub
+    return (
+        sub(mul(u[1], v[2]), mul(u[2], v[1])),
+        sub(mul(u[2], v[0]), mul(u[0], v[2])),
+        sub(mul(u[0], v[1]), mul(u[1], v[0])),
+    )
+
+
+def _dot(u, v, ctx):
+    mul, add = ctx.mul, ctx.add
+    return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
+
+
+def frame_records(points, ctx):
+    """The frame-key oracle of the class key: one record per rotation i
+    of the Frobenius-ordered points p_0, ..., p_7, the normalized images
+    of p_{i+4}, ..., p_{i+7} under the map sending p_i, p_{i+1}, p_{i+2}
+    to the coordinate points and p_{i+3} to [1:1:1].
+
+    Elements of PGL_3(F_q) commute with Frobenius, so they carry the
+    records of an orbit to those of its image.  Conversely, equal records
+    of two orbits give a g in PGL_3(F_{q^8}) with g = g^F on a frame, so
+    g is over F_q by Hilbert 90.  So the least record separates classes,
+    and the number of rotations reaching it is the stabilizer order.
+
+    The rows of the adjugate of [p_i p_{i+1} p_{i+2}] are the cross
+    products p_{i+1} x p_{i+2}, p_{i+2} x p_i, p_i x p_{i+1}; scaling
+    each row by the inverse of its product with p_{i+3} fixes [1:1:1].
+    Raises ValueError when four consecutive points are not a frame.
+    """
+    records = []
+    for i in range(8):
+        p0, p1, p2, p3 = (points[(i + k) % 8] for k in range(4))
+        rows = (_cross(p1, p2, ctx), _cross(p2, p0, ctx), _cross(p0, p1, ctx))
+        scales = [_dot(r, p3, ctx) for r in rows]
+        if _dot(rows[0], p0, ctx) == 0 or 0 in scales:
+            raise ValueError(f"points {i}..{i + 3} of the orbit are not a frame")
+        mat = tuple(
+            tuple(ctx.mul(inv, x) for x in r)
+            for r, inv in zip(rows, map(ctx.inv, scales))
+        )
+        records.append(
+            tuple(apply_raw(mat, points[(i + k) % 8], ctx) for k in range(4, 8))
+        )
+    return records
+
+
+def frame_key(orbit: GaloisOrbit8):
+    """The least frame record of the orbit in Frobenius order."""
+    points = frobenius_orbit(orbit.ctx, orbit.points[0])
+    if len(points) != 8:
+        raise ValueError("the points are not one Frobenius orbit of size 8")
+    return min(frame_records(points, orbit.ctx))
+
+
+def walk_component(q: int, start) -> set:
+    """The walk oracle of `_component`: the states reached from `start`
+    by the moves V -> V^q and V -> t^{-1} V, t in V up to F_q^*."""
+    frob = get_ctx(q, 8).frobenius
+    state, scalings = bertini_census._subspace_ops(q)
+    seen = {start}
+    todo = [start]
+    while todo:
+        u, v = todo.pop()
+        for a, b in ((frob(u), frob(v)), *scalings(u, v)):
+            s = state(a, b)
+            if s not in seen:
+                seen.add(s)
+                todo.append(s)
+    return seen
 
 
 def nodal_class_keys(q: int) -> set:
@@ -64,6 +152,12 @@ def nodal_class_keys(q: int) -> set:
                 if gp.general_position_report(points, ctx).ok:
                     keys.add(canonical_class(GaloisOrbit8(ctx, points)))
     return keys
+
+
+@pytest.fixture(scope="module")
+def census_q3():
+    """The exact q = 3 census, shared by the tests of this module."""
+    return run_census(3)
 
 
 @pytest.fixture(scope="module")
@@ -132,37 +226,53 @@ def test_canonical_class_invariance_and_stability():
 
 def test_frame_key_matches_group_sweep_q2(orbits_q2, census_q2):
     # exhaustive cross-check against the 168-element sweep: the sweep
-    # cuts the orbits into PGL_3(F_2)-blocks, each orbit visited once;
-    # every member of a GP block has the block's frame key and no two
-    # blocks share one, so the frame key and the sweep induce the same
-    # partition; and the subspace census finds the same classes as the
-    # point stream.  GP is PGL_3-invariant (see test_general_position),
-    # so one member per block is tested.
+    # cuts the orbits into PGL_3(F_2)-blocks, each orbit visited once.
+    # Off the rational lines every member of a block has the block's
+    # class key and no two blocks share one; on a GP block the frame-key
+    # oracle does the same.  So both keys induce the sweep's partition,
+    # and the census gives one representative per GP block.  GP is
+    # PGL_3-invariant (see test_general_position), so one member per
+    # block is tested.
     ctx = get_ctx(2, 8)
     mats = [g.matrix for g in pgl3_elements(2)]
     seen = set()
     blocks: dict = {}
+    gp_keys, frame_keys = set(), set()
+    on_lines = 0
     for orbit in orbits_q2:
         if orbit.points in seen:
             continue
         block = {tuple(sorted(apply_raw(m, p, ctx) for p in orbit.points)) for m in mats}
         seen |= block
-        if not gp.general_position_report(orbit.points, ctx).ok:
+        try:
+            key = canonical_class(orbit)
+        except ValueError:  # an orbit on a rational line
+            on_lines += len(block)
             continue
-        key = canonical_class(orbit)
         assert key not in blocks
         assert {canonical_class(GaloisOrbit8(ctx, member)) for member in block} == {key}
         blocks[key] = block
-        # trivial stabilizer: the minimum is reached by one rotation only
-        records = _frame_records(frobenius_orbit(ctx, orbit.seed), ctx)
-        assert records.count(key.serialized) == 1
+        if not gp.general_position_report(orbit.points, ctx).ok:
+            continue
+        frames = {frame_key(GaloisOrbit8(ctx, member)) for member in block}
+        assert len(frames) == 1 and frames.isdisjoint(frame_keys)
+        frame_keys |= frames
+        gp_keys.add(key)
+        # trivial stabilizer: one rotation reaches the least record, and
+        # the component has all 8 * 7 states
+        records = frame_records(frobenius_orbit(ctx, orbit.seed), ctx)
+        assert records.count(min(records)) == 1
+        assert len(set(bertini_census._component(2, *key.state))) == 56
     assert len(seen) == Q2_TOTAL_ORBITS
-    assert sum(len(b) for b in blocks.values()) == Q2_GENERAL_POSITION
-    assert len(blocks) == Q2_CLASS_COUNT
+    assert on_lines == 7 * (2 ** 8 - 2 ** 4) // 8 == 210
+    assert len(blocks) == 52  # the components of degree 8
+    assert sum(len(blocks[key]) for key in gp_keys) == Q2_GENERAL_POSITION
+    assert len(gp_keys) == len(frame_keys) == Q2_CLASS_COUNT
     reps = {canonical_class(GaloisOrbit8(ctx, rep)): rep for rep in census_q2.class_reps}
-    assert list(reps) == sorted(blocks)  # one representative per class, in key order
+    assert list(reps) == sorted(gp_keys)  # one representative per class, in key order
     for key, rep in reps.items():
         assert rep in blocks[key]
+        assert rep == tuple(sorted(frobenius_orbit(ctx, (1, *key.state))))
 
 
 def test_frame_key_invariance_q3():
@@ -177,15 +287,17 @@ def test_frame_key_invariance_q3():
     group = list(pgl3_elements(3))
     for frob_order in orbits:
         orbit = GaloisOrbit8(ctx, frob_order)
-        key = canonical_class(orbit)
-        assert len(key.serialized) == 4
+        key, frame = canonical_class(orbit), frame_key(orbit)
+        assert len(key.state) == 2 and len(frame) == 4
         for g in rnd.sample(group, 6):
-            moved = [apply_raw(g.matrix, p, ctx) for p in frob_order]
-            assert canonical_class(GaloisOrbit8(ctx, moved)) == key
+            moved = GaloisOrbit8(ctx, [apply_raw(g.matrix, p, ctx) for p in frob_order])
+            assert canonical_class(moved) == key
+            assert frame_key(moved) == frame
         # Frobenius order from any starting point, and sorted order
         for start in range(8):
             rotated = frob_order[start:] + frob_order[:start]
-            assert min(_frame_records(rotated, ctx)) == key.serialized
+            assert min(frame_records(rotated, ctx)) == frame
+            assert canonical_class(GaloisOrbit8(ctx, rotated)) == key
         assert canonical_class(GaloisOrbit8(ctx, sorted(frob_order))) == key
         # rescale p_k by F^k(lam): still Frobenius-closed, same points
         lam = rnd.randrange(2, ctx.size)
@@ -201,19 +313,39 @@ def test_frame_key_invariance_q3():
 
 
 def test_frame_key_refuses_non_frame():
+    # the class key and the frame-key oracle both refuse an orbit on a
+    # rational line and two orbits of size 4
     ctx = get_ctx(2, 8)
     a = next(e for e in range(2, ctx.size) if not ctx.in_subfield(e, 4))
-    on_a_line = frobenius_orbit(ctx, (1, a, 0))
-    with pytest.raises(ValueError):
-        canonical_class(GaloisOrbit8(ctx, on_a_line))
-    # two Frobenius orbits of size 4 make a closed set of 8 points
+    on_a_line = GaloisOrbit8(ctx, frobenius_orbit(ctx, (1, a, 0)))
     b = next(e for e in range(2, ctx.size) if ctx.in_subfield(e, 4) and not ctx.in_subfield(e, 2))
     conjugates = [b]
     for _ in range(3):
         conjugates.append(ctx.frobenius(conjugates[-1]))
-    two_orbits = [(1, c, 0) for c in conjugates] + [(1, 0, c) for c in conjugates]
-    with pytest.raises(ValueError):
-        canonical_class(GaloisOrbit8(ctx, two_orbits))
+    two_orbits = GaloisOrbit8(ctx, [(1, c, 0) for c in conjugates] + [(1, 0, c) for c in conjugates])
+    for key in (canonical_class, frame_key):
+        for orbit in (on_a_line, two_orbits):
+            with pytest.raises(ValueError):
+                key(orbit)
+    with pytest.raises(ValueError, match="rational line"):
+        canonical_class(GaloisOrbit8(ctx, frobenius_orbit(ctx, (0, 1, a))))
+
+
+@pytest.mark.parametrize("q", [2, pytest.param(3, marks=pytest.mark.slow)])
+def test_component_matches_the_walk(q):
+    # each component lists 8(q^2+q+1) states, and its distinct states are
+    # those the walk reaches; the components come in the walk's order
+    seen = set()
+    walked = []
+    for start in bertini_census._subspace_states(q):
+        if start not in seen:
+            states = walk_component(q, start)
+            seen |= states
+            component = bertini_census._component(q, *start)
+            assert len(component) == 8 * (q * q + q + 1)
+            assert set(component) == states
+            walked.append(((1, *start), len(states)))
+    assert bertini_census._subspace_components(q) == walked
 
 
 def test_mq_bound_values():
@@ -314,8 +446,8 @@ def test_census_on_a_pool_matches_one_worker(census_q2):
 
 
 @pytest.mark.slow
-def test_exact_census_q3():
-    res = run_census(3)
+def test_exact_census_q3(census_q3):
+    res = census_q3
     assert res.total_degree8_orbits == 5380830
     assert res.pgl3_class_count == 900
     assert res.general_position_count == 5_054_400 == 900 * pgl3_order(3)
@@ -338,6 +470,21 @@ def test_exact_census_q3():
         if hit:
             assert hit[2], f"parameter {e}, c0 = {nf.c0}"
             flagged += 1
+
+
+@pytest.mark.slow
+def test_frame_key_oracle_separates_q3_classes(census_q3):
+    # the 900 GP classes have distinct frame keys, and the number of
+    # frame rotations reaching each is 104 over the size of its component
+    ctx = get_ctx(3, 8)
+    frames = set()
+    for rep in census_q3.class_reps:
+        records = frame_records(frobenius_orbit(ctx, rep[0]), ctx)
+        frames.add(min(records))
+        key = canonical_class(GaloisOrbit8(ctx, rep))
+        size = len(set(bertini_census._component(3, *key.state)))
+        assert records.count(min(records)) * size == 104
+    assert len(frames) == 900
 
 
 def test_nodal_flag_matches_the_nodal_sweep_q2(census_q2):
@@ -386,6 +533,8 @@ def test_sampled_census_deterministic_and_monotone(census_q2):
     assert r1.class_reps == r2.class_reps
     assert r1.pgl3_class_count <= census_q2.pgl3_class_count
     assert r1.general_position_count <= r1.sample_size
+    # a class has one representative, whichever orbit of it was drawn
+    assert set(r1.class_reps) <= set(census_q2.class_reps)
 
 
 def test_sampled_census_distinct_keys_are_certified():

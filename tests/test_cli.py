@@ -14,8 +14,8 @@ from conftest import (
 )
 
 # the cached result of `census --q 2 --sample 25 --seed 3`: modulus
-# encoding 283, result version 3
-CACHE_FILE = "census_q2_sampled_m283_v3_n25_s3.json"
+# encoding 283, result version 4
+CACHE_FILE = "census_q2_sampled_m283_v4_n25_s3.json"
 
 
 def test_verify_mq_identity():
@@ -232,12 +232,14 @@ def test_bad_degrees_usage_error(argv, capsys):
         (["verify", "lambda-scan", "--seeds", "-1"], "--seeds"),
         (["verify", "produit", "--samples", "0"], "--samples"),
         (["amalgam", "ball", "--radius", "-2"], "--radius"),
+        (["census", "--q", "2", "--exact", "--sample", "5"], "--sample"),
+        (["verify", "mq-identity", "--q-max", "1"], "--q-max"),
     ],
 )
 def test_bad_count_usage_error(argv, option, capsys):
-    # a count below 1, a negative radius or a non-prime field size is
-    # refused by argparse: exit 2 with a usage line, before any work and
-    # without a traceback
+    # a count below 1, a negative radius, a non-prime field size, a
+    # --q-max below 2 or --exact with --sample is refused by argparse:
+    # exit 2 with a usage line, before any work and without a traceback
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -28,6 +28,17 @@ arithmetic; any failure rebuilds it and rewrites the file.
 Subfields of F_{q^n} are not separate contexts: membership in F_{q^d}
 is the predicate x^(q^d) == x, and every Galois orbit, of an element or
 of a point, is the one walk `frobenius_orbit`.
+
+Linear algebra has one elimination kernel, the fused row operation
+`FieldCtx.row_sub(a, f, b)` = a - f*b.  With tables it does the lookups
+of `mul` and `add` inline: in characteristic 2 an entry is
+a ^ exp[log f + log b]; in odd characteristic log(-f) = log f + u/2 (mod
+u), the product is one exp lookup and the sum one Zech lookup.  Contexts
+without tables fall back to `mul` and `sub` per entry.  `rank` runs
+forward elimination alone (`_eliminate`: no pivot is normalised, nothing
+above a pivot is cleared, one `div` per eliminated row); `nullspace`
+follows that pass with a backward one to the reduced echelon form, with
+the same row operation.
 """
 
 from __future__ import annotations
@@ -464,6 +475,33 @@ class FieldCtx:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
+    def row_sub(self, a: list, f: int, b: list) -> list:
+        """The row a - f*b, for f != 0: the row operation of elimination,
+        with the lookups of `mul` and `add` inlined (one exp lookup for
+        the product, and in odd characteristic one Zech lookup for the
+        sum); without tables, `mul` and `sub` per entry."""
+        if self._exp is None:
+            mul, sub = self.mul, self.sub
+            return [sub(x, mul(f, y)) for x, y in zip(a, b)]
+        exp, log = self._exp, self._log
+        if self.p == 2:
+            lf = log[f]
+            return [x ^ exp[lf + log[y]] if y else x for x, y in zip(a, b)]
+        units, zech = self._units, self._zech
+        lf = (log[f] + units // 2) % units  # log(-f)
+        out = []
+        for x, y in zip(a, b):
+            if not y:
+                out.append(x)
+            elif not x:
+                out.append(exp[lf + log[y]])
+            else:
+                # x - f*y = x (1 + (-f*y)/x), and log(1 + g^d) = zech[d]
+                lx = log[x]
+                z = zech[(lf + log[y] - lx) % units]
+                out.append(exp[lx + z] if z >= 0 else 0)
+        return out
+
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             if k == 0:
@@ -798,13 +836,16 @@ def _as_rows(matrix, ctx):
     return rows, ctx
 
 
-def _rref(rows, ctx):
-    """In-place reduced row echelon form; returns the list of pivot columns.
+def _eliminate(rows, ctx):
+    """Forward elimination in place; returns the list of pivot columns.
+    Row k < len(pivots) then has its first nonzero entry in column
+    pivots[k], and the rows below the last pivot row are zero.  Pivots are
+    not normalised and nothing above them is cleared.
 
     Pivot choice is deterministic: for each column in order, the first
     remaining row with a nonzero entry.
     """
-    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+    row_sub, div = ctx.row_sub, ctx.div
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -814,14 +855,12 @@ def _rref(rows, ctx):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = inv(rows[r][c])
-        if piv != 1:
-            rows[r] = [mul(piv, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [sub(ri[j], mul(f, rr[j])) for j in range(ncols)]
+        top = rows[r]
+        piv = top[c]
+        for i in range(r + 1, nrows):
+            v = rows[i][c]
+            if v:
+                rows[i] = row_sub(rows[i], div(v, piv), top)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -830,14 +869,21 @@ def _rref(rows, ctx):
 
 
 def rank(matrix, ctx=None) -> int:
+    """The rank, from forward elimination alone (`_eliminate`): the
+    number of pivots of a row echelon form, which is not reduced."""
     rows, ctx = _as_rows(matrix, ctx)
     if not rows:
         return 0
-    return len(_rref(rows, ctx))
+    return len(_eliminate(rows, ctx))
 
 
 def nullspace(matrix, ctx=None):
     """Basis of the right kernel, in reduced echelon form.
+
+    The forward pass of `rank` is followed by a backward one, from the
+    last pivot row up, that scales each pivot to 1 and clears its column
+    above it with the same row operation, `FieldCtx.row_sub`.  Each free
+    column gives one basis vector, read off the reduced rows.
 
     `matrix` is either a grid of FieldElement or a grid of int encodings
     with an explicit ctx.  The result uses the same convention as the
@@ -848,7 +894,17 @@ def nullspace(matrix, ctx=None):
     if not rows:
         return []
     ncols = len(rows[0])
-    pivots = _rref(rows, ctx)
+    pivots = _eliminate(rows, ctx)
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        top = rows[r]
+        if top[c] != 1:
+            inv = ctx.inv(top[c])
+            rows[r] = top = [ctx.mul(inv, v) for v in top]
+        for i in range(r):
+            v = rows[i][c]
+            if v:
+                rows[i] = ctx.row_sub(rows[i], v, top)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

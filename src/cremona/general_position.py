@@ -25,6 +25,13 @@ d = 1..4, with 8, 8, 8 and 4 members) and 1 of cubic systems.  A failing
 representative stands for its whole class, so the failure lists are the
 same as those of `general_position_report` on the same points.
 
+The conic tier of `orbit_report` builds the 8 conic Veronese rows (the
+6 quadratic monomials at each point) once and takes the 6x6 matrix of
+each class representative from them, where `six_on_conic` would build 6
+rows per sextuple, 24 in all.  The 8 points must be distinct, which
+`orbit_report` checks up front since the matrices bypass the duplicate
+guard of `six_on_conic`.
+
 Orbits on a nodal cubic are produced from a single multiplicative
 parameter, in Frobenius order, since the parametrization is defined over
 F_q; the lambda-scaling and beta-twist moves that repair non-general
@@ -36,13 +43,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx
+from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx, rank
 from .nodal_cubic import NodalCubicNF, param_point
 from .plane_geometry import (
     ProjPoint,
     collinear_raw,
     singular_cubic_through,
     six_on_conic,
+    veronese_row,
 )
 
 __all__ = [
@@ -198,7 +206,8 @@ def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
     rotation class: 7 line triples, 4 conic sextuples and the cubic system
     at points[0] (see the module docstring).  Raises ValueError when the
     points are not in that order, since a sorted orbit would get a wrong
-    verdict.
+    verdict, and Collision when they repeat (a shorter orbit listed more
+    than once).
     """
     pts = _coords(points)
     frob = ctx.frobenius
@@ -206,10 +215,13 @@ def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
         tuple(map(frob, pts[k])) != pts[(k + 1) % 8] for k in range(8)
     ):
         raise ValueError("orbit_report needs 8 points in Frobenius order")
+    if len(set(pts)) != 8:
+        raise Collision("orbit_report needs 8 distinct points")
     bad = _failed(_LINE_CLASSES, lambda t: collinear_raw(*(pts[i] for i in t), ctx))
     if bad:
         return GeneralPositionReport(False, failed_lines=bad)
-    bad = _failed(_CONIC_CLASSES, lambda t: six_on_conic([pts[i] for i in t], ctx))
+    conic = [veronese_row(c, 2, ctx) for c in pts]
+    bad = _failed(_CONIC_CLASSES, lambda t: rank([conic[i] for i in t], ctx) < 6)
     if bad:
         return GeneralPositionReport(False, failed_conics=bad)
     if singular_cubic_through(pts, 0, ctx):

@@ -35,6 +35,20 @@ def census_q2():
     return run_census(2, mode="exact", threads=1)
 
 
+def q2_frobenius_orbits():
+    """Every degree-8 orbit of P^2(F_{2^8}), each in Frobenius order from
+    its least point."""
+    ctx = get_ctx(2, 8)
+    points = [(x, y, 1) for x in range(256) for y in range(256)]
+    points += [(x, 1, 0) for x in range(256)]
+    orbits = []
+    for coords in points:
+        orbit = frobenius_orbit(ctx, coords)
+        if len(orbit) == 8 and min(orbit) == coords:
+            orbits.append(orbit)
+    return orbits
+
+
 def q7_seed_bad_at_every_lambda(ctx) -> int:
     """A parameter a of degree 8 over F_7 whose nodal orbit fails general
     position for every lambda in F_7^*.

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cremona import field_tower
+from cremona import field_tower, plane_geometry
 from cremona.field_tower import (
     FieldCtx,
     FieldElement,
@@ -18,6 +18,9 @@ from cremona.field_tower import (
     nullspace,
     rank,
 )
+from cremona.general_position import _CONIC_CLASSES
+
+from conftest import Q2_TOTAL_ORBITS, q2_frobenius_orbits
 
 # golden constants from the modulus scan (encodings 283 and 6572)
 F2_OCTIC = (1, 1, 0, 1, 1, 0, 0, 0, 1)
@@ -301,6 +304,121 @@ def test_nullspace_deterministic_and_reduced():
     assert b1 == b2
     assert len(b1) == 2
     assert rank([r[:] for r in rows], ctx) == 2
+
+
+def _rref_oracle(matrix, ctx):
+    """(rank, kernel basis) from the full reduced echelon form, entry by
+    entry through `mul` and `sub`: the elimination `rank` and `nullspace`
+    ran before the fused row operation, kept as their oracle."""
+    rows = [list(r) for r in matrix]
+    mul, sub, inv = ctx.mul, ctx.sub, ctx.inv
+    nrows, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = inv(rows[r][c])
+        rows[r] = [mul(piv, v) for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for k, pc in enumerate(pivots):
+            vec[pc] = ctx.neg(rows[k][fc])
+        basis.append(vec)
+    return len(pivots), basis
+
+
+# F_{2^8} (the xor path), F_{3^8} (list tables, Zech logs), F_{7^8}
+# (array('i') tables) and F_{11^8} (no tables)
+ELIMINATION_FIELDS = [(2, 8), (3, 8), (7, 8), (11, 8)]
+
+
+@pytest.fixture(scope="module", params=ELIMINATION_FIELDS, ids=lambda pn: f"{pn[0]}^{pn[1]}")
+def elimination_ctx(request):
+    p, n = request.param
+    return get_ctx(p, n) if p < 11 else FieldCtx(p, n)
+
+
+def test_row_sub_matches_mul_and_sub(elimination_ctx):
+    ctx = elimination_ctx
+    assert (ctx._exp is None) == (ctx.p == 11)
+    rnd = random.Random(ctx.p)
+    for _ in range(100):
+        f = rnd.randrange(1, ctx.size)
+        a = [rnd.choice((0, rnd.randrange(ctx.size))) for _ in range(8)]
+        b = [rnd.choice((0, rnd.randrange(ctx.size))) for _ in range(8)]
+        a[0] = ctx.mul(f, b[0])  # an entry that cancels to 0
+        assert ctx.row_sub(a, f, b) == [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a, b)]
+
+
+def _planted(ctx, rnd, m, n, k):
+    """A seeded m x n matrix A B with A m x k and B k x n, so of rank at
+    most k; about a fifth of the entries of A and B are zero."""
+    def entry():
+        return 0 if rnd.random() < 0.2 else rnd.randrange(1, ctx.size)
+
+    a = [[entry() for _ in range(k)] for _ in range(m)]
+    b = [[entry() for _ in range(n)] for _ in range(k)]
+    out = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            for t in range(k):
+                out[i][j] = ctx.add(out[i][j], ctx.mul(a[i][t], b[t][j]))
+    return out
+
+
+@pytest.mark.slow
+def test_elimination_matches_rref_oracle_on_planted_ranks(elimination_ctx):
+    """`rank` and `nullspace` against the full reduced echelon form on
+    seeded matrices of every planted rank; rank 0 is the zero matrix."""
+    ctx = elimination_ctx
+    rnd = random.Random(1000 + ctx.p)
+    shapes = [(3, 3), (6, 6), (11, 10), (8, 10), (1, 1), (1, 6), (1, 10)]
+    for m, n in shapes:
+        for k in range(min(m, n) + 1):
+            for _ in range(2 if ctx._exp is not None else 1):
+                matrix = _planted(ctx, rnd, m, n, k)
+                want_rank, want_basis = _rref_oracle(matrix, ctx)
+                assert want_rank <= k
+                assert rank(matrix, ctx) == want_rank, (m, n, k)
+                assert nullspace(matrix, ctx) == want_basis, (m, n, k)
+                assert k or (want_rank == 0 and len(want_basis) == n)
+
+
+@pytest.mark.slow
+def test_rank_matches_rref_oracle_on_every_q2_orbit(monkeypatch):
+    """On each of the 8190 degree-8 orbits at q = 2, in Frobenius order,
+    `rank` gives the oracle's rank on the 4 conic-class matrices of
+    `orbit_report` and on the cubic system at points[0], whichever tier
+    the orbit fails."""
+    ctx = get_ctx(2, 8)
+    orbits = q2_frobenius_orbits()
+    assert len(orbits) == Q2_TOTAL_ORBITS
+    cubic_systems = []
+    monkeypatch.setattr(
+        plane_geometry, "rank", lambda rows, _ctx: cubic_systems.append(rows) or 0)
+    deficient = 0
+    for orbit in orbits:
+        conic = [plane_geometry.veronese_row(c, 2, ctx) for c in orbit]
+        plane_geometry.singular_cubic_through(orbit, 0, ctx)
+        matrices = [[conic[i] for i in members[0]] for members in _CONIC_CLASSES]
+        for matrix in matrices + [cubic_systems.pop()]:
+            got = rank(matrix, ctx)
+            assert got == _rref_oracle(matrix, ctx)[0]
+            deficient += got < len(matrix[0])
+    assert deficient  # some orbit fails a conic or cubic condition
 
 
 def test_field_element_wrapper_matrix_interface():

@@ -24,7 +24,12 @@ from cremona.general_position import (
 from cremona.nodal_cubic import NodalCubicNF, param_point
 from cremona.plane_geometry import ProjPoint, apply, singular_cubic_through
 
-from conftest import Q2_GENERAL_POSITION, Q2_TOTAL_ORBITS, q7_seed_bad_at_every_lambda
+from conftest import (
+    Q2_GENERAL_POSITION,
+    Q2_TOTAL_ORBITS,
+    q2_frobenius_orbits,
+    q7_seed_bad_at_every_lambda,
+)
 
 CTX = get_ctx(2, 8)
 NF = NodalCubicNF(2, 1)
@@ -120,6 +125,45 @@ def test_orbit_report_needs_frobenius_order():
         orbit_report(frob_order[:7], CTX)
 
 
+def test_orbit_report_refuses_repeated_points():
+    # a degree-4 point listed twice, and a rational point listed 8 times,
+    # are in Frobenius order but are not 8 distinct points
+    x = next(e for e in range(2, 256) if CTX.order(e) == 15)
+    half = frobenius_orbit(CTX, (x, 1, 0))
+    assert len(half) == 4
+    with pytest.raises(Collision):
+        orbit_report(half * 2, CTX)
+    with pytest.raises(Collision):
+        orbit_report([(1, 0, 0)] * 8, CTX)
+
+
+@pytest.mark.slow
+def test_orbit_report_matches_all_tuples_q7():
+    """The rotation-class test against the all-tuples test over F_{7^8},
+    the field on the array-table path: the pinned parameter that fails at
+    every lambda, 30 seeded parameter orbits, and seeded orbits of degree
+    8 on the line z = 0 and on the conic x z = y^2."""
+    ctx = get_ctx(7, 8)
+    a = q7_seed_bad_at_every_lambda(ctx)
+    params = [(ctx.mul(lam, a), 1 + lam % 6) for lam in range(1, 7)]
+    rnd = random.Random(77)
+    seeds = []
+    while len(seeds) < 32:
+        e = rnd.randrange(1, ctx.size)
+        if not ctx.in_subfield(e, 4):
+            seeds.append(e)
+    params += [(e, rnd.randrange(1, 7)) for e in seeds[:30]]
+    orbits = [gp._param_points(NodalCubicNF(7, c0), FieldElement(ctx, e)) for e, c0 in params]
+    orbits += [frobenius_orbit(ctx, (seeds[30], 1, 0))]
+    orbits += [frobenius_orbit(ctx, (ctx.mul(t, t), t, 1)) for t in seeds[30:]]
+    reports = [orbit_report(orbit, ctx) for orbit in orbits]
+    assert [tier(report) for report in reports[:6]] == ["conic"] * 6
+    assert tier(reports[36]) == "line"
+    assert [len(report.failed_conics) for report in reports[37:]] == [28, 28]
+    for orbit, report in zip(orbits, reports):
+        assert general_position_report(orbit, ctx) == report
+
+
 @pytest.mark.slow
 def test_orbit_report_matches_all_tuples_q2():
     """The rotation-class test against the all-tuples test on every
@@ -127,13 +171,7 @@ def test_orbit_report_matches_all_tuples_q2():
     and on each of the others the same failure lists.  On a seeded
     sample, `test_general_position` maps the indices back to the sorted
     orbit."""
-    points = [(x, y, 1) for x in range(256) for y in range(256)]
-    points += [(x, 1, 0) for x in range(256)]
-    orbits = []  # Frobenius order from the least point
-    for coords in points:
-        orbit = frobenius_orbit(CTX, coords)
-        if len(orbit) == 8 and min(orbit) == coords:
-            orbits.append(orbit)
+    orbits = q2_frobenius_orbits()
     assert len(orbits) == Q2_TOTAL_ORBITS
     reports = [orbit_report(orbit, CTX) for orbit in orbits]
     assert collections.Counter(map(tier, reports)) == {

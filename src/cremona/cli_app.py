@@ -34,7 +34,7 @@ from .bertini_census import (
     run_census,
     verify_orbit_lemma,
 )
-from .field_tower import FieldElement, _encode, _is_prime, cache_dir, get_ctx
+from .field_tower import FieldElement, _encode, _is_prime, cache_dir, frobenius_orbit, get_ctx
 from .general_position import (
     beta_twist,
     lambda_scan,
@@ -162,7 +162,7 @@ def _verify_beta_twist(args) -> int:
         if ctx.in_subfield(e, 4) or e in seen:
             continue
         orbit = orbit_from_seed(nf, FieldElement(ctx, e))
-        seen.update(p[0] for p in orbit.points)
+        seen.update(v for (v,) in frobenius_orbit(ctx, (e,)))
         if test_general_position(orbit).ok:
             continue
         for beta in range(1, ctx.size):

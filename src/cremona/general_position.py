@@ -25,12 +25,38 @@ d = 1..4, with 8, 8, 8 and 4 members) and 1 of cubic systems.  A failing
 representative stands for its whole class, so the failure lists are the
 same as those of `general_position_report` on the same points.
 
-The conic tier of `orbit_report` builds the 8 conic Veronese rows (the
-6 quadratic monomials at each point) once and takes the 6x6 matrix of
-each class representative from them, where `six_on_conic` would build 6
-rows per sextuple, 24 in all.  The 8 points must be distinct, which
-`orbit_report` checks up front since the matrices bypass the duplicate
-guard of `six_on_conic`.
+The conic and cubic tiers of `orbit_report` are each decided by one small
+system over F_q, read off the base-p digits of the monomials at
+points[0]; digit b is the coefficient of x^b in the power basis 1, x,
+..., x^7 of F_{q^8} over F_q, x the root of the modulus.
+
+- Cubics.  A cubic with F_q coefficients through points[0] passes through
+  every conjugate, and by Galois descent these cubics span the whole
+  system of cubics through the 8 points over F_{q^8}.  They are the F_q
+  relations among the 10 cubic monomials at points[0]: the kernel of an
+  8x10 digit matrix over F_q, which `cubic_pencil_basis` also uses; say
+  c_1, ..., c_k.  Some cubic through the 8 points is singular at
+  points[0] iff some nonzero sum t_1 c_1 + ... + t_k c_k has zero
+  gradient there, that is iff the 3xk matrix of the gradients of the c_i
+  at points[0] has rank < k.  Once lines and conics pass, k = 2.
+- Conics.  Let V be the 8x6 Veronese matrix: row k holds the conic
+  monomials at points[k], so it is F^k(w) for the row w at points[0].
+  If lambda V = 0, so is sigma(lambda) V = 0 for sigma(lambda)_k =
+  F(lambda_{k-1}); sigma is F-semilinear of order 8, so by Galois descent
+  the left kernel of V is spanned over F_{q^8} by the vectors that sigma
+  fixes, (mu, F mu, ..., F^7 mu) with Tr(mu w_j) = 0 for the six j (Tr
+  the trace to F_q).  Write mu = sum_a u_a x*_a over the basis dual to
+  the power basis under the trace form, Tr(x*_a x^b) = [a = b], built
+  once per field: then Tr(mu w_j) = sum_a u_a digit_a(w_j), so the u are
+  the F_q kernel of the 6x8 digit matrix of w.  It has dimension at
+  least 2.  If it is larger, V has rank < 6 and all 28 sextuples lie on
+  conics.  If it is spanned by mu1 and mu2, the 6x6 minor of V on a
+  sextuple vanishes iff the complementary 2x2 minor of the kernel does:
+  the sextuple that misses {i, j}, j = i + d, lies on a conic iff
+  F^i(mu1) F^j(mu2) = F^j(mu1) F^i(mu2), that is (applying F^-i) iff
+  mu1 F^d(mu2) = F^d(mu1) mu2.
+
+The 8 points must be distinct, which `orbit_report` checks up front.
 
 Orbits on a nodal cubic are produced from a single multiplicative
 parameter, in Frobenius order, since the parametrization is defined over
@@ -42,15 +68,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx, rank
-from .nodal_cubic import NodalCubicNF, param_point
+from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx, nullspace, rank
+from .nodal_cubic import NodalCubicNF, _rational_relations, param_point
 from .plane_geometry import (
     ProjPoint,
     collinear_raw,
+    partial_form,
     singular_cubic_through,
     six_on_conic,
-    veronese_row,
 )
 
 __all__ = [
@@ -200,17 +227,85 @@ def _failed(classes, fails) -> tuple:
     return tuple(sorted(t for members in classes if fails(members[0]) for t in members))
 
 
+@lru_cache(maxsize=None)
+def _dual_basis(ctx: FieldCtx) -> tuple:
+    """The basis x*_0, ..., x*_7 of F_{q^8} over F_q dual to the power
+    basis under the trace form, Tr(x*_a x^b) = [a = b], where x (encoding
+    q) is the root of the modulus f.  By Euler's lemma x*_a = b_a / f'(x)
+    for f(X) = (X - x)(b_0 + b_1 X + ... + b_7 X^7)."""
+    f, x, n = ctx.modulus, ctx.p, ctx.n
+    b = [0] * (n - 1) + [1]
+    for k in range(n - 1, 0, -1):
+        b[k - 1] = ctx.add(f[k], ctx.mul(x, b[k]))
+    deriv = 0
+    for k in range(n, 0, -1):
+        deriv = ctx.add(ctx.mul(deriv, x), k * f[k] % ctx.p)
+    inv = ctx.inv(deriv)
+    return tuple(ctx.mul(c, inv) for c in b)
+
+
+def _combine(coeffs, values, ctx: FieldCtx) -> int:
+    """sum_i coeffs[i] values[i], for coefficients in the prime field."""
+    add, mul = ctx.add, ctx.mul
+    acc = 0
+    for c, v in zip(coeffs, values):
+        if c:
+            acc = add(acc, mul(c, v))
+    return acc
+
+
+def _conic_monomials(coords, ctx: FieldCtx) -> list:
+    """The 6 conic monomials at a point, in the order of monomials(2)."""
+    x, y, z = coords
+    mul = ctx.mul
+    return [mul(x, x), mul(x, y), mul(x, z), mul(y, y), mul(y, z), mul(z, z)]
+
+
+def _on_conic(conic, ctx: FieldCtx):
+    """The predicate t -> whether the sextuple t of the orbit lies on a
+    conic, from the conic monomials at points[0] (module docstring)."""
+    kernel = nullspace([ctx.coeffs(w) for w in conic], get_ctx(ctx.p, 1))
+    if len(kernel) > 2:
+        return lambda t: True
+    dual = _dual_basis(ctx)
+    mu1, mu2 = (_combine(u, dual, ctx) for u in kernel)
+
+    def fails(t):
+        i, j = (k for k in range(8) if k not in t)
+        f1, f2 = ctx.frobenius_iter(mu1, j - i), ctx.frobenius_iter(mu2, j - i)
+        return ctx.mul(mu1, f2) == ctx.mul(f1, mu2)
+
+    return fails
+
+
+def _singular_cubic(coords, conic, ctx: FieldCtx) -> bool:
+    """Whether a cubic through the orbit is singular at points[0], with
+    coordinates coords and conic monomials conic (module docstring)."""
+    x, y, z = coords
+    mul = ctx.mul
+    # the cubic monomials, in the order of monomials(3)
+    cubic = [mul(x, w) for w in conic] + [mul(y, w) for w in conic[3:]] + [mul(z, conic[5])]
+    kernel = _rational_relations(cubic, ctx)
+    prime = get_ctx(ctx.p, 1)
+    gradients = [
+        [_combine(partial_form(c, 3, v, prime), conic, ctx) for c in kernel] for v in range(3)
+    ]
+    return rank(gradients, ctx) < len(kernel)
+
+
 def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
-    """The report of `general_position_report` for 8 points in Frobenius
-    order, points[k + 1] = F(points[k]) cyclically, from one predicate per
-    rotation class: 7 line triples, 4 conic sextuples and the cubic system
-    at points[0] (see the module docstring).  Raises ValueError when the
-    points are not in that order, since a sorted orbit would get a wrong
-    verdict, and Collision when they repeat (a shorter orbit listed more
-    than once).
+    """The report of `general_position_report` for 8 points over F_{q^8}
+    in Frobenius order, points[k + 1] = F(points[k]) cyclically: 7 line
+    triples, one per rotation class, then the conic and cubic tiers from
+    two small systems over F_q at points[0] (see the module docstring).
+    Raises ValueError when the points are not in that order, since a
+    sorted orbit would get a wrong verdict, or not over F_{q^8}, and
+    Collision when they repeat (a shorter orbit listed more than once).
     """
     pts = _coords(points)
     frob = ctx.frobenius
+    if ctx.n != 8:
+        raise ValueError("orbit_report works over F_{q^8}")
     if len(pts) != 8 or any(
         tuple(map(frob, pts[k])) != pts[(k + 1) % 8] for k in range(8)
     ):
@@ -220,11 +315,11 @@ def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
     bad = _failed(_LINE_CLASSES, lambda t: collinear_raw(*(pts[i] for i in t), ctx))
     if bad:
         return GeneralPositionReport(False, failed_lines=bad)
-    conic = [veronese_row(c, 2, ctx) for c in pts]
-    bad = _failed(_CONIC_CLASSES, lambda t: rank([conic[i] for i in t], ctx) < 6)
+    conic = _conic_monomials(pts[0], ctx)
+    bad = _failed(_CONIC_CLASSES, _on_conic(conic, ctx))
     if bad:
         return GeneralPositionReport(False, failed_conics=bad)
-    if singular_cubic_through(pts, 0, ctx):
+    if _singular_cubic(pts[0], conic, ctx):
         return GeneralPositionReport(False, failed_cubics=tuple(range(8)))
     return GeneralPositionReport(True)
 
@@ -235,10 +330,11 @@ def test_general_position(orbit: GaloisOrbit8) -> GeneralPositionReport:
     When the 8 points are one Frobenius orbit, this is `orbit_report` on
     them in Frobenius order from the seed, with the indices mapped back to
     the sorted `orbit.points`; 8 points closed under Frobenius that make
-    up several shorter orbits get the all-tuples test."""
+    up several shorter orbits, or that lie in a field other than
+    F_{q^8}, get the all-tuples test."""
     ctx = orbit.ctx
     frob_order = frobenius_orbit(ctx, orbit.points[0])
-    if len(frob_order) != 8:
+    if len(frob_order) != 8 or ctx.n != 8:
         return general_position_report(orbit.points, ctx)
     report = orbit_report(frob_order, ctx)
     if report.ok:
@@ -259,13 +355,13 @@ def test_general_position(orbit: GaloisOrbit8) -> GeneralPositionReport:
 
 def _param_points(nf: NodalCubicNF, a: FieldElement) -> list[tuple]:
     """The coordinates of param_point(nf, a^(q^k)), k = 0..7, in
-    Frobenius order.  Requires the multiplicative orbit of a to have
-    size 8 and the 8 points to be distinct."""
-    ctx = a.ctx
-    vals = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
-    if len(vals) != 8:
-        raise ShortOrbit(f"parameter orbit has size {len(vals)}")
-    pts = [param_point(nf, FieldElement(ctx, v)).coords for v in vals]
+    Frobenius order: the Frobenius orbit of param_point(nf, a), since the
+    parametrization is defined over F_q.  Requires the multiplicative
+    orbit of a to have size 8 (which is the size of the point's orbit)
+    and the 8 points to be distinct."""
+    pts = frobenius_orbit(a.ctx, param_point(nf, a).coords)
+    if len(pts) != 8:
+        raise ShortOrbit(f"parameter orbit has size {len(pts)}")
     if len(set(pts)) != 8:
         raise Collision("parametrized points collide")
     return pts
@@ -281,8 +377,9 @@ def orbit_from_seed(nf: NodalCubicNF, a: FieldElement) -> GaloisOrbit8:
 def lambda_scan(nf: NodalCubicNF, a: FieldElement) -> list[int]:
     """All lambda in F_q* for which the orbit of lambda * a fails general
     position.  The points of lambda * a come in Frobenius order (lambda
-    is fixed by F), so each lambda costs one `orbit_report`: at most 12
-    predicates instead of up to 92.  Callers check each bad lambda with
+    is fixed by F), so each lambda costs one `orbit_report`: at most 7
+    line predicates and two small systems over F_q, against 92 predicates
+    for the all-tuples test.  Callers check each bad lambda with
     `unexplained_lambda_failures`."""
     ctx = a.ctx
     bad = []

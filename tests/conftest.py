@@ -72,6 +72,26 @@ def q7_seed_bad_at_every_lambda(ctx) -> int:
     return a
 
 
+def q13_seed_bad_at_squares(ctx) -> int:
+    """A parameter a of degree 8 over F_13 whose nodal orbit fails general
+    position at every square lambda of F_13^*.
+
+    Every a = b^(13^4 - 1) has a^(13^4 + 1) = 1, so a a^(13^4) = 1: the
+    conjugates i and i + 4 multiply to 1, and a lies in F_{13^4} only
+    when a^2 = 1.  The six conjugates off such a pair then multiply to the
+    norm of a, which is 1, so by the produit lemma the six points of
+    lambda a there lie on a conic iff lambda^6 = 1, that is iff lambda is
+    a square.  Returns a for the first b = x + c, x the root of the
+    modulus (encoding 13), for which a has the full order 13^4 + 1.
+    """
+    q = ctx.p
+    assert q == 13
+    return next(
+        a for a in (ctx.pow(ctx.add(q, c), q**4 - 1) for c in range(q))
+        if ctx.order(a) == q**4 + 1
+    )
+
+
 # the check of `run_census` that each fault of `broken_search` trips
 BROKEN_SEARCH = {
     "drop": "orbit identity",

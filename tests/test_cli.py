@@ -45,8 +45,11 @@ def test_verify_lambda_scan_check_can_fail(monkeypatch, capsys, bad, code):
     assert ("lambda=2: not bad: the points are in general position" in err) == bool(code)
 
 
-def test_verify_beta_twist():
+def test_verify_beta_twist(capsys):
+    # 30 nodal orbits at q = 2, 2 of them not in general position, each
+    # twisted by the 14 beta outside the bad set
     assert main(["verify", "beta-twist", "--q", "2"]) == 0
+    assert "28 twists of non-general orbits, 0 violations" in capsys.readouterr().out
 
 
 def test_census_usage_error_on_bad_q():

@@ -7,7 +7,7 @@ import pytest
 from cremona import bertini_census
 from cremona import general_position as gp
 from cremona.bertini_census import pgl3_elements
-from cremona.field_tower import FieldElement, frobenius_orbit, galois_orbit, get_ctx
+from cremona.field_tower import FieldElement, frobenius_orbit, galois_orbit, get_ctx, rank
 from cremona.general_position import (
     Collision,
     GaloisOrbit8,
@@ -22,11 +22,12 @@ from cremona.general_position import (
     unexplained_lambda_failures,
 )
 from cremona.nodal_cubic import NodalCubicNF, param_point
-from cremona.plane_geometry import ProjPoint, apply, singular_cubic_through
+from cremona.plane_geometry import ProjPoint, apply, singular_cubic_through, veronese_row
 
 from conftest import (
     Q2_GENERAL_POSITION,
     Q2_TOTAL_ORBITS,
+    q13_seed_bad_at_squares,
     q2_frobenius_orbits,
     q7_seed_bad_at_every_lambda,
 )
@@ -72,6 +73,10 @@ def test_orbits_in_a_degree_16_field():
     x = next(e for e in range(2, ctx.size) if ctx.order(e) == 17)
     orbit = orbit_from_point(ProjPoint(ctx, (x, 1, 0)))
     assert orbit is not None and len(orbit.points) == 8
+    # orbit_report works over F_{2^8} alone; this orbit gets the all-tuples test
+    assert gp.test_general_position(orbit) == general_position_report(orbit.points, ctx)
+    with pytest.raises(ValueError, match="works over"):
+        orbit_report(frobenius_orbit(ctx, orbit.points[0]), ctx)
 
 
 def test_orbit_invariants_enforced():
@@ -203,6 +208,106 @@ def test_orbit_report_matches_all_tuples_q3():
         assert general_position_report(orbits[k], ctx) == reports[k]
         orbit = GaloisOrbit8(ctx, orbits[k])
         assert gp.test_general_position(orbit) == general_position_report(orbit.points, ctx)
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 13])
+def test_dual_basis_under_the_trace_form(q):
+    # Tr(x*_a x^b) = [a = b], with x^b of encoding q^b; q = 13 has no tables
+    ctx = get_ctx(q, 8)
+
+    def trace(y):
+        acc = 0
+        for k in range(8):
+            acc = ctx.add(acc, ctx.frobenius_iter(y, k))
+        return acc
+
+    dual = gp._dual_basis(ctx)
+    assert [[trace(ctx.mul(d, q**b)) for b in range(8)] for d in dual] == [
+        [int(a == b) for b in range(8)] for a in range(8)]
+
+
+CONIC_REPRESENTATIVES = [members[0] for members in gp._CONIC_CLASSES]
+
+
+def predicates_against_oracles(orbit, ctx, sextuples=CONIC_REPRESENTATIVES):
+    """The conic predicate of `orbit_report` on the sextuples, and its
+    cubic predicate, against ranks of the Veronese systems over the
+    field, whatever tier the orbit fails; returns the number of
+    sextuples on a conic and the cubic verdict."""
+    conic = gp._conic_monomials(orbit[0], ctx)
+    assert conic == veronese_row(orbit[0], 2, ctx)
+    rows = [veronese_row(c, 2, ctx) for c in orbit]
+    on_conic = gp._on_conic(conic, ctx)
+    hits = 0
+    for t in sextuples:
+        expected = rank([rows[i] for i in t], ctx) < 6
+        assert on_conic(t) == expected, (orbit, t)
+        hits += expected
+    singular = gp._singular_cubic(orbit[0], conic, ctx)
+    assert singular == singular_cubic_through(orbit, 0, ctx), orbit
+    return hits, singular
+
+
+@pytest.mark.slow
+def test_descended_predicates_match_oracles_q2():
+    """Both predicates decided over F_2, on every degree-8 orbit at
+    q = 2, including the ones whose lines fail first; the positive
+    branches, which `orbit_report` rarely reaches, are hit often."""
+    hits = [predicates_against_oracles(orbit, CTX) for orbit in q2_frobenius_orbits()]
+    assert len(hits) == Q2_TOTAL_ORBITS
+    assert sum(1 for conics, _ in hits if conics) == 1806
+    assert sum(1 for _, cubic in hits if cubic) == 1470
+
+
+@pytest.mark.slow
+def test_descended_predicates_match_oracles_q3_q7():
+    """The same on every sextuple, over F_{3^8} (lists and Zech tables)
+    and F_{7^8} (array tables): seeded orbits, the nodal orbits of the
+    pinned q = 7 parameter at every lambda (conic failures, kernel of
+    dimension 2), orbits on a conic (dimension 3, every sextuple) and on
+    a line (every cubic through them singular at each point)."""
+    every = list(itertools.combinations(range(8), 6))
+    ctx = get_ctx(3, 8)
+    rnd = random.Random(39)
+    orbits = []
+    while len(orbits) < 300:
+        orbit = frobenius_orbit(ctx, (1, rnd.randrange(ctx.size), rnd.randrange(ctx.size)))
+        if len(orbit) == 8:
+            orbits.append(orbit)
+    hits = [predicates_against_oracles(orbit, ctx, every) for orbit in orbits]
+    assert sum(1 for conics, _ in hits if conics) > 20
+    assert sum(1 for _, cubic in hits if cubic) > 5
+    ctx = get_ctx(7, 8)
+    a = q7_seed_bad_at_every_lambda(ctx)
+    orbits = [gp._param_points(NodalCubicNF(7, 1), FieldElement(ctx, ctx.mul(lam, a)))
+              for lam in range(1, 7)]
+    seeds = [e for e in (rnd.randrange(1, ctx.size) for _ in range(30))
+             if not ctx.in_subfield(e, 4)]
+    orbits += [gp._param_points(NodalCubicNF(7, 1 + e % 6), FieldElement(ctx, e)) for e in seeds[:20]]
+    orbits += [frobenius_orbit(ctx, (ctx.mul(t, t), t, 1)) for t in seeds[20:22]]
+    orbits += [frobenius_orbit(ctx, (seeds[22], 1, 0))]
+    hits = [predicates_against_oracles(orbit, ctx, every) for orbit in orbits]
+    assert [conics for conics, _ in hits[:6]] == [4] * 6
+    assert hits[-3:] == [(28, True)] * 3
+
+
+def test_q13_parameter_fails_at_the_squares():
+    """The q = 13 input of the lambda^6 = 1 check, over a field with no
+    tables: the pinned parameter fails at the squares of F_13^*, each
+    failure is explained by the produit lemma, and both descended
+    predicates agree with the rank oracles at every lambda."""
+    ctx = get_ctx(13, 8)
+    assert ctx._exp is None
+    a = q13_seed_bad_at_squares(ctx)
+    assert not ctx.in_subfield(a, 4) and ctx.mul(a, ctx.frobenius_iter(a, 4)) == 1
+    nf = NodalCubicNF(13, 1)
+    squares = sorted({lam * lam % 13 for lam in range(1, 13)})
+    assert lambda_scan(nf, FieldElement(ctx, a)) == squares == [1, 3, 4, 9, 10, 12]
+    for lam in range(1, 13):
+        why = unexplained_lambda_failures(nf, FieldElement(ctx, a), lam)
+        assert why == ([] if lam in squares else ["not bad: the points are in general position"])
+        orbit = gp._param_points(nf, FieldElement(ctx, ctx.mul(lam, a)))
+        assert predicates_against_oracles(orbit, ctx) == ((1 if lam in squares else 0), False)
 
 
 def test_nodal_orbits_q2_exhaustive_facts():

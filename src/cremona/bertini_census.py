@@ -114,13 +114,10 @@ def canonical_class(orbit: GaloisOrbit8) -> ClassKey:
     class is the G-orbit of the span (see the module docstring), and its
     states are the component.
 
-    Raises ValueError when the points are not one Frobenius orbit of
-    size 8, or when they lie on an F_q-rational line (never for an orbit
-    in general position).
+    Raises ValueError when the points lie on an F_q-rational line (never
+    for an orbit in general position).
     """
     q = orbit.ctx.p
-    if len(frobenius_orbit(orbit.ctx, orbit.points[0])) != 8:
-        raise ValueError("the points are not one Frobenius orbit of size 8")
     return ClassKey(min(_component(q, *_point_state(q, orbit.points[0]))))
 
 

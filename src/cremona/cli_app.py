@@ -12,15 +12,16 @@ the modelled scope (K^2 <= 0) or a census sample larger than the orbit
 count (both refused before any work), 3 infrastructure failure (an
 output file that cannot be written).  Results of census runs are cached
 under --cache-dir (default $CREMONA_CACHE_DIR or ~/.cache/cremona), keyed
-by the field modulus and the result-format version; stale versions are
-recomputed, never migrated, and a cache that cannot be read or written
-is skipped.
+by the field modulus and the result-format version; a file that holds
+no whole result of the current version is recomputed and overwritten,
+never migrated, and a cache that cannot be read or written is skipped.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import random
@@ -57,6 +58,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_INFRA = 3
 
+_RESULT_FIELDS = {f.name for f in dataclasses.fields(census_mod.CensusResult)}
+
 
 def _census_cache_key(q, mode, sample_size, seed) -> str:
     enc = _encode(get_ctx(q, 8).modulus, q)
@@ -77,7 +80,9 @@ def cmd_census(args) -> int:
         try:
             with open(cache_path) as fh:
                 data = json.load(fh)
-            if data.get("version") == census_mod.RESULT_VERSION:
+            # anything but a whole result of this version is a miss
+            if (isinstance(data, dict) and _RESULT_FIELDS <= data.keys()
+                    and data["version"] == census_mod.RESULT_VERSION):
                 result = data
         except (OSError, ValueError):
             result = None

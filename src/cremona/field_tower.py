@@ -54,12 +54,9 @@ __all__ = [
     "FieldElement",
     "ZeroElement",
     "cache_dir",
-    "element_order",
     "euler_phi",
     "find_modulus",
-    "frobenius",
     "frobenius_orbit",
-    "galois_orbit",
     "get_ctx",
     "nullspace",
     "rank",
@@ -127,7 +124,8 @@ def euler_phi(n: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient lists, little-endian)
+# polynomial arithmetic over F_p: coefficient lists, little-endian; the
+# results carry no trailing zeros
 
 def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
@@ -135,32 +133,45 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num by den over F_p; den must be monic."""
-    num = num[:]
+def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    m = max(len(a), len(b))
+    a, b = a + [0] * (m - len(a)), b + [0] * (m - len(b))
+    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _poly_trim(out)
+
+
+def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by den over F_p; den must have a
+    nonzero leading coefficient."""
+    rem = _poly_trim(num[:])
     dn = len(den) - 1
-    while len(num) - 1 >= dn and num:
-        lead = num[-1]
-        if lead:
-            off = len(num) - 1 - dn
-            for i, d in enumerate(den):
-                num[off + i] = (num[off + i] - lead * d) % p
-        num.pop()
-    return _poly_trim(num)
+    dinv = pow(den[-1], -1, p)
+    quot = [0] * max(0, len(rem) - dn)
+    while len(rem) > dn:
+        coef = rem.pop() * dinv % p  # the leading term cancels
+        if coef:
+            off = len(rem) - dn
+            quot[off] = coef
+            for i in range(dn):
+                rem[off + i] = (rem[off + i] - coef * den[i]) % p
+    return _poly_trim(quot), _poly_trim(rem)
 
 
 def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, mod, p)
+    return _poly_divmod(_poly_mul(a, b, p), mod, p)[1]
 
 
 def _poly_powmod(a: list[int], k: int, mod: list[int], p: int) -> list[int]:
     out = [1]
-    base = _poly_mod(a[:], mod, p)
+    base = _poly_divmod(a, mod, p)[1]
     while k:
         if k & 1:
             out = _poly_mulmod(out, base, mod, p)
@@ -181,7 +192,7 @@ def _poly_is_irreducible(f: list[int], p: int) -> bool:
     for d in range(1, n // 2 + 1):
         for enc in range(p ** d):
             div = _decode(enc, p, d) + [1]
-            if not _poly_mod(f[:], div, p):
+            if not _poly_divmod(f, div, p)[1]:
                 return False
     return True
 
@@ -617,55 +628,23 @@ class FieldCtx:
         return _encode([(-x) % p for x in self._coeffs(a)], p)
 
     def _mul_poly(self, a: int, b: int) -> int:
-        r = _poly_mulmod(self._coeffs(a), self._coeffs(b), list(self.modulus), self.p)
-        return _encode(r + [0] * (self.n - len(r)), self.p)
+        mod = list(self.modulus)
+        return _encode(_poly_mulmod(self._coeffs(a), self._coeffs(b), mod, self.p), self.p)
 
     def _pow_poly(self, a: int, k: int) -> int:
-        r = _poly_powmod(self._coeffs(a), k, list(self.modulus), self.p)
-        return _encode(r + [0] * (self.n - len(r)), self.p)
+        return _encode(_poly_powmod(self._coeffs(a), k, list(self.modulus), self.p), self.p)
 
     def _inv_poly(self, a: int) -> int:
-        # extended Euclid in F_p[t]
+        # extended Euclid in F_p[t]: s0 a = r0 mod the modulus throughout
         p = self.p
         r0, r1 = list(self.modulus), _poly_trim(self._coeffs(a))
         s0, s1 = [], [1]
         while r1:
-            q, rem = self._poly_divmod(r0, r1, p)
+            q, rem = _poly_divmod(r0, r1, p)
             r0, r1 = r1, rem
-            s0, s1 = s1, self._poly_sub(s0, self._poly_mul_plain(q, s1), p)
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
         lead_inv = pow(r0[-1], -1, p)
-        s0 = [(c * lead_inv) % p for c in s0]
-        return _encode(s0 + [0] * (self.n - len(s0)), p)
-
-    @staticmethod
-    def _poly_divmod(num, den, p):
-        num = num[:]
-        quot = [0] * max(1, len(num) - len(den) + 1)
-        dinv = pow(den[-1], -1, p)
-        while num and len(num) >= len(den):
-            coef = (num[-1] * dinv) % p
-            off = len(num) - len(den)
-            quot[off] = coef
-            for i, d in enumerate(den):
-                num[off + i] = (num[off + i] - coef * d) % p
-            _poly_trim(num)
-        return _poly_trim(quot), num
-
-    @staticmethod
-    def _poly_mul_plain(a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    def _poly_sub(self, a, b, p):
-        m = max(len(a), len(b))
-        a = a + [0] * (m - len(a))
-        b = b + [0] * (m - len(b))
-        return _poly_trim([(x - y) % p for x, y in zip(a, b)])
+        return _encode([c * lead_inv % p for c in s0], p)
 
     # -- element interface ----------------------------------------------
 
@@ -796,11 +775,6 @@ class FieldElement:
         return self.ctx.in_subfield(self.e, d)
 
 
-def frobenius(x: FieldElement, times: int = 1) -> FieldElement:
-    """x^(q^times) for q = p; a field automorphism fixing F_q pointwise."""
-    return x.frobenius(times)
-
-
 def frobenius_orbit(ctx: FieldCtx, x: tuple) -> list[tuple]:
     """[x, F(x), F^2(x), ...] up to the first repetition, where x is a
     tuple of encodings and F applies the p-power Frobenius to each entry
@@ -812,15 +786,6 @@ def frobenius_orbit(ctx: FieldCtx, x: tuple) -> list[tuple]:
         orbit.append(cur)
         cur = tuple(map(frob, cur))
     return orbit
-
-
-def galois_orbit(x: FieldElement) -> list[FieldElement]:
-    """[x, x^q, x^(q^2), ...] up to the first repetition."""
-    return [FieldElement(x.ctx, e) for (e,) in frobenius_orbit(x.ctx, (x.e,))]
-
-
-def element_order(x: FieldElement) -> int:
-    return x.order()
 
 
 # ----------------------------------------------------------------------

@@ -1,58 +1,63 @@
 """Degree-8 Galois orbits in the plane and the general-position test.
 
-A degree-8 point is a Frobenius-closed set of 8 distinct points of
+A degree-8 point is one Frobenius orbit of 8 distinct points of
 P^2(F_{q^8}); it is in general position when no 3 of the points are
 collinear, no 6 lie on a conic, and no cubic is singular at one of them
 while passing through the other seven.  Blowing up such a point gives a
 del Pezzo surface of degree 1, so these are exactly the base points of
-Bertini involutions.
+Bertini involutions.  `GaloisOrbit8` keeps the points in Frobenius
+order, points[k + 1] = F(points[k]) with indices mod 8, from the least
+point.
 
-The test runs in tiers (lines, then conics, then singular cubics),
-short-circuiting at the first failing tier but listing every failure
-inside it.  `general_position_report` checks every tuple of an arbitrary
-8-point set: 56 triples, 28 sextuples and 8 cubic systems.
+`general_position_report` checks every tuple of an arbitrary 8-point
+set in tiers (lines, then conics, then singular cubics: 56 triples, 28
+sextuples and 8 cubic systems), short-circuiting at the first failing
+tier but listing every failure inside it.
 
-`orbit_report` uses that the 8 points are one Frobenius orbit.  List them
-in Frobenius order, points[k + 1] = F(points[k]) with indices mod 8.  F
-acts on coordinates as a field automorphism, so it maps the determinant
-of a triple, and the Veronese and gradient systems of a sextuple or a
-cubic, to their images under F, which have the same rank; and it sends
-the tuple of indices T to T + 1.  So each predicate takes one value on
-the rotation class {T + r : r in Z/8} of T, and one representative per
-class decides it: 7 classes of triples (56 / 8, none of them fixed by a
-rotation), 4 of sextuples (the complements of the pairs {i, i + d},
-d = 1..4, with 8, 8, 8 and 4 members) and 1 of cubic systems.  A failing
-representative stands for its whole class, so the failure lists are the
-same as those of `general_position_report` on the same points.
+`orbit_report` uses that the 8 points are one Frobenius orbit in
+Frobenius order, and runs two tiers, lines then conics.  F acts on
+coordinates as a field automorphism, so it maps the determinant of a
+triple, and the Veronese system of a sextuple, to their images under F,
+which have the same rank; and it sends the tuple of indices T to T + 1.
+So each predicate takes one value on the rotation class
+{T + r : r in Z/8} of T, and one representative per class decides it: 7
+classes of triples (56 / 8, none of them fixed by a rotation) and 4 of
+sextuples (the complements of the pairs {i, i + d}, d = 1..4, with 8, 8,
+8 and 4 members).  A failing representative stands for its whole class,
+so the failure lists are the same as those of `general_position_report`
+on the same points.
 
-The conic and cubic tiers of `orbit_report` are each decided by one small
-system over F_q, read off the base-p digits of the monomials at
-points[0]; digit b is the coefficient of x^b in the power basis 1, x,
-..., x^7 of F_{q^8} over F_q, x the root of the modulus.
-
-- Cubics.  A cubic with F_q coefficients through points[0] passes through
-  every conjugate, and by Galois descent these cubics span the whole
-  system of cubics through the 8 points over F_{q^8}.  They are the F_q
-  relations among the 10 cubic monomials at points[0]: the kernel of an
-  8x10 digit matrix over F_q, which `cubic_pencil_basis` also uses; say
-  c_1, ..., c_k.  Some cubic through the 8 points is singular at
-  points[0] iff some nonzero sum t_1 c_1 + ... + t_k c_k has zero
-  gradient there, that is iff the 3xk matrix of the gradients of the c_i
-  at points[0] has rank < k.  Once lines and conics pass, k = 2.
-- Conics.  Let V be the 8x6 Veronese matrix: row k holds the conic
-  monomials at points[k], so it is F^k(w) for the row w at points[0].
-  If lambda V = 0, so is sigma(lambda) V = 0 for sigma(lambda)_k =
-  F(lambda_{k-1}); sigma is F-semilinear of order 8, so by Galois descent
-  the left kernel of V is spanned over F_{q^8} by the vectors that sigma
-  fixes, (mu, F mu, ..., F^7 mu) with Tr(mu w_j) = 0 for the six j (Tr
-  the trace to F_q).  Write mu = sum_a u_a x*_a over the basis dual to
-  the power basis under the trace form, Tr(x*_a x^b) = [a = b], built
-  once per field: then Tr(mu w_j) = sum_a u_a digit_a(w_j), so the u are
-  the F_q kernel of the 6x8 digit matrix of w.  It has dimension at
-  least 2.  If it is larger, V has rank < 6 and all 28 sextuples lie on
-  conics.  If it is spanned by mu1 and mu2, the 6x6 minor of V on a
-  sextuple vanishes iff the complementary 2x2 minor of the kernel does:
-  the sextuple that misses {i, j}, j = i + d, lies on a conic iff
+- No cubic tier.  Take an orbit with no 3 points collinear and no 6 on
+  a conic.  The cubics through its 8 points form a pencil spanned by
+  F_q-rational f and g (Galois descent, as in `cubic_pencil_basis`).  If
+  a member were singular at points[0], then I_{points[0]}(f, g) >= 2
+  (the intersection number of two members of a pencil does not depend
+  on which two), and Frobenius carries this to each of the 8 points, so
+  f and g would meet in at least 16 > 9 points, which Bezout forbids
+  unless they share a component.  A shared component is F_q-rational,
+  and a rational line or conic through one point of the orbit holds all
+  8, which the first two tiers rule out.  So an orbit that passes lines
+  and conics is in general position, and
+  `GeneralPositionReport.failed_cubics` is empty on every report of
+  `orbit_report`.
+- Conics.  Decided by one small system over F_q, read off the base-p
+  digits of the conic monomials at points[0]; digit b is the coefficient
+  of x^b in the power basis 1, x, ..., x^7 of F_{q^8} over F_q, x the
+  root of the modulus.  Let V be the 8x6 Veronese matrix: row k holds
+  the conic monomials at points[k], so it is F^k(w) for the row w at
+  points[0].  If lambda V = 0, so is sigma(lambda) V = 0 for
+  sigma(lambda)_k = F(lambda_{k-1}); sigma is F-semilinear of order 8,
+  so by Galois descent the left kernel of V is spanned over F_{q^8} by
+  the vectors that sigma fixes, (mu, F mu, ..., F^7 mu) with
+  Tr(mu w_j) = 0 for the six j (Tr the trace to F_q).  Write
+  mu = sum_a u_a x*_a over the basis dual to the power basis under the
+  trace form, Tr(x*_a x^b) = [a = b], built once per field: then
+  Tr(mu w_j) = sum_a u_a digit_a(w_j), so the u are the F_q kernel of
+  the 6x8 digit matrix of w.  It has dimension at least 2.  If it is
+  larger, V has rank < 6 and all 28 sextuples lie on conics.  If it is
+  spanned by mu1 and mu2, the 6x6 minor of V on a sextuple vanishes iff
+  the complementary 2x2 minor of the kernel does: the sextuple that
+  misses {i, j}, j = i + d, lies on a conic iff
   F^i(mu1) F^j(mu2) = F^j(mu1) F^i(mu2), that is (applying F^-i) iff
   mu1 F^d(mu2) = F^d(mu1) mu2.
 
@@ -70,15 +75,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx, nullspace, rank
-from .nodal_cubic import NodalCubicNF, _rational_relations, param_point
-from .plane_geometry import (
-    ProjPoint,
-    collinear_raw,
-    partial_form,
-    singular_cubic_through,
-    six_on_conic,
-)
+from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx, nullspace
+from .nodal_cubic import NodalCubicNF, param_point
+from .plane_geometry import ProjPoint, collinear_raw, singular_cubic_through, six_on_conic
 
 __all__ = [
     "Collision",
@@ -98,7 +97,7 @@ __all__ = [
 
 
 class ShortOrbit(ValueError):
-    """The Frobenius orbit has fewer than 8 elements."""
+    """The points are not one Frobenius orbit of size 8."""
 
 
 class Collision(ValueError):
@@ -107,7 +106,11 @@ class Collision(ValueError):
 
 @dataclass(frozen=True)
 class GeneralPositionReport:
-    """Outcome of the tiered test; ok iff all three failure lists are empty."""
+    """Outcome of the tiered test; ok iff all three failure lists are empty.
+    Only `general_position_report` fills failed_cubics: on one Frobenius
+    orbit the cubic tier cannot fail (module docstring), so it is empty on
+    every report of `orbit_report`.  It stays so that both tests give
+    reports of one shape, which compare equal on the same orbit."""
 
     ok: bool
     failed_lines: tuple = ()
@@ -124,25 +127,28 @@ class GeneralPositionReport:
 
 
 class GaloisOrbit8:
-    """A degree-8 point: 8 distinct coordinate triples over F_{q^8},
-    closed under coordinatewise Frobenius, stored sorted; the seed is
-    the lexicographically minimal point."""
+    """A degree-8 point: one Frobenius orbit of 8 distinct coordinate
+    triples over F_{q^8}, given in any order and stored in Frobenius
+    order from the least triple, points[k + 1] = F(points[k]) with
+    indices mod 8.  The seed points[0] is min(points), so equal sets of
+    triples give equal orbits.  Raises ValueError over a field other than
+    F_{q^8}, Collision when a triple repeats, and ShortOrbit when the
+    triples are not one orbit of size 8 (a union of shorter orbits, or a
+    set that Frobenius does not map to itself)."""
 
     __slots__ = ("ctx", "points")
 
     def __init__(self, ctx: FieldCtx, points):
-        pts = []
-        for p in points:
-            pts.append(p.coords if isinstance(p, ProjPoint) else tuple(int(c) for c in p))
-        if len(pts) != 8 or len(set(pts)) != 8:
-            raise Collision("need 8 distinct points")
-        frob = ctx.frobenius
-        as_set = set(pts)
-        for p in pts:
-            if tuple(frob(c) for c in p) not in as_set:
-                raise ShortOrbit("point set is not Frobenius-closed")
+        if ctx.n != 8:
+            raise ValueError("a degree-8 point lies over F_{q^8}")
+        pts = [p.coords if isinstance(p, ProjPoint) else tuple(int(c) for c in p) for p in points]
+        if len(set(pts)) != len(pts):
+            raise Collision("the points repeat")
+        orbit = frobenius_orbit(ctx, min(pts))
+        if len(orbit) != 8 or set(orbit) != set(pts):
+            raise ShortOrbit("the points are not one Frobenius orbit of size 8")
         self.ctx = ctx
-        self.points = tuple(sorted(pts))
+        self.points = tuple(orbit)
 
     @property
     def seed(self):
@@ -169,7 +175,8 @@ class GaloisOrbit8:
 
 
 def orbit_from_point(pt: ProjPoint):
-    """The Frobenius orbit of a point when it has size exactly 8, else None."""
+    """The Frobenius orbit of a point of P^2(F_{q^8}) as a degree-8 point
+    when it has size exactly 8, else None."""
     orbit = frobenius_orbit(pt.ctx, pt.coords)
     return GaloisOrbit8(pt.ctx, orbit) if len(orbit) == 8 else None
 
@@ -278,26 +285,12 @@ def _on_conic(conic, ctx: FieldCtx):
     return fails
 
 
-def _singular_cubic(coords, conic, ctx: FieldCtx) -> bool:
-    """Whether a cubic through the orbit is singular at points[0], with
-    coordinates coords and conic monomials conic (module docstring)."""
-    x, y, z = coords
-    mul = ctx.mul
-    # the cubic monomials, in the order of monomials(3)
-    cubic = [mul(x, w) for w in conic] + [mul(y, w) for w in conic[3:]] + [mul(z, conic[5])]
-    kernel = _rational_relations(cubic, ctx)
-    prime = get_ctx(ctx.p, 1)
-    gradients = [
-        [_combine(partial_form(c, 3, v, prime), conic, ctx) for c in kernel] for v in range(3)
-    ]
-    return rank(gradients, ctx) < len(kernel)
-
-
 def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
     """The report of `general_position_report` for 8 points over F_{q^8}
     in Frobenius order, points[k + 1] = F(points[k]) cyclically: 7 line
-    triples, one per rotation class, then the conic and cubic tiers from
-    two small systems over F_q at points[0] (see the module docstring).
+    triples, one per rotation class, then the conic tier from one small
+    system over F_q at points[0]; no cubic tier is needed (see the module
+    docstring).
     Raises ValueError when the points are not in that order, since a
     sorted orbit would get a wrong verdict, or not over F_{q^8}, and
     Collision when they repeat (a shorter orbit listed more than once).
@@ -315,55 +308,27 @@ def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
     bad = _failed(_LINE_CLASSES, lambda t: collinear_raw(*(pts[i] for i in t), ctx))
     if bad:
         return GeneralPositionReport(False, failed_lines=bad)
-    conic = _conic_monomials(pts[0], ctx)
-    bad = _failed(_CONIC_CLASSES, _on_conic(conic, ctx))
+    bad = _failed(_CONIC_CLASSES, _on_conic(_conic_monomials(pts[0], ctx), ctx))
     if bad:
         return GeneralPositionReport(False, failed_conics=bad)
-    if _singular_cubic(pts[0], conic, ctx):
-        return GeneralPositionReport(False, failed_cubics=tuple(range(8)))
     return GeneralPositionReport(True)
 
 
 def test_general_position(orbit: GaloisOrbit8) -> GeneralPositionReport:
-    """The report of `general_position_report(orbit.points, orbit.ctx)`.
-
-    When the 8 points are one Frobenius orbit, this is `orbit_report` on
-    them in Frobenius order from the seed, with the indices mapped back to
-    the sorted `orbit.points`; 8 points closed under Frobenius that make
-    up several shorter orbits, or that lie in a field other than
-    F_{q^8}, get the all-tuples test."""
-    ctx = orbit.ctx
-    frob_order = frobenius_orbit(ctx, orbit.points[0])
-    if len(frob_order) != 8 or ctx.n != 8:
-        return general_position_report(orbit.points, ctx)
-    report = orbit_report(frob_order, ctx)
-    if report.ok:
-        return report
-    where = {p: k for k, p in enumerate(orbit.points)}
-    sorted_index = [where[p] for p in frob_order]
-
-    def back(tuples):
-        return tuple(sorted(tuple(sorted(sorted_index[i] for i in t)) for t in tuples))
-
-    return GeneralPositionReport(
-        False,
-        back(report.failed_lines),
-        back(report.failed_conics),
-        tuple(sorted(sorted_index[i] for i in report.failed_cubics)),
-    )
+    """The general-position report of a degree-8 point: `orbit_report` on
+    its points, which are in Frobenius order; the same report as
+    `general_position_report(orbit.points, orbit.ctx)`."""
+    return orbit_report(orbit.points, orbit.ctx)
 
 
 def _param_points(nf: NodalCubicNF, a: FieldElement) -> list[tuple]:
     """The coordinates of param_point(nf, a^(q^k)), k = 0..7, in
     Frobenius order: the Frobenius orbit of param_point(nf, a), since the
     parametrization is defined over F_q.  Requires the multiplicative
-    orbit of a to have size 8 (which is the size of the point's orbit)
-    and the 8 points to be distinct."""
+    orbit of a to have size 8, which is the size of the point's orbit."""
     pts = frobenius_orbit(a.ctx, param_point(nf, a).coords)
     if len(pts) != 8:
         raise ShortOrbit(f"parameter orbit has size {len(pts)}")
-    if len(set(pts)) != 8:
-        raise Collision("parametrized points collide")
     return pts
 
 
@@ -378,7 +343,7 @@ def lambda_scan(nf: NodalCubicNF, a: FieldElement) -> list[int]:
     """All lambda in F_q* for which the orbit of lambda * a fails general
     position.  The points of lambda * a come in Frobenius order (lambda
     is fixed by F), so each lambda costs one `orbit_report`: at most 7
-    line predicates and two small systems over F_q, against 92 predicates
+    line predicates and one small system over F_q, against 92 predicates
     for the all-tuples test.  Callers check each bad lambda with
     `unexplained_lambda_failures`."""
     ctx = a.ctx
@@ -398,8 +363,8 @@ def unexplained_lambda_failures(nf: NodalCubicNF, a: FieldElement, lam: int) -> 
     Frobenius order, so the report's indices name conjugates.  Three of
     them are collinear iff lam^3 times the product of their a_i is 1, and
     six lie on a conic iff lam^6 times that product is 1.  A failed
-    triple or sextuple where this product is not 1, every singular-cubic
-    failure, and a lam whose points pass the test are returned.
+    triple or sextuple where this product is not 1, and a lam whose
+    points pass the test, are returned.
     """
     ctx = a.ctx
     conj = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
@@ -418,7 +383,7 @@ def unexplained_lambda_failures(nf: NodalCubicNF, a: FieldElement, lam: int) -> 
         for kind, tuples in (("line", report.failed_lines), ("conic", report.failed_conics))
         for t in tuples
         if not explained(t)
-    ] + [f"singular cubic at {i}" for i in report.failed_cubics]
+    ]
 
 
 def beta_twist(a: FieldElement, beta: FieldElement) -> FieldElement:

@@ -211,28 +211,21 @@ def normalize(curve: PlaneCurve):
 # ----------------------------------------------------------------------
 # pencils of cubics through a degree-8 orbit and their nodal members
 
-def _rational_relations(values, ctx: FieldCtx):
-    """Basis of the F_p-linear relations among elements of ctx: the
-    vectors c over the prime field with sum_j c_j values[j] = 0.  Such a
-    sum vanishes iff each of its base-p digits does, so this is the
-    kernel over F_p of the matrix of digits, one row per digit."""
-    rows = list(zip(*map(ctx.coeffs, values)))
-    return nullspace(rows, get_ctx(ctx.p, 1))
-
-
 def cubic_pencil_basis(orbit_points, ctx: FieldCtx):
     """Basis over F_q of the cubics through a Frobenius-closed 8-point set.
 
     A cubic with F_q coefficients through one point of the orbit passes
     through all of them, and by Galois descent these cubics span the
     whole system over F_{q^8}; they are the F_q-linear relations among
-    the 10 cubic monomials at the point (`_rational_relations`, an 8x10
-    matrix over the prime field, which `orbit_report` shares).  Raises
-    NotAPencil unless the kernel has dimension exactly 2.
+    the 10 cubic monomials at the point.  A sum of F_p multiples of them
+    vanishes iff each of its base-p digits does, so these relations are
+    the kernel over F_p of the 8x10 matrix of digits, one row per digit.
+    Raises NotAPencil unless the kernel has dimension exactly 2.
     """
     seed = orbit_points[0]
     coords = seed.coords if isinstance(seed, ProjPoint) else seed
-    basis = _rational_relations([_eval_monomial(ctx, coords, e) for e in monomials(3)], ctx)
+    values = [_eval_monomial(ctx, coords, e) for e in monomials(3)]
+    basis = nullspace(list(zip(*map(ctx.coeffs, values))), get_ctx(ctx.p, 1))
     if len(basis) != 2:
         raise NotAPencil(f"kernel dimension {len(basis)} != 2")
     return basis

@@ -89,6 +89,24 @@ def test_census_sampled_round_trip(tmp_path, capsys):
             assert data[key] == data2[key]
 
 
+@pytest.mark.parametrize("payload", [[1, 2], {"version": bertini_census.RESULT_VERSION}])
+def test_census_malformed_cache_is_recomputed(tmp_path, capsys, payload):
+    # valid JSON that is not a whole result of this version is a cache
+    # miss: the run recomputes, prints the result and rewrites the file
+    cache = tmp_path / CACHE_FILE
+    cache.write_text(json.dumps(payload))
+    argv = ["census", "--q", "2", "--sample", "25", "--seed", "3"]
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--no-cache"]) == 0
+    fresh = json.loads(capsys.readouterr().out)
+    printed.pop("elapsed_ms"), fresh.pop("elapsed_ms")
+    assert printed == fresh and printed["version"] == bertini_census.RESULT_VERSION
+    written = json.loads(cache.read_text())
+    assert written.pop("class_reps") and written.pop("elapsed_ms") >= 0
+    assert written == printed
+
+
 def test_census_cache_defaults_to_env_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CREMONA_CACHE_DIR", str(tmp_path / "env"))
     assert main(["census", "--q", "2", "--sample", "25", "--seed", "3"]) == 0

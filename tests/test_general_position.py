@@ -7,7 +7,7 @@ import pytest
 from cremona import bertini_census
 from cremona import general_position as gp
 from cremona.bertini_census import pgl3_elements
-from cremona.field_tower import FieldElement, frobenius_orbit, galois_orbit, get_ctx, rank
+from cremona.field_tower import FieldElement, frobenius_orbit, get_ctx, rank
 from cremona.general_position import (
     Collision,
     GaloisOrbit8,
@@ -66,17 +66,21 @@ def test_orbit_from_point_order_17_coordinate():
 
 
 def test_orbits_in_a_degree_16_field():
+    # a degree-8 point lies over F_{q^8}: over F_{2^16}, a Frobenius orbit
+    # of size 8 is refused by GaloisOrbit8 and by orbit_report alike
     ctx = get_ctx(2, 16)
     g = next(e for e in range(2, ctx.size) if ctx.order(e) == ctx.size - 1)
-    assert len(galois_orbit(ctx.element(g))) == 16
+    assert len(frobenius_orbit(ctx, (g,))) == 16
     assert orbit_from_point(ProjPoint(ctx, (1, g, 0))) is None
     x = next(e for e in range(2, ctx.size) if ctx.order(e) == 17)
-    orbit = orbit_from_point(ProjPoint(ctx, (x, 1, 0)))
-    assert orbit is not None and len(orbit.points) == 8
-    # orbit_report works over F_{2^8} alone; this orbit gets the all-tuples test
-    assert gp.test_general_position(orbit) == general_position_report(orbit.points, ctx)
+    points = frobenius_orbit(ctx, (x, 1, 0))
+    assert len(points) == 8
+    with pytest.raises(ValueError, match="lies over"):
+        GaloisOrbit8(ctx, points)
+    with pytest.raises(ValueError, match="lies over"):
+        orbit_from_point(ProjPoint(ctx, (x, 1, 0)))
     with pytest.raises(ValueError, match="works over"):
-        orbit_report(frobenius_orbit(ctx, orbit.points[0]), ctx)
+        orbit_report(points, ctx)
 
 
 def test_orbit_invariants_enforced():
@@ -87,15 +91,18 @@ def test_orbit_invariants_enforced():
         GaloisOrbit8(CTX, pts)
 
 
-def test_two_degree_4_points_get_the_all_tuples_test():
-    # 8 points closed under Frobenius, in two orbits of size 4 on z = 0
+def test_two_degree_4_points_are_a_short_orbit():
+    # 8 points closed under Frobenius, in two orbits of size 4 on z = 0,
+    # are no degree-8 point in any order; the all-tuples test still takes
+    # them, and finds every triple on the line
     f16 = [e for e in range(2, 256) if CTX.order(e) == 15]
     union = frobenius_orbit(CTX, (f16[0], 1, 0))
     union += frobenius_orbit(CTX, (next(e for e in f16 if (e, 1, 0) not in union), 1, 0))
-    orbit = GaloisOrbit8(CTX, union)
-    report = gp.test_general_position(orbit)
-    assert report == general_position_report(orbit.points, CTX)
-    assert len(report.failed_lines) == 56
+    assert len(set(union)) == 8
+    for points in (union, sorted(union), union[::-1]):
+        with pytest.raises(ShortOrbit):
+            GaloisOrbit8(CTX, points)
+    assert len(general_position_report(union, CTX).failed_lines) == 56
 
 
 def test_tier_short_circuit_on_synthetic_collinear_set():
@@ -120,12 +127,17 @@ def tier(report):
 
 
 def test_orbit_report_needs_frobenius_order():
+    # a GaloisOrbit8 holds its points in Frobenius order from the least
+    # one, whatever order they come in; orbit_report refuses any other
     orbit = orbit_from_seed(NF, CTX.element(2))
-    frob_order = frobenius_orbit(CTX, orbit.seed)
-    assert orbit_report(frob_order, CTX).ok == gp.test_general_position(orbit).ok
-    assert list(orbit.points) != frob_order
+    frob_order = frobenius_orbit(CTX, min(orbit.points))
+    assert list(orbit.points) == frob_order and orbit.seed == min(frob_order)
+    for points in (sorted(frob_order), frob_order[3:] + frob_order[:3], frob_order[::-1]):
+        assert GaloisOrbit8(CTX, points).points == orbit.points
+    assert orbit_report(frob_order, CTX) == gp.test_general_position(orbit)
+    assert sorted(frob_order) != frob_order
     with pytest.raises(ValueError, match="Frobenius order"):
-        orbit_report(orbit.points, CTX)
+        orbit_report(sorted(frob_order), CTX)
     with pytest.raises(ValueError, match="Frobenius order"):
         orbit_report(frob_order[:7], CTX)
 
@@ -174,8 +186,8 @@ def test_orbit_report_matches_all_tuples_q2():
     """The rotation-class test against the all-tuples test on every
     degree-8 orbit at q = 2: it finds the golden number of GP orbits,
     and on each of the others the same failure lists.  On a seeded
-    sample, `test_general_position` maps the indices back to the sorted
-    orbit."""
+    sample, a GaloisOrbit8 built from the sorted points holds them in the
+    same Frobenius order and gets the same report."""
     orbits = q2_frobenius_orbits()
     assert len(orbits) == Q2_TOTAL_ORBITS
     reports = [orbit_report(orbit, CTX) for orbit in orbits]
@@ -187,15 +199,16 @@ def test_orbit_report_matches_all_tuples_q2():
     rnd = random.Random(35)
     passing = [k for k, report in enumerate(reports) if report.ok]
     for k in rnd.sample(failing, 40) + rnd.sample(passing, 10):
-        orbit = GaloisOrbit8(CTX, orbits[k])
-        assert gp.test_general_position(orbit) == general_position_report(orbit.points, CTX)
+        orbit = GaloisOrbit8(CTX, sorted(orbits[k]))
+        assert orbit.points == tuple(orbits[k])
+        assert gp.test_general_position(orbit) == reports[k]
 
 
 @pytest.mark.slow
 def test_orbit_report_matches_all_tuples_q3():
     """The same on the exact q = 3 census: the 76 non-GP components of
     degree 8 and a seeded sample of the 900 GP ones, in Frobenius order
-    and sorted."""
+    from the census point and from the least point."""
     ctx = get_ctx(3, 8)
     orbits = [frobenius_orbit(ctx, point) for point, _ in bertini_census._subspace_components(3)]
     orbits = [orbit for orbit in orbits if len(orbit) == 8]
@@ -208,6 +221,31 @@ def test_orbit_report_matches_all_tuples_q3():
         assert general_position_report(orbits[k], ctx) == reports[k]
         orbit = GaloisOrbit8(ctx, orbits[k])
         assert gp.test_general_position(orbit) == general_position_report(orbit.points, ctx)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [2, 3])
+def test_no_cubic_is_singular_on_an_orbit_that_passes(q):
+    """The lemma that lets `orbit_report` drop the cubic tier (module
+    docstring of general_position), against `singular_cubic_through`: on
+    every degree-8 orbit at q = 2 and every degree-8 component of the
+    q = 3 census that passes lines and conics, no cubic through the 8
+    points is singular at points[0].  Checking points[0] is enough, by
+    Frobenius symmetry: F maps the orbit to itself, so if a cubic through
+    it is singular at points[k], the cubic with F^(8 - k) applied to its
+    coefficients also passes through the orbit and is singular at
+    F^(8 - k)(points[k]) = points[0]."""
+    ctx = get_ctx(q, 8)
+    if q == 2:
+        orbits = q2_frobenius_orbits()
+    else:
+        components = bertini_census._subspace_components(3)
+        orbits = [frobenius_orbit(ctx, point) for point, _ in components]
+        orbits = [orbit for orbit in orbits if len(orbit) == 8]
+    passing = [orbit for orbit in orbits if orbit_report(orbit, ctx).ok]
+    expected = {2: (Q2_TOTAL_ORBITS, Q2_GENERAL_POSITION), 3: (976, 900)}[q]
+    assert (len(orbits), len(passing)) == expected
+    assert not any(singular_cubic_through(orbit, 0, ctx) for orbit in passing)
 
 
 @pytest.mark.parametrize("q", [2, 3, 7, 13])
@@ -230,10 +268,9 @@ CONIC_REPRESENTATIVES = [members[0] for members in gp._CONIC_CLASSES]
 
 
 def predicates_against_oracles(orbit, ctx, sextuples=CONIC_REPRESENTATIVES):
-    """The conic predicate of `orbit_report` on the sextuples, and its
-    cubic predicate, against ranks of the Veronese systems over the
-    field, whatever tier the orbit fails; returns the number of
-    sextuples on a conic and the cubic verdict."""
+    """The conic predicate of `orbit_report` on the sextuples against
+    ranks of the Veronese systems over the field, whatever tier the orbit
+    fails; returns the number of sextuples on a conic."""
     conic = gp._conic_monomials(orbit[0], ctx)
     assert conic == veronese_row(orbit[0], 2, ctx)
     rows = [veronese_row(c, 2, ctx) for c in orbit]
@@ -243,20 +280,17 @@ def predicates_against_oracles(orbit, ctx, sextuples=CONIC_REPRESENTATIVES):
         expected = rank([rows[i] for i in t], ctx) < 6
         assert on_conic(t) == expected, (orbit, t)
         hits += expected
-    singular = gp._singular_cubic(orbit[0], conic, ctx)
-    assert singular == singular_cubic_through(orbit, 0, ctx), orbit
-    return hits, singular
+    return hits
 
 
 @pytest.mark.slow
 def test_descended_predicates_match_oracles_q2():
-    """Both predicates decided over F_2, on every degree-8 orbit at
+    """The conic predicate decided over F_2, on every degree-8 orbit at
     q = 2, including the ones whose lines fail first; the positive
-    branches, which `orbit_report` rarely reaches, are hit often."""
+    branch, which `orbit_report` rarely reaches, is hit often."""
     hits = [predicates_against_oracles(orbit, CTX) for orbit in q2_frobenius_orbits()]
     assert len(hits) == Q2_TOTAL_ORBITS
-    assert sum(1 for conics, _ in hits if conics) == 1806
-    assert sum(1 for _, cubic in hits if cubic) == 1470
+    assert sum(1 for conics in hits if conics) == 1806
 
 
 @pytest.mark.slow
@@ -265,7 +299,7 @@ def test_descended_predicates_match_oracles_q3_q7():
     and F_{7^8} (array tables): seeded orbits, the nodal orbits of the
     pinned q = 7 parameter at every lambda (conic failures, kernel of
     dimension 2), orbits on a conic (dimension 3, every sextuple) and on
-    a line (every cubic through them singular at each point)."""
+    a line (every sextuple, on the line plus any other)."""
     every = list(itertools.combinations(range(8), 6))
     ctx = get_ctx(3, 8)
     rnd = random.Random(39)
@@ -275,8 +309,7 @@ def test_descended_predicates_match_oracles_q3_q7():
         if len(orbit) == 8:
             orbits.append(orbit)
     hits = [predicates_against_oracles(orbit, ctx, every) for orbit in orbits]
-    assert sum(1 for conics, _ in hits if conics) > 20
-    assert sum(1 for _, cubic in hits if cubic) > 5
+    assert sum(1 for conics in hits if conics) > 20
     ctx = get_ctx(7, 8)
     a = q7_seed_bad_at_every_lambda(ctx)
     orbits = [gp._param_points(NodalCubicNF(7, 1), FieldElement(ctx, ctx.mul(lam, a)))
@@ -287,15 +320,15 @@ def test_descended_predicates_match_oracles_q3_q7():
     orbits += [frobenius_orbit(ctx, (ctx.mul(t, t), t, 1)) for t in seeds[20:22]]
     orbits += [frobenius_orbit(ctx, (seeds[22], 1, 0))]
     hits = [predicates_against_oracles(orbit, ctx, every) for orbit in orbits]
-    assert [conics for conics, _ in hits[:6]] == [4] * 6
-    assert hits[-3:] == [(28, True)] * 3
+    assert hits[:6] == [4] * 6
+    assert hits[-3:] == [28] * 3
 
 
 def test_q13_parameter_fails_at_the_squares():
     """The q = 13 input of the lambda^6 = 1 check, over a field with no
     tables: the pinned parameter fails at the squares of F_13^*, each
-    failure is explained by the produit lemma, and both descended
-    predicates agree with the rank oracles at every lambda."""
+    failure is explained by the produit lemma, and the descended conic
+    predicate agrees with the rank oracle at every lambda."""
     ctx = get_ctx(13, 8)
     assert ctx._exp is None
     a = q13_seed_bad_at_squares(ctx)
@@ -307,7 +340,7 @@ def test_q13_parameter_fails_at_the_squares():
         why = unexplained_lambda_failures(nf, FieldElement(ctx, a), lam)
         assert why == ([] if lam in squares else ["not bad: the points are in general position"])
         orbit = gp._param_points(nf, FieldElement(ctx, ctx.mul(lam, a)))
-        assert predicates_against_oracles(orbit, ctx) == ((1 if lam in squares else 0), False)
+        assert predicates_against_oracles(orbit, ctx) == (1 if lam in squares else 0)
 
 
 def test_nodal_orbits_q2_exhaustive_facts():
@@ -440,11 +473,15 @@ def test_short_orbit_on_collapsing_twist():
 
 
 def test_orbit_serialization():
+    # the points in Frobenius order from the least; equal point sets give
+    # equal orbits, whatever order they come in
     orbit = orbit_from_seed(NF, CTX.element(2))
     data = orbit.to_json()
-    assert len(data) == 8 and data == sorted(data)
-    again = GaloisOrbit8(CTX, [tuple(p) for p in data])
-    assert again == orbit
+    points = [tuple(p) for p in data]
+    assert points == frobenius_orbit(CTX, min(points))
+    again = GaloisOrbit8(CTX, points)
+    shuffled = GaloisOrbit8(CTX, random.Random(37).sample(points, 8))
+    assert again == shuffled == orbit and hash(again) == hash(shuffled) == hash(orbit)
 
 
 def test_pair_products_need_full_orbit():

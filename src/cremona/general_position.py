@@ -77,7 +77,9 @@ from functools import lru_cache
 
 from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx, nullspace
 from .nodal_cubic import NodalCubicNF, param_point
-from .plane_geometry import ProjPoint, collinear_raw, singular_cubic_through, six_on_conic
+from .plane_geometry import (
+    ProjPoint, collinear_raw, normalize_coords, singular_cubic_through, six_on_conic
+)
 
 __all__ = [
     "Collision",
@@ -127,21 +129,22 @@ class GeneralPositionReport:
 
 
 class GaloisOrbit8:
-    """A degree-8 point: one Frobenius orbit of 8 distinct coordinate
-    triples over F_{q^8}, given in any order and stored in Frobenius
-    order from the least triple, points[k + 1] = F(points[k]) with
-    indices mod 8.  The seed points[0] is min(points), so equal sets of
-    triples give equal orbits.  Raises ValueError over a field other than
-    F_{q^8}, Collision when a triple repeats, and ShortOrbit when the
-    triples are not one orbit of size 8 (a union of shorter orbits, or a
-    set that Frobenius does not map to itself)."""
+    """A degree-8 point: one Frobenius orbit of 8 distinct points of
+    P^2(F_{q^8}), given in any order by any coordinate triples and stored
+    normalized (first nonzero coordinate 1, which Frobenius preserves) in
+    Frobenius order from the least triple, points[k + 1] = F(points[k])
+    with indices mod 8.  The seed points[0] is min(points), so equal sets
+    of projective points give equal orbits.  Raises ValueError over a
+    field other than F_{q^8}, Collision when a point repeats, and
+    ShortOrbit when the points are not one orbit of size 8 (a union of
+    shorter orbits, or a set that Frobenius does not map to itself)."""
 
     __slots__ = ("ctx", "points")
 
     def __init__(self, ctx: FieldCtx, points):
         if ctx.n != 8:
             raise ValueError("a degree-8 point lies over F_{q^8}")
-        pts = [p.coords if isinstance(p, ProjPoint) else tuple(int(c) for c in p) for p in points]
+        pts = [normalize_coords(p.coords if isinstance(p, ProjPoint) else p, ctx) for p in points]
         if len(set(pts)) != len(pts):
             raise Collision("the points repeat")
         orbit = frobenius_orbit(ctx, min(pts))

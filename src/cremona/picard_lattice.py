@@ -25,11 +25,14 @@ divisors whose ample model contracts exactly that state), the windows
 (rank-1 fibrations) on its non-big boundary, and the raw material for
 the square complexes built in `sarkisov_complex`.
 
-The explorer works in integers: walls, fibers, states and the
-collapse test of `LatticeExplorer._kept` never leave Z, and the sign
-tests on a rational class D run on D's positive integral multiple.
-Fractions appear only where an answer is rational: the projections of
-`_project_away`, the chamber certificates and the pushforwards.
+The explorer works in integers: walls, fibers and states never leave
+Z, projections away from a state are taken as m times the projection
+(`_scaled_projection`) in the collapse test of `LatticeExplorer._kept`
+and the certificate bounds of `chambers`, and the sign tests on a
+rational class D run on D's positive integral multiple.  Fractions
+appear only in rational answers: the chamber certificates (with the
+scalars t and eps that build them) and the pushforwards of
+`_project_away`.
 """
 
 from __future__ import annotations
@@ -201,17 +204,23 @@ def blowup_lattice(degrees, nesting=None) -> Lattice:
 # ----------------------------------------------------------------------
 # walls and fibers in closed form, from the plane's classes
 
-def _plane_classes(n: int, square: int, k_dot: int) -> list[Vec]:
-    """Every class aH - sum b_j e_j on the plane blown up at n <= 8
-    geometric points with C^2 = square and K.C = k_dot, as (a, b_1..b_n).
+def _plane_classes(degrees: tuple[int, ...], square: int, k_dot: int) -> list[Vec]:
+    """Every class aH - sum b_j e_j on the plane blown up at n = sum d_i
+    <= 8 geometric points, in orbits of the given degrees d_i, that is
+    constant on each orbit (b_j = beta_i for the d_i points of orbit i)
+    with C^2 = square and K.C = k_dot, as (a, beta_1..beta_r): a
+    ascending, then beta lexicographic.  Degrees (1,) * n give every
+    class of the n points.
 
-    The two conditions fix sum b_j = k_dot + 3a and sum b_j^2 =
-    a^2 - square, and Cauchy-Schwarz, (sum b_j)^2 <= n sum b_j^2, confines
-    a to the interval where (9-n)a^2 + 6 k_dot a + k_dot^2 + n square <= 0.
-    The (-1)-classes (square = k_dot = -1) number 1, 3, 6, 10, 16, 27, 56,
-    240 for n = 1..8 and the conic classes (0, -2) 1, 2, 3, 5, 10, 27,
-    126, 2160.
+    The two conditions fix sum d_i beta_i = k_dot + 3a and
+    sum d_i beta_i^2 = a^2 - square, and Cauchy-Schwarz,
+    (sum d_i beta_i)^2 <= n sum d_i beta_i^2, confines a to the interval
+    where (9-n)a^2 + 6 k_dot a + k_dot^2 + n square <= 0.  The
+    (-1)-classes (square = k_dot = -1) of n points number 1, 3, 6, 10,
+    16, 27, 56, 240 for n = 1..8 and the conic classes (0, -2) 1, 2, 3,
+    5, 10, 27, 126, 2160.
     """
+    n = sum(degrees)
     if n > 8:
         raise OutsideScope(
             f"{n} geometric points: K^2 = {9 - n} <= 0, where the "
@@ -222,25 +231,29 @@ def _plane_classes(n: int, square: int, k_dot: int) -> list[Vec]:
     if disc < 0:
         return []
     root = math.isqrt(disc)
+    # weight[i]: the points in orbits i, i+1, ...
+    weight = [sum(degrees[i:]) for i in range(len(degrees) + 1)]
 
-    def tuples(m, total, sq):
-        # integer m-tuples with the given sum and sum of squares
-        if m == 0:
+    def tuples(i, total, sq):
+        # the betas of orbits i.. with the given weighted sum and sum of
+        # squares
+        if i == len(degrees):
             if total == 0 and sq == 0:
                 yield ()
             return
-        top = math.isqrt(sq)
+        d = degrees[i]
+        top = math.isqrt(sq // d)
         for b in range(-top, top + 1):
-            t, s = total - b, sq - b * b
-            if t * t <= (m - 1) * s:
-                for rest in tuples(m - 1, t, s):
+            t, s = total - d * b, sq - d * b * b
+            if t * t <= weight[i + 1] * s:
+                for rest in tuples(i + 1, t, s):
                     yield (b,) + rest
 
     out = []
     for a in range(-((qb + root) // (2 * qa)), (root - qb) // (2 * qa) + 1):
         sq = a * a - square
         if sq >= 0:
-            out.extend((a,) + bs for bs in tuples(n, k_dot + 3 * a, sq))
+            out.extend((a,) + bs for bs in tuples(0, k_dot + 3 * a, sq))
     return out
 
 
@@ -256,7 +269,7 @@ def _walls_and_fibers(lat: Lattice):
     """
     degs = lat.degrees[1:]
     n = sum(degs)
-    exceptional = _plane_classes(n, -1, -1)
+    exceptional = _plane_classes((1,) * n, -1, -1)
     starts = [sum(degs[:i]) for i in range(len(degs))]
     succ = [0] * n  # Frobenius on the points, one cycle per orbit
     for s, d in zip(starts, degs):
@@ -272,25 +285,28 @@ def _walls_and_fibers(lat: Lattice):
     def dot(u, v):
         return u[0] * v[0] - sum(x * y for x, y in zip(u[1:], v[1:]))
 
-    def to_lattice(c):
-        # an F-invariant class is constant on each orbit of points
-        return lat.from_orth((c[0],) + tuple(-c[1 + s] for s in starts))
+    def to_lattice(a, betas):
+        return lat.from_orth((a,) + tuple(-b for b in betas))
 
-    walls = set()
+    walls, seen = set(), set()
     for c in exceptional:
+        if c in seen:
+            continue
         orbit = [c]
         while (nxt := frob(orbit[-1])) != c:
             orbit.append(nxt)
+        seen.update(orbit)
         if all(dot(u, v) == 0 for u, v in itertools.combinations(orbit, 2)):
-            walls.add(to_lattice([sum(col) for col in zip(*orbit)]))
+            # an F-invariant class is constant on each orbit of points
+            total = [sum(col) for col in zip(*orbit)]
+            walls.add(to_lattice(total[0], (total[1 + s] for s in starts)))
     walls = sorted(walls)
     curves = walls + list(lat.eff_gens)
     fibers = []
-    for c in _plane_classes(n, 0, -2):
-        if frob(c) == c:
-            f = to_lattice(c)
-            if all(lat.dot(f, g) >= 0 for g in curves):
-                fibers.append(f)
+    for c in _plane_classes(degs, 0, -2):
+        f = to_lattice(c[0], c[1:])
+        if all(lat.dot(f, g) >= 0 for g in curves):
+            fibers.append(f)
     return walls, fibers
 
 
@@ -301,8 +317,9 @@ def _walls_and_fibers(lat: Lattice):
 class Chamber:
     """A chamber of the big-cone decomposition: the set of divisors whose
     ample model contracts exactly `contracted` (wall classes, pairwise
-    orthogonal, iteratively contractible); `certificate` is an integral
-    class interior to the chamber."""
+    orthogonal, iteratively contractible); `certificate` is a rational
+    class interior to the chamber, a tuple of Fractions (9/2, -3/2, 1/2
+    for the chamber of Bl_2 that contracts E2)."""
 
     lattice: Lattice
     contracted: tuple[Vec, ...]
@@ -383,23 +400,16 @@ class LatticeExplorer:
 
     def _kept(self, state: frozenset):
         """The curves and fibers not collapsed by the contraction: those
-        outside the span of the state, which has an orthogonal basis.
-        With D the product of the s.s, g is collapsed iff
-        D g - sum (D / s.s)(g.s) s = 0, D times the projection of
-        `_project_away`, so the test stays in integers."""
+        whose projection away from the state, which has an orthogonal
+        basis, is nonzero; the test runs on m times the projection, so
+        it stays in integers."""
         if state not in self._kept_cache:
             lat = self.lat
-            squares = [(s, lat.selfint(s)) for s in state]
-            d = math.prod(sq for _, sq in squares)
-            kept = []
-            for g in self.curves + self.fibers:
-                scaled = [d * c for c in g]
-                for s, sq in squares:
-                    coef = d // sq * lat.dot(g, s)
-                    scaled = [a - coef * b for a, b in zip(scaled, s)]
-                if any(scaled):
-                    kept.append(g)
-            self._kept_cache[state] = kept
+            self._kept_cache[state] = [
+                g
+                for g in self.curves + self.fibers
+                if any(_scaled_projection(lat, g, state)[1])
+            ]
         return self._kept_cache[state]
 
     def is_del_pezzo(self, state: frozenset) -> bool:
@@ -450,18 +460,26 @@ def _ample_base(lat: Lattice) -> Vec:
     raise AssertionError("no ample base class found")
 
 
+def _scaled_projection(lat: Lattice, v, state):
+    """(m, m P v) for the orthogonal projection P v = v - sum (v.s)/(s.s) s
+    killing the contracted classes, with m = |prod s.s| > 0.  The
+    contracted classes are pairwise orthogonal, so every coefficient
+    comes from v itself, and m P v = m v - sum (m / s.s)(v.s) s is
+    integral for an integral v."""
+    squares = [(s, lat.selfint(s)) for s in state]
+    m = abs(math.prod(sq for _, sq in squares))
+    scaled = [m * c for c in v]
+    for s, sq in squares:
+        coef = m // sq * lat.dot(v, s)
+        scaled = [a - coef * b for a, b in zip(scaled, s)]
+    return m, scaled
+
+
 def _project_away(lat: Lattice, v, state):
-    """Orthogonal projection killing the contracted classes: the
-    pullback of the pushforward of v, v - sum (v.s)/(s.s) s, as a tuple
-    of Fractions.  The contracted classes are pairwise orthogonal, so
-    every coefficient comes from v itself: the dot products run on v's
-    own entries (ints for an integral v), and Fractions enter only in
-    the final combination."""
-    coefs = [(Fraction(lat.dot(v, s), lat.selfint(s)), s) for s in state]
-    return tuple(
-        Fraction(c) - sum(coef * s[i] for coef, s in coefs)
-        for i, c in enumerate(v)
-    )
+    """The pullback of the pushforward of v, its projection away from
+    the contracted classes, as a tuple of Fractions."""
+    m, scaled = _scaled_projection(lat, v, state)
+    return tuple(Fraction(p, m) for p in scaled)
 
 
 def chambers(lat: Lattice) -> list[Chamber]:
@@ -478,31 +496,31 @@ def chambers(lat: Lattice) -> list[Chamber]:
     walls = ex.wall_classes
     out = []
     for state in ex.states:
-        proj = _project_away(lat, base, state)
+        # proj is m times the projection of base away from the state
+        m, proj = _scaled_projection(lat, base, state)
         keep = [c for c in walls if c not in state]
+        t = Fraction(1)
         for c in keep:
-            if lat.dot(proj, c) <= 0:
+            pc = lat.dot(proj, c)
+            if pc <= 0:
                 raise AssertionError(
                     "wall in the span of the contracted set; certificate "
                     "construction does not apply"
                 )
-        t = Fraction(1)
-        for c in keep:
             d = -lat.selfint(c)
-            t = max(t, Fraction(d + 1) / lat.dot(proj, c))
+            t = max(t, Fraction((d + 1) * m, pc))
         eps = Fraction(1)
         for s in state:
             d = -lat.selfint(s)
             eps = min(eps, Fraction(d, 2) / (t * lat.dot(base, s)))
-        cert = tuple(
-            Fraction(k) + t * (p + eps * b)
-            for k, p, b in zip(lat.K, proj, base)
-        )
+        t_m, t_eps = t / m, t * eps
+        cert = tuple(k + t_m * p + t_eps * b for k, p, b in zip(lat.K, proj, base))
+        sign = _integral_multiple(cert)
         for s in state:
-            if lat.dot(cert, s) >= 0:
+            if lat.dot(sign, s) >= 0:
                 raise AssertionError("certificate not negative on contracted")
         for c in keep:
-            if lat.dot(cert, c) <= 0:
+            if lat.dot(sign, c) <= 0:
                 raise AssertionError("certificate not positive on kept wall")
         out.append(Chamber(lat, tuple(sorted(state)), cert))
     return sorted(out, key=lambda ch: (len(ch.contracted), ch.contracted))

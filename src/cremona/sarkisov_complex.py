@@ -150,14 +150,15 @@ def build_local(lat: Lattice) -> SquareComplex:
     edges_all = [
         (hi, lo) for hi in vertices for lo in vertices if has_edge(hi, lo)
     ]
+    below: dict[str, list] = {}
+    for hi, lo in edges_all:
+        below.setdefault(hi.name, []).append(lo)
     triangles = []
     for v3, v1 in edges_all:
         if v3.rank != 3 or v1.rank != 1:
             continue
         middles = [
-            v2
-            for v2 in vertices
-            if v2.rank == 2 and has_edge(v3, v2) and has_edge(v2, v1)
+            v2 for v2 in below[v3.name] if v2.rank == 2 and has_edge(v2, v1)
         ]
         if len(middles) != 2:
             raise AssertionError(

@@ -217,6 +217,25 @@ def test_chambers_single_degree2_orbit(capsys):
     assert set(data["negative_classes"]) == {"E1", "H-E1"}
 
 
+def test_chambers_bertini_lattice(capsys):
+    # one degree-8 point: the Bertini involution swaps E1 and the wall
+    # 48H - 17E1, and each contracts to a del Pezzo of rank 1
+    assert main(["chambers", "--degrees", "8"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["negative_classes"] == ["E1", "48H-17E1"]
+    assert [c["contracted"] for c in data["chambers"]] == [[], ["E1"], ["48H-17E1"]]
+    assert data["windows"] == [
+        {"base": "pt", "contracted": ["E1"], "fiber": None},
+        {"base": "pt", "contracted": ["48H-17E1"], "fiber": None},
+    ]
+
+
+def test_complex_degree_7_point_and_rational_point(capsys):
+    assert main(["complex", "--degrees", "1,7"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary == {"degrees": [1, 7], "vertices": 25, "edges": 36, "squares": 12}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -91,6 +91,26 @@ def test_orbit_invariants_enforced():
         GaloisOrbit8(CTX, pts)
 
 
+def test_orbit_equality_is_projective():
+    # one degree-8 point given by other coordinate triples: p_k scaled by
+    # F^k(5) is still a Frobenius orbit of triples, one point scaled by 7
+    # is not; both are the same 8 projective points
+    points = frobenius_orbit(CTX, (1, 2, 3))
+    orbit = GaloisOrbit8(CTX, points)
+    lam, scaled = 5, []
+    for p in points:
+        scaled.append(tuple(CTX.mul(lam, c) for c in p))
+        lam = CTX.frobenius(lam)
+    one_scaled = list(points)
+    one_scaled[3] = tuple(CTX.mul(7, c) for c in points[3])
+    for triples in (scaled, one_scaled):
+        assert triples != points
+        other = GaloisOrbit8(CTX, triples)
+        assert other == orbit and hash(other) == hash(orbit)
+        assert other.points == orbit.points
+        assert other.proj_points() == orbit.proj_points()
+
+
 def test_two_degree_4_points_are_a_short_orbit():
     # 8 points closed under Frobenius, in two orbits of size 4 on z = 0,
     # are no degree-8 point in any order; the all-tuples test still takes
@@ -186,8 +206,9 @@ def test_orbit_report_matches_all_tuples_q2():
     """The rotation-class test against the all-tuples test on every
     degree-8 orbit at q = 2: it finds the golden number of GP orbits,
     and on each of the others the same failure lists.  On a seeded
-    sample, a GaloisOrbit8 built from the sorted points holds them in the
-    same Frobenius order and gets the same report."""
+    sample, a GaloisOrbit8 built from the sorted points holds the same
+    projective points, normalized, in Frobenius order, and gets the
+    all-tuples report on them."""
     orbits = q2_frobenius_orbits()
     assert len(orbits) == Q2_TOTAL_ORBITS
     reports = [orbit_report(orbit, CTX) for orbit in orbits]
@@ -200,8 +221,12 @@ def test_orbit_report_matches_all_tuples_q2():
     passing = [k for k, report in enumerate(reports) if report.ok]
     for k in rnd.sample(failing, 40) + rnd.sample(passing, 10):
         orbit = GaloisOrbit8(CTX, sorted(orbits[k]))
-        assert orbit.points == tuple(orbits[k])
-        assert gp.test_general_position(orbit) == reports[k]
+        assert orbit == GaloisOrbit8(CTX, orbits[k])
+        assert orbit.points == tuple(frobenius_orbit(CTX, min(orbit.points)))
+        assert set(orbit.proj_points()) == {ProjPoint(CTX, p) for p in orbits[k]}
+        report = gp.test_general_position(orbit)
+        assert report == general_position_report(orbit.points, CTX)
+        assert tier(report) == tier(reports[k])
 
 
 @pytest.mark.slow

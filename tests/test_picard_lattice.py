@@ -7,6 +7,7 @@ import pytest
 from cremona import picard_lattice
 from cremona.picard_lattice import (
     BadNesting,
+    Chamber,
     Lattice,
     NotBig,
     NotNested,
@@ -127,8 +128,43 @@ def test_plane_class_counts_are_classical():
     minus_one = [1, 3, 6, 10, 16, 27, 56, 240]
     conics = [1, 2, 3, 5, 10, 27, 126, 2160]
     for n in range(1, 9):
-        assert len(_plane_classes(n, -1, -1)) == minus_one[n - 1]
-        assert len(_plane_classes(n, 0, -2)) == conics[n - 1]
+        assert len(_plane_classes((1,) * n, -1, -1)) == minus_one[n - 1]
+        assert len(_plane_classes((1,) * n, 0, -2)) == conics[n - 1]
+
+
+def orbit_degree_multisets(total):
+    # nondecreasing tuples of positive ints with the given sum
+    def parts(rest, low):
+        if rest == 0:
+            yield ()
+        for d in range(low, rest + 1):
+            for tail in parts(rest - d, d):
+                yield (d,) + tail
+    return list(parts(total, 1))
+
+
+def test_plane_classes_of_orbits_are_the_frobenius_fixed_classes():
+    # a class constant on each orbit, listed once per orbit, is a class
+    # of the n points fixed by Frobenius, and the lists keep one order
+    multisets = [m for n in range(1, 9) for m in orbit_degree_multisets(n)]
+    assert len(multisets) == 66
+    for square, k_dot in ((-1, -1), (0, -2)):
+        points = {n: _plane_classes((1,) * n, square, k_dot) for n in range(1, 9)}
+        for degrees in multisets:
+            blocks = [sum(degrees[:i]) for i in range(len(degrees) + 1)]
+
+            def fixed(c):
+                return all(
+                    len(set(c[1 + lo:1 + hi])) == 1
+                    for lo, hi in zip(blocks, blocks[1:])
+                )
+
+            expected = [
+                (c[0],) + tuple(c[1 + lo] for lo in blocks[:-1])
+                for c in points[sum(degrees)]
+                if fixed(c)
+            ]
+            assert _plane_classes(degrees, square, k_dot) == expected, degrees
 
 
 def test_walls_of_one_orbit_by_hand():
@@ -326,6 +362,10 @@ CROSS_CHECK_LATTICES = {
     "[1,2]": ([1, 2], None),
     "[1,1,2]": ([1, 1, 2], None),
     "[8]": ([8], None),
+    "[1,7]": ([1, 7], None),
+    "[2,6]": ([2, 6], None),
+    "[4,4]": ([4, 4], None),
+    "[1,1,6]": ([1, 1, 6], None),
 }
 
 
@@ -352,12 +392,47 @@ def fraction_kept(ex, state):
     ]
 
 
+def fraction_chambers(lat):
+    # the certificates built from the Fraction projection, with the sign
+    # checks on the Fraction certificate
+    ex = explorer(lat)
+    base = _ample_base(lat)
+    walls = ex.wall_classes
+    out = []
+    for state in ex.states:
+        proj = picard_lattice._project_away(lat, base, state)
+        keep = [c for c in walls if c not in state]
+        for c in keep:
+            if lat.dot(proj, c) <= 0:
+                raise AssertionError("wall in the span of the contracted set")
+        t = Fraction(1)
+        for c in keep:
+            d = -lat.selfint(c)
+            t = max(t, Fraction(d + 1) / lat.dot(proj, c))
+        eps = Fraction(1)
+        for s in state:
+            d = -lat.selfint(s)
+            eps = min(eps, Fraction(d, 2) / (t * lat.dot(base, s)))
+        cert = tuple(
+            Fraction(k) + t * (p + eps * b)
+            for k, p, b in zip(lat.K, proj, base)
+        )
+        for s in state:
+            if lat.dot(cert, s) >= 0:
+                raise AssertionError("certificate not negative on contracted")
+        for c in keep:
+            if lat.dot(cert, c) <= 0:
+                raise AssertionError("certificate not positive on kept wall")
+        out.append(Chamber(lat, tuple(sorted(state)), cert))
+    return sorted(out, key=lambda ch: (len(ch.contracted), ch.contracted))
+
+
 def lattice_answers(lat):
     """Everything the explorer feeds: states, kept curves, the ample
     base, chambers with their certificates and ample models, windows,
     and the square complex with its elementary relations."""
     ex = explorer(lat)
-    chs = chambers(lat)
+    chs = picard_lattice.chambers(lat)
     cx = build_local(lat)
     return {
         "walls": (ex.wall_candidates, ex.fibers, ex.wall_classes),
@@ -388,12 +463,14 @@ def test_integer_explorer_matches_fraction_projection(name, monkeypatch):
         for g in ex.curves + ex.fibers + [_ample_base(lat)]:
             assert _project_away(lat, g, state) == sequential_project_away(lat, g, state)
 
-    # the same answers with the old full-Gram dot, sequential projection
-    # and Fraction collapse test, from an empty explorer cache
+    # the same answers with the old full-Gram dot, sequential projection,
+    # Fraction collapse test and Fraction certificates, from an empty
+    # explorer cache
     monkeypatch.setattr(picard_lattice, "_EXPLORER_CACHE", {})
     monkeypatch.setattr(Lattice, "dot", full_gram_dot)
     monkeypatch.setattr(picard_lattice, "_project_away", sequential_project_away)
     monkeypatch.setattr(picard_lattice.LatticeExplorer, "_kept", fraction_kept)
+    monkeypatch.setattr(picard_lattice, "chambers", fraction_chambers)
     slow = lattice_answers(lat)
     assert fast.keys() == slow.keys()
     for key in fast:

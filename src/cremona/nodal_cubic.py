@@ -12,9 +12,12 @@ here.
 The count finds singular points before members: the singular points of
 all members of the pencil together are the rank-1 locus of a 4x2
 matrix of forms, and each point names the one member singular there.
-The forms have F_p coefficients, so Frobenius permutes the locus: at
-each extension level m the scan tests one x per Frobenius orbit of
-F_{q^m}, about q^m/m of them, and gets the other points by conjugation.
+The forms have F_p coefficients, so Frobenius permutes the locus and
+the members alike.  At each extension level m the scan tests one x per
+Frobenius orbit of F_{q^m}, about q^m/m of them, and keeps one point
+per Frobenius orbit of points of exact degree m; the forms are
+evaluated once at that point to name its member, and one node test
+decides the whole orbit of m conjugate members.
 """
 
 from __future__ import annotations
@@ -276,21 +279,25 @@ def _horner(f, x, ctx):
 
 def _poly_gcd(a, b, ctx):
     """A gcd (not made monic) of two trimmed little-endian polynomials;
-    gcd(0, 0) = 0, the empty list."""
-    sub, mul = ctx.sub, ctx.mul
-    while b:
+    gcd(0, 0) = 0, the empty list.  Each reduction step adds -(a_top /
+    b_top) times b, which costs no negation per coefficient, and a
+    nonzero constant ends the loop."""
+    add, mul = ctx.add, ctx.mul
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
         a = a[:]
-        lead = ctx.inv(b[-1])
+        lead = ctx.neg(ctx.inv(b[-1]))
         db = len(b) - 1
         while len(a) > db:
             c = mul(a[-1], lead)
             if c:
                 off = len(a) - 1 - db
                 for i in range(db):
-                    a[off + i] = sub(a[off + i], mul(c, b[i]))
+                    a[off + i] = add(a[off + i], mul(c, b[i]))
             a.pop()
         a, b = b, _poly_trim(a)
-    return a
+    return b or a
 
 
 @lru_cache(maxsize=None)
@@ -339,13 +346,14 @@ class _SingularLocus:
 
     The six 2x2 minors of [v1 v2] are computed once over F_p.  On the
     chart z = 1 each one is kept as a list, over the powers of y, of
-    coefficient lists in x; on the line z = 0 the minors at [x:1:0] are
-    univariate in x with F_p coefficients, so their gcd is taken once.
-    Since the minors have F_p coefficients, `points` visits one x per
-    Frobenius orbit of the field, O(q^m/m) x-steps at level m, and the
-    list of orbits of each field is built once, on first use.  Raises
-    NotAPencil where the locus is seen not to be finite: a line z = 0 or
-    x = x0 z inside it, or a point where every member is singular.
+    sparse rows [(i, c)] of its nonzero coefficients c of x^i; on the line
+    z = 0 the minors at [x:1:0] are univariate in x with F_p coefficients,
+    so their gcd is taken once.  Since the minors have F_p coefficients,
+    Frobenius permutes the locus, and `points` visits one x per Frobenius
+    orbit of the field, O(q^m/m) x-steps at level m, the list of orbits
+    of each field being built once, on first use.  Raises NotAPencil where
+    the locus is seen not to be finite: a line z = 0 or x = x0 z inside
+    it, or a point where every member is singular.
     """
 
     def __init__(self, g1, g2, prime):
@@ -355,60 +363,105 @@ class _SingularLocus:
         self.corner = True  # whether [1:0:0] is in the locus
         for minor in _pencil_minors(g1, g2, prime):
             deg = sum(next(iter(minor)))
-            chart = [[0] * (deg + 1) for _ in range(deg + 1)]
+            chart = [[] for _ in range(deg + 1)]
             at_line = [0] * (deg + 1)
             for (i, j, k), c in minor.items():
-                chart[j][i] = c
+                chart[j].append((i, c))
                 if k == 0:
                     at_line[i] = c
-            self.charts.append(_poly_trim([_poly_trim(row) for row in chart]))
+            while not chart[-1]:
+                chart.pop()
+            self.charts.append(chart)
             line = _poly_gcd(line, _poly_trim(at_line), prime)
             self.corner = self.corner and minor.get((deg, 0, 0), 0) == 0
         if not line:
             raise NotAPencil("the minors vanish on the line z = 0")
         self.line = line
-        # cheapest minors first: the gcd of two is nearly always constant
-        self.charts.sort(key=lambda chart: sum(map(len, chart)))
+        # the highest power of x in the charts, for one table of powers per x0
+        self.top = max(i for chart in self.charts for row in chart for i, _ in row)
+        # lowest degree in y first, then fewest terms: the gcd of the first
+        # two charts is nearly always constant, and its cost grows with
+        # their degrees in y
+        self.charts.sort(key=lambda chart: (len(chart), sum(map(len, chart))))
 
     def points(self, ctx):
-        """The points of the locus in P^2(ctx), from a scan of the chart
-        over one x0 per Frobenius orbit of ctx.  At each x0 the gcd in y
-        of the minors stops as soon as it is a constant, so roots are
-        sought only at the x0 of the locus.  The minors have F_p
-        coefficients, so Frobenius maps the fibre over x0 onto the fibre
-        over F(x0): each root y0 over x0 yields the Frobenius orbit of
-        (x0, y0), which covers its F^k-conjugates over x0 (k the orbit
-        size of x0) and their images over F(x0), ..., F^(k-1)(x0)."""
+        """One point from each Frobenius orbit of the points of the locus
+        that have exact degree m = ctx.n: those with coordinates in
+        F_{q^m} and in no smaller field.
+
+        The chart is scanned over one x0 per Frobenius orbit of ctx.  At
+        each x0 the rows of every chart are evaluated from one table of
+        the powers of x0, and the gcd in y of the charts stops as soon as
+        it is a constant, so roots are sought only at the x0 of the locus.
+        Frobenius maps the fibre over x0 onto the fibre over F(x0), so one
+        root y0 per F^k-orbit of the fibre (k the orbit size of x0) gives
+        one point per Frobenius orbit of points over the orbit of x0; it
+        is kept when that orbit has size m.  On the line z = 0 the roots
+        of the gcd come one per Frobenius orbit, and a point [x0:1:0] has
+        the degree of x0."""
+        m = ctx.n
+        add, mul = ctx.add, ctx.mul
+        top = self.top
         out = []
         for x0, k in _frobenius_orbits(ctx):
+            powers = [1]
+            for _ in range(top):
+                powers.append(mul(powers[-1], x0))
             g = []
             for chart in self.charts:
-                g = _poly_gcd(g, _poly_trim([_horner(row, x0, ctx) for row in chart]), ctx)
+                ys = []
+                for row in chart:
+                    acc = 0
+                    for i, c in row:
+                        acc = add(acc, powers[i] if c == 1 else mul(c, powers[i]))
+                    ys.append(acc)
+                g = _poly_gcd(g, _poly_trim(ys), ctx)
                 if len(g) == 1:
                     break
             else:
                 if not g:
                     raise NotAPencil(f"the minors vanish at every point [{x0}:y:1]")
                 for y0 in _roots(g, ctx, k):
-                    out.extend((x, y, 1) for x, y in frobenius_orbit(ctx, (x0, y0)))
+                    if len(frobenius_orbit(ctx, (x0, y0))) == m:
+                        out.append((x0, y0, 1))
         for x0 in _roots(self.line, ctx):
-            out.extend((x, 1, 0) for (x,) in frobenius_orbit(ctx, (x0,)))
-        if self.corner:
+            if len(frobenius_orbit(ctx, (x0,))) == m:
+                out.append((x0, 1, 0))
+        if self.corner and m == 1:
             out.append((1, 0, 0))
         return out
 
+    def member(self, pt, ctx):
+        """The member singular at pt, written [1:t] or [0:1], read off the
+        first nonzero row (a, b) of [v1 v2] at pt as (b, -a); raises
+        NotAPencil when every row vanishes, so every member is singular
+        there."""
+        for (f1, d), (f2, _) in zip(*self.rows):
+            a, b = evaluate_form(f1, d, pt, ctx), evaluate_form(f2, d, pt, ctx)
+            if a or b:
+                return (1, ctx.div(ctx.neg(a), b)) if b else (0, 1)
+        raise NotAPencil(f"every member is singular at {pt}")
+
     def members(self, ctx):
-        """{(s, t): singular points in P^2(ctx)} over the members singular
-        somewhere in P^2(ctx), each written [1:t] or [0:1]."""
+        """The members of exact degree m = ctx.n singular somewhere in
+        P^2(ctx), one Frobenius orbit at a time: {least member of the
+        orbit: [(member, point)]}, one pair per orbit of singular points
+        whose members form that orbit.
+
+        Every singular point of such a member has exact degree m: a point
+        fixed by F^e, e < m, would be singular on both M and F^e(M), so on
+        every member, which the level e of that point has already refused.
+        The basis has F_p coefficients, so F(P) names F(member(P)), and an
+        orbit of points names one orbit of members; each member of an
+        orbit of size m then has exactly one singular point in each of
+        the point orbits listed under it."""
+        m = ctx.n
         out = {}
         for pt in self.points(ctx):
-            v1, v2 = ([evaluate_form(f, d, pt, ctx) for f, d in r] for r in self.rows)
-            k = next((k for k in range(4) if v1[k] or v2[k]), None)
-            if k is None:
-                raise NotAPencil(f"every member is singular at {pt}")
-            # s v1 + t v2 = 0 for (s, t) = (v2[k], -v1[k])
-            member = (1, ctx.div(ctx.neg(v1[k]), v2[k])) if v2[k] else (0, 1)
-            out.setdefault(member, []).append(pt)
+            member = self.member(pt, ctx)
+            orbit = frobenius_orbit(ctx, member)
+            if len(orbit) == m:
+                out.setdefault(min(orbit), []).append((member, pt))
         return out
 
 
@@ -431,10 +484,13 @@ def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     P exactly when s v1(P) + t v2(P) = 0 (the value row keeps this exact
     in characteristic 3, where Euler's relation fails).  So one scan of
     the rank-1 locus of [v1 v2] over P^2(F_{q^m}) finds every singular
-    point of every member, and each point names its member.  The scan
-    tests one x per Frobenius orbit of F_{q^m} and conjugates what it
-    finds, O(q^m/m) x-steps per level.  Raises NotAPencil when that
-    locus is not finite.
+    point of every member, and each point names its member.  At level m
+    only the points of exact degree m are kept, one per Frobenius orbit:
+    a point of lower degree names a member of lower degree, which its own
+    level has already judged.  The basis has F_p coefficients, so the m
+    members of a Frobenius orbit are conjugate: one of them is named
+    and node-tested, and the orbit adds m to the count.  Raises
+    NotAPencil when the locus is not finite.
     """
     points = orbit.points if hasattr(orbit, "points") else orbit
     ctx = orbit.ctx if hasattr(orbit, "ctx") else points[0].ctx
@@ -444,11 +500,11 @@ def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     count = 0
     for m in range(1, extension_cap + 1):
         sub = get_ctx(p, m)
-        proper = [d for d in range(1, m) if m % d == 0]
-        for (s, t), sings in locus.members(sub).items():
-            if len(sings) != 1 or any(sub.in_subfield(t, d) for d in proper):
+        for named in locus.members(sub).values():
+            if len(named) != 1:
                 continue
+            (s, t), pt = named[0]
             coeffs = [sub.add(sub.mul(s, a), sub.mul(t, b)) for a, b in zip(g1, g2)]
-            if node_check(PlaneCurve(sub, 3, coeffs), ProjPoint(sub, sings[0])):
-                count += 1
+            if node_check(PlaneCurve(sub, 3, coeffs), ProjPoint(sub, pt)):
+                count += m
     return count

@@ -15,6 +15,7 @@ three are pure kernel/determinant conditions, hence PGL-invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -442,8 +443,16 @@ def node_check(curve: PlaneCurve, point: ProjPoint) -> bool:
     partials vanish there and the degree-2 tangent cone is squarefree
     (two distinct tangent directions over the closure).
 
-    In characteristic 2 the formal-derivative criterion is blind, so a
-    binary quadratic a.u^2 + b.uv + c.v^2 is squarefree iff b != 0.
+    The tangent cone is read in the coordinates u, v along the two axes
+    e_a, e_b other than the point's leading coordinate: F(P + u e_a +
+    v e_b) = A u^2 + B uv + C v^2 + (terms of degree 3 and more), where
+    A, B, C are the second Hasse derivatives of F at P, D_a^(2) F,
+    D_a D_b F and D_b^(2) F.  The Hasse derivative D_a^(i) sends x^e to
+    binom(e_a, i) x^(e - i e_a); its binomial coefficients are taken mod
+    p, so the cone stays exact in characteristics 2 and 3.
+
+    In characteristic 2 the discriminant is blind, so a binary quadratic
+    A u^2 + B uv + C v^2 is squarefree iff B != 0.
     """
     ctx = curve.ctx
     if curve.evaluate(point) != 0:
@@ -452,21 +461,25 @@ def node_check(curve: PlaneCurve, point: ProjPoint) -> bool:
     for part in curve.partials():
         if evaluate_form(part, curve.degree - 1, coords, ctx):
             return False
-    # move the point to [0:0:1] and read off the tangent cone
     lead = coords.index(1)
-    cols = [[0, 0, 0], [0, 0, 0], list(coords)]
-    cols[0][(lead + 1) % 3] = 1
-    cols[1][(lead + 2) % 3] = 1
-    mat = [[cols[j][i] for j in range(3)] for i in range(3)]
-    new = substitute_form(curve.coeffs, curve.degree, mat, ctx)
-    idx = _mono_index(curve.degree)
-    d = curve.degree
-    a = new[idx[(2, 0, d - 2)]]
-    b = new[idx[(1, 1, d - 2)]]
-    c = new[idx[(0, 2, d - 2)]]
+    ea, eb = (lead + 1) % 3, (lead + 2) % 3
+    cone = [0, 0, 0]  # A, B, C
+    p, add, mul = ctx.p, ctx.add, ctx.mul
+    for coef, expo in zip(curve.coeffs, monomials(curve.degree)):
+        if not coef:
+            continue
+        for slot, (i, j) in enumerate(((2, 0), (1, 1), (0, 2))):
+            binom = math.comb(expo[ea], i) * math.comb(expo[eb], j) % p
+            if binom:
+                rest = list(expo)
+                rest[ea] -= i
+                rest[eb] -= j
+                term = mul(mul(binom, coef), _eval_monomial(ctx, coords, rest))
+                cone[slot] = add(cone[slot], term)
+    a, b, c = cone
     if a == 0 and b == 0 and c == 0:
         return False  # worse than a double point
-    if ctx.p == 2:
+    if p == 2:
         return b != 0
-    disc = ctx.sub(ctx.mul(b, b), ctx.mul(4 % ctx.p, ctx.mul(a, c)))
+    disc = ctx.sub(ctx.mul(b, b), ctx.mul(4 % p, ctx.mul(a, c)))
     return disc != 0

@@ -19,6 +19,7 @@ control.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -147,9 +148,22 @@ def build_local(lat: Lattice) -> SquareComplex:
             return lo.base == "P1" and hi.fiber == lo.fiber
         return True
 
-    edges_all = [
-        (hi, lo) for hi in vertices for lo in vertices if has_edge(hi, lo)
-    ]
+    # an edge contracts more, so hi.contracted is a subset of
+    # lo.contracted: look hi up among the subsets of each lo's set, and
+    # keep the order of the all-pairs loop, which fixes each square's
+    # two middle vertices
+    by_contracted: dict[tuple, list] = {}
+    for i, v in enumerate(vertices):
+        by_contracted.setdefault(v.contracted, []).append(i)
+    pairs = sorted(
+        (i, j)
+        for j, lo in enumerate(vertices)
+        for k in range(len(lo.contracted) + 1)
+        for sub in itertools.combinations(lo.contracted, k)
+        for i in by_contracted.get(sub, ())
+        if vertices[i].rank > lo.rank and has_edge(vertices[i], lo)
+    )
+    edges_all = [(vertices[i], vertices[j]) for i, j in pairs]
     below: dict[str, list] = {}
     for hi, lo in edges_all:
         below.setdefault(hi.name, []).append(lo)

@@ -17,6 +17,7 @@ from cremona.nodal_cubic import (
     ZeroArgument,
     _frobenius_orbits,
     _horner,
+    _pencil_minors,
     _poly_gcd,
     _roots,
     _SingularLocus,
@@ -30,6 +31,9 @@ from cremona.nodal_cubic import (
 from cremona.plane_geometry import (
     PlaneCurve,
     ProjPoint,
+    ProjTransform,
+    apply,
+    apply_curve,
     apply_raw,
     collinear,
     evaluate_form,
@@ -277,6 +281,35 @@ def test_normalize_pose_independent_up_to_cubes():
 # ----------------------------------------------------------------------
 # the nodal-member count against the member-by-member search
 
+def _node_oracle(curve, point):
+    """node_check by substitution: move the point to [0:0:1] by the matrix
+    whose columns are the two unit vectors after the point's leading
+    coordinate and the point itself, substitute it into the whole form,
+    and read the tangent cone off the coefficients of u^2, uv and v^2
+    times w^(d-2)."""
+    ctx = curve.ctx
+    coords = point.coords
+    if curve.evaluate(point) != 0:
+        raise ValueError(f"{point} is not on the curve")
+    for part in curve.partials():
+        if evaluate_form(part, curve.degree - 1, coords, ctx):
+            return False
+    lead = coords.index(1)
+    cols = [[0, 0, 0], [0, 0, 0], list(coords)]
+    cols[0][(lead + 1) % 3] = 1
+    cols[1][(lead + 2) % 3] = 1
+    mat = [[cols[j][i] for j in range(3)] for i in range(3)]
+    new = substitute_form(curve.coeffs, curve.degree, mat, ctx)
+    idx = {m: i for i, m in enumerate(monomials(curve.degree))}
+    d = curve.degree
+    a, b, c = (new[idx[e]] for e in ((2, 0, d - 2), (1, 1, d - 2), (0, 2, d - 2)))
+    if a == 0 and b == 0 and c == 0:
+        return False
+    if ctx.p == 2:
+        return b != 0
+    return ctx.sub(ctx.mul(b, b), ctx.mul(4 % ctx.p, ctx.mul(a, c))) != 0
+
+
 def _search_singular_points(coeffs, ctx):
     """All points of P^2(ctx) where the cubic and its partials vanish, or
     None when the partials vanish identically: the zero set of one
@@ -326,7 +359,7 @@ def _search_count(orbit, cap):
             sings = _search_singular_points(coeffs, sub)
             if sings is None or len(sings) != 1:
                 continue
-            if node_check(PlaneCurve(sub, 3, coeffs), ProjPoint(sub, sings[0])):
+            if _node_oracle(PlaneCurve(sub, 3, coeffs), ProjPoint(sub, sings[0])):
                 count += 1
     return count
 
@@ -468,55 +501,172 @@ def test_cap12_q3_seeded_orbit():
     assert c12 == 12
 
 
-# ----------------------------------------------------------------------
-# the Frobenius-orbit scan of the singular locus against the full scan
+def _pencil_singular_points(orbit, cap):
+    """(member, singular point) for every singular point of every member
+    of the pencil found at the levels m <= cap, conjugates included."""
+    ctx = orbit.ctx
+    g1, g2 = cubic_pencil_basis(orbit.points, ctx)
+    locus = _SingularLocus(g1, g2, get_ctx(ctx.p, 1))
+    for m in range(1, cap + 1):
+        sub = get_ctx(ctx.p, m)
+        for (s, t), pts in _expand_walk(locus, sub).items():
+            coeffs = [sub.add(sub.mul(s, a), sub.mul(t, b)) for a, b in zip(g1, g2)]
+            yield from ((PlaneCurve(sub, 3, coeffs), ProjPoint(sub, pt)) for pt in pts)
 
-def _scan_points(locus, ctx):
-    """The points of the locus in P^2(ctx) by scanning every x0 of ctx,
-    and every y of ctx in a fibre of degree >= 2: O(q^m) x-steps per
-    level, where the orbit scan takes one x0 per Frobenius orbit."""
+
+def _random_transform(q, rnd):
+    while True:
+        try:
+            return ProjTransform(q, [[rnd.randrange(q) for _ in range(3)] for _ in range(3)])
+        except ValueError:
+            continue
+
+
+def test_node_check_matches_substitution_oracle(orbits_q2):
+    # the Hasse-derivative cone against the cone of the substituted form:
+    # every singular point of every member found up to cap 12 on the 28
+    # q=2 orbits and up to cap 8 on 20 seeded q=3 orbits; the normal forms,
+    # also moved by PGL_3(F_q) so the node has other leading coordinates;
+    # a cusp, a tacnode, a triple point and a smooth point of a conic
+    members = [case for orbit in orbits_q2 for case in _pencil_singular_points(orbit, 12)]
+    members += [case for orbit in _gp_orbits_q3(36, 20) for case in _pencil_singular_points(orbit, 8)]
+    verdicts = Counter(node_check(curve, pt) for curve, pt in members)
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
+    cases = list(members)
+    rnd = random.Random(37)
+    for q in (2, 3, 5, 7):
+        ctx = get_ctx(q, 1)
+        for c0 in range(1, q):
+            curve, node = NodalCubicNF(q, c0).curve(ctx), ProjPoint(ctx, (0, 1, 0))
+            cases.append((curve, node))
+            for _ in range(4):
+                g = _random_transform(q, rnd)
+                cases.append((apply_curve(g, curve), apply(g, node)))
+        origin = ProjPoint(ctx, (0, 0, 1))
+        for terms, pt in (
+            ({(0, 2, 1): 1, (3, 0, 0): -1}, origin),  # cusp y^2 z = x^3
+            ({(0, 2, 1): 1, (2, 1, 0): -1}, origin),  # tacnode y (yz - x^2)
+            ({(3, 0, 0): 1, (0, 3, 0): 1}, origin),  # triple point
+            ({(1, 0, 1): 1, (0, 2, 0): -1}, ProjPoint(ctx, (1, 1, 1))),  # conic
+        ):
+            degree = sum(next(iter(terms)))
+            cases.append((PlaneCurve.from_dict(ctx, degree, terms), pt))
+    for curve, pt in cases:
+        assert node_check(curve, pt) == _node_oracle(curve, pt), (curve, pt)
+
+
+# ----------------------------------------------------------------------
+# the Frobenius-orbit walk of the singular locus against the full scan
+
+def _scan_points(g1, g2, ctx):
+    """Every point of the locus in P^2(ctx), from the minors of [v1 v2]
+    alone: each minor at [x0:y:1] as a dense polynomial in y for every x0
+    of ctx, their gcd, and a test of every y in a fibre of degree >= 2;
+    then the points [x0:1:0] and [1:0:0] where every minor vanishes.
+    O(q^m) x-steps per level, where the walk takes one x0 per Frobenius
+    orbit."""
+    minors = _pencil_minors(g1, g2, get_ctx(ctx.p, 1))
+    add, mul, pw = ctx.add, ctx.mul, ctx.pow
+
+    def fibre(minor, x0):
+        out = [0] * 6
+        for (i, j, _), c in minor.items():
+            out[j] = add(out[j], mul(c, pw(x0, i)))
+        return _poly_trim(out)
+
+    forms = []  # the minors as dense forms, for the points with z = 0
+    for minor in minors:
+        d = sum(next(iter(minor)))
+        forms.append(([minor.get(e, 0) for e in monomials(d)], d))
+
+    def vanish(pt):
+        return all(evaluate_form(f, d, pt, ctx) == 0 for f, d in forms)
+
     out = []
     for x0 in range(ctx.size):
         g = []
-        for chart in locus.charts:
-            g = _poly_gcd(g, _poly_trim([_horner(row, x0, ctx) for row in chart]), ctx)
+        for minor in minors:
+            g = _poly_gcd(g, fibre(minor, x0), ctx)
             if len(g) == 1:
                 break
         else:
             if not g:
                 raise NotAPencil(f"the minors vanish at every point [{x0}:y:1]")
             out.extend((x0, y0, 1) for y0 in range(ctx.size) if _horner(g, y0, ctx) == 0)
-    out.extend((x0, 1, 0) for x0 in range(ctx.size) if _horner(locus.line, x0, ctx) == 0)
-    if locus.corner:
+        if vanish((x0, 1, 0)):
+            out.append((x0, 1, 0))
+    if vanish((1, 0, 0)):
         out.append((1, 0, 0))
     return out
 
 
-def _assert_points_match_scan(orbit, top):
+def _members_by_point(locus, pts, ctx):
+    """{(s, t): singular points} from every point of the locus: the member
+    named by each point, read off all eight forms of [v1 v2] at it, and
+    kept when its field of definition is ctx itself (t in no proper
+    subfield; [0:1] only over the prime field)."""
+    proper = [d for d in range(1, ctx.n) if ctx.n % d == 0]
+    out = {}
+    for pt in pts:
+        v1, v2 = ([evaluate_form(f, d, pt, ctx) for f, d in r] for r in locus.rows)
+        k = next((k for k in range(4) if v1[k] or v2[k]), None)
+        if k is None:
+            raise NotAPencil(f"every member is singular at {pt}")
+        s, t = (1, ctx.div(ctx.neg(v1[k]), v2[k])) if v2[k] else (0, 1)
+        if (s == 0 and proper) or any(ctx.in_subfield(t, d) for d in proper):
+            continue
+        out.setdefault((s, t), []).append(pt)
+    return {member: sorted(pts) for member, pts in out.items()}
+
+
+def _expand_walk(locus, ctx):
+    """The members of `locus.members(ctx)` and their singular points, with
+    every entry (member, point) carried through all m Frobenius powers;
+    asserts that each member has as many points as its orbit has entries."""
+    m = ctx.n
+    out = {}
+    for key, named in locus.members(ctx).items():
+        for member, pt in named:
+            orbit = list(zip(frobenius_orbit(ctx, member), frobenius_orbit(ctx, pt)))
+            assert len(orbit) == m and min(member for member, _ in orbit) == key
+            for member, pt in orbit:
+                out.setdefault(member, []).append(pt)
+        assert all(len(out[member]) == len(named) for member, _ in named)
+    return {member: sorted(pts) for member, pts in out.items()}
+
+
+def _assert_walk_matches_scan(orbit, top):
+    """Level by level: the points of `points` are one per Frobenius orbit
+    of the full scan's points of exact degree m, and `members` gives the
+    members of exact degree m with the same singular points as the
+    per-point grouping of every scanned point."""
     ctx = orbit.ctx
     g1, g2 = cubic_pencil_basis(orbit.points, ctx)
     locus = _SingularLocus(g1, g2, get_ctx(ctx.p, 1))
     for m in range(1, top + 1):
         sub = get_ctx(ctx.p, m)
-        pts = locus.points(sub)
+        scan = _scan_points(g1, g2, sub)
+        pts = [pt for rep in locus.points(sub) for pt in frobenius_orbit(sub, rep)]
         assert len(pts) == len(set(pts)), (orbit, m)
-        assert set(pts) == set(_scan_points(locus, sub)), (orbit, m)
+        exact = {pt for pt in scan if len(frobenius_orbit(sub, pt)) == m}
+        assert set(pts) == exact, (orbit, m)
+        assert _expand_walk(locus, sub) == _members_by_point(locus, scan, sub), (orbit, m)
 
 
 def test_points_match_full_scan_q2(orbits_q2):
     for orbit in orbits_q2:
-        _assert_points_match_scan(orbit, 12)
+        _assert_walk_matches_scan(orbit, 12)
 
 
 def test_points_match_full_scan_q3():
     for orbit in _gp_orbits_q3(31, 6):
-        _assert_points_match_scan(orbit, 8)
+        _assert_walk_matches_scan(orbit, 8)
 
 
 @pytest.mark.parametrize("q, top", [(2, 12), (3, 8)])
 def test_points_match_full_scan_off_general_position(q, top):
     for orbit in _off_gp_orbits(q, 3):
-        _assert_points_match_scan(orbit, top)
+        _assert_walk_matches_scan(orbit, top)
 
 
 def test_points_match_full_scan_conjugate_pair_at_infinity(orbits_q2):
@@ -540,7 +690,7 @@ def test_points_match_full_scan_conjugate_pair_at_infinity(orbits_q2):
     g1, g2 = cubic_pencil_basis(moved.points, ctx)
     at_infinity = [pt for pt in _SingularLocus(g1, g2, get_ctx(2, 1)).points(c2) if pt[2] == 0]
     assert any(not c2.in_subfield(x, 1) for x, _, _ in at_infinity)
-    _assert_points_match_scan(moved, 12)
+    _assert_walk_matches_scan(moved, 12)
     assert count_nodal_members(moved, extension_cap=8) == count_nodal_members(
         orbit, extension_cap=8
     )

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from cremona.picard_lattice import blowup_lattice, chambers, windows
+from cremona.picard_lattice import blowup_lattice, chambers, explorer, windows
 from cremona.sarkisov_complex import (
+    FibrationVertex,
     NotRank3,
+    _vertex_name,
     bertini_edge_square_count,
     build_local,
     elementary_relation,
@@ -184,3 +186,58 @@ def test_empty_style_export():
     assert dot.startswith("digraph") and dot.endswith("}")
     with pytest.raises(ValueError):
         export(cx, "svg")
+
+
+def _all_pairs_complex(lat):
+    """(vertices, edges, squares, diagonals) of build_local as first
+    written: every ordered pair of vertices is tested for an edge."""
+    ex = explorer(lat)
+    vertices = []
+    for state in ex.states:
+        rank_pt = lat.rank - len(state)
+        contracted = tuple(sorted(state))
+        if 1 <= rank_pt <= 3 and ex.is_del_pezzo(state):
+            name = _vertex_name(lat, contracted, "pt", None)
+            vertices.append(FibrationVertex(name, rank_pt, contracted, "pt"))
+        if 1 <= rank_pt - 1 <= 3:
+            for f in ex.fibers_at(state):
+                if ex.is_conic_bundle(state, f):
+                    name = _vertex_name(lat, contracted, "P1", f)
+                    vertices.append(FibrationVertex(name, rank_pt - 1, contracted, "P1", f))
+    vertices.sort(key=lambda v: (v.rank, v.name))
+
+    def has_edge(hi, lo):
+        if hi.rank <= lo.rank or not set(hi.contracted) <= set(lo.contracted):
+            return False
+        return hi.base != "P1" or (lo.base == "P1" and hi.fiber == lo.fiber)
+
+    edges_all = [(hi, lo) for hi in vertices for lo in vertices if has_edge(hi, lo)]
+    below = {}
+    for hi, lo in edges_all:
+        below.setdefault(hi.name, []).append(lo)
+    triangles = []
+    for v3, v1 in edges_all:
+        if v3.rank == 3 and v1.rank == 1:
+            middles = [v2 for v2 in below[v3.name] if v2.rank == 2 and has_edge(v2, v1)]
+            assert len(middles) == 2
+            triangles.append((v3, middles, v1))
+    triangles.sort(key=lambda t: (t[0].name, t[2].name))
+    squares = tuple((v3.name, a.name, v1.name, b.name) for v3, (a, b), v1 in triangles)
+    diagonals = tuple((v3.name, v1.name) for v3, _, v1 in triangles)
+    edges = tuple(
+        (hi.name, lo.name, (hi.rank, lo.rank))
+        for hi, lo in sorted(edges_all, key=lambda e: (e[0].name, e[1].name))
+        if (hi.rank, lo.rank) in ((3, 2), (2, 1))
+    )
+    return tuple(vertices), edges, squares, diagonals
+
+
+@pytest.mark.parametrize(
+    "degrees, nesting",
+    [([1] * n, None) for n in range(1, 6)] + [([8], None), ([1, 1], [None, 0])],
+)
+def test_build_local_matches_all_pairs(degrees, nesting):
+    # Bl1-Bl5, the degree-8 point and Example 3.8 (an infinitely near pair)
+    lat = blowup_lattice(degrees, nesting=nesting)
+    cx = build_local(lat)
+    assert (cx.vertices, cx.edges, cx.squares, cx.diagonals) == _all_pairs_complex(lat)

@@ -7,12 +7,16 @@ never decides equality inside the true G_e beyond free cancellation, so
 the normal form is the free-product normal form, the signature morphism
 (delete the e-letters, reduce in the product of Z/2's) is exact, and
 the parity vector of Bertini letters gives the abelianization image.
+`normal_form` computes it in one left-to-right pass over a stack, and
+`concat`, `inverse` and `signature` all end with it.
 
 The Bass-Serre tree model: vertices of one color are group elements
 (normal forms), vertices of the other color are cosets w.G_e and
 w.<b>; each element joins its |B| + 1 cosets.  Balls are kept finite
 by enumerating e-syllables one token deep (the tree is locally infinite
 at the G_e cosets; the truncation is equivariant for left translation).
+One neighbour rule, `_neighbours`, gives the tree's edges to the
+breadth-first search of `bass_serre_ball`.
 
 Word grammar: space-separated tokens "b<i>", "e:<name>", "e:<name>^-1".
 """
@@ -58,8 +62,6 @@ class FactorTable:
 
 # a letter is ("b", label) or ("e", ((token, exp), ...)) with exp = +-1
 # and the token string free-reduced
-
-Letter = tuple
 
 
 class TaggedWord:
@@ -126,38 +128,24 @@ def _free_reduce(seq):
 
 
 def normal_form(w: TaggedWord) -> TaggedWord:
-    """The unique free-product normal form: merge adjacent e-letters
-    with free cancellation, cancel b.b, drop empty letters; idempotent
-    and independent of the reduction order."""
-    letters = list(w.letters)
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for letter in letters:
-            kind, payload = letter
-            if kind == "e":
-                payload = _free_reduce(payload)
-                if not payload:
-                    changed = True
-                    continue
-                if out and out[-1][0] == "e":
-                    out[-1] = ("e", _free_reduce(out[-1][1] + payload))
-                    if not out[-1][1]:
-                        out.pop()
-                    changed = True
-                    continue
-                if payload != letter[1]:
-                    changed = True
+    """The unique free-product normal form, in one left-to-right pass
+    over a stack of normal letters: an e-letter merges into an e-letter
+    on top, is free-reduced and is dropped when empty; a b-letter
+    cancels the same b on top.  Idempotent and independent of the
+    reduction order."""
+    out = []
+    for kind, payload in w.letters:
+        if kind == "e":
+            if out and out[-1][0] == "e":
+                payload = out.pop()[1] + payload
+            payload = _free_reduce(payload)
+            if payload:
                 out.append(("e", payload))
-            else:
-                if out and out[-1] == ("b", payload):
-                    out.pop()
-                    changed = True
-                    continue
-                out.append(letter)
-        letters = out
-    return TaggedWord(letters)
+        elif out and out[-1] == ("b", payload):
+            out.pop()
+        else:
+            out.append((kind, payload))
+    return TaggedWord(out)
 
 
 def concat(u: TaggedWord, v: TaggedWord) -> TaggedWord:
@@ -197,18 +185,37 @@ def abelianize(w: TaggedWord, table: FactorTable) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 # Bass-Serre tree balls
 
-def _coset_e_rep(w: TaggedWord) -> TaggedWord:
-    """Canonical representative of w.G_e: strip a trailing e-letter."""
-    if w.letters and w.letters[-1][0] == "e":
-        return TaggedWord(w.letters[:-1])
-    return w
+# A vertex is ("elt", word), ("e", word) for the coset word.G_e, or
+# ("b", label, word) for word.<label>; a coset is named by its canonical
+# representative, which has no trailing letter of the coset's factor.
+
+def _view(node):
+    """(kind, word, label) of a vertex; the label is "" unless the
+    vertex is a b-coset."""
+    return node[0], node[-1], node[1] if node[0] == "b" else ""
 
 
-def _coset_b_rep(w: TaggedWord, b: str) -> TaggedWord:
-    """Canonical representative of w.<b>: strip a trailing b."""
-    if w.letters and w.letters[-1] == ("b", b):
-        return TaggedWord(w.letters[:-1])
-    return w
+def _coset(kind: str, w: TaggedWord, label: str = ""):
+    """The e-coset (kind "e") or the label's b-coset holding w: its
+    representative is w with a trailing letter of the factor stripped."""
+    last = w.letters[-1:]
+    if last and (last[0][0] == "e" if kind == "e" else last[0] == ("b", label)):
+        w = TaggedWord(w.letters[:-1])
+    return ("e", w) if kind == "e" else ("b", label, w)
+
+
+def _neighbours(table: FactorTable, node):
+    """An element's e-coset and b-cosets, or a coset's members: the
+    representative times 1 and every letter of its factor, one token
+    deep for the e-coset."""
+    kind, w, label = _view(node)
+    if kind == "elt":
+        return [_coset("e", w)] + [_coset("b", w, b) for b in table.bertini_ids]
+    if kind == "e":
+        letters = [("e", ((t, x),)) for t in table.e_alphabet for x in (1, -1)]
+    else:
+        letters = [("b", label)]
+    return [("elt", w)] + [("elt", concat(w, TaggedWord((l,)))) for l in letters]
 
 
 def bass_serre_ball(table: FactorTable, radius: int):
@@ -216,96 +223,65 @@ def bass_serre_ball(table: FactorTable, radius: int):
 
     Vertices: ("elt", word) at even distance, ("e", word) and
     ("b", label, word) coset centers at odd distance; every element
-    vertex has degree |B| + 1.  Edges join each element to its cosets.
-    The e-cosets are enumerated one token deep (single e-generators and
-    inverses), which keeps the ball finite and translation-equivariant.
-    Returns (vertices, edges, dist) with deterministic ordering.
+    vertex has degree |B| + 1.  Edges join each element to its cosets,
+    as (element, coset) pairs.  The e-cosets are enumerated one token
+    deep (single e-generators and inverses), which keeps the ball finite
+    and translation-equivariant.  Returns (vertices, edges, dist) with
+    deterministic ordering.
     """
     if radius > 6:
         raise RadiusTooLarge("radius must be at most 6")
-    root = TaggedWord()
-    dist = {("elt", root): 0}
+    frontier = [("elt", TaggedWord())]
+    dist = {frontier[0]: 0}
     edges = set()
-    frontier = [("elt", root)]
-    d = 0
-    while d < radius and frontier:
+    for d in range(1, radius + 1):
         nxt = []
         for node in frontier:
-            if node[0] == "elt":
-                w = node[1]
-                targets = [("e", _coset_e_rep(w))]
-                for b in table.bertini_ids:
-                    targets.append(("b", b, _coset_b_rep(w, b)))
-                for t in targets:
-                    edges.add((node, t))
-                    if t not in dist:
-                        dist[t] = d + 1
-                        nxt.append(t)
-            elif node[0] == "e":
-                rep = node[1]
-                members = [rep]
-                for token in table.e_alphabet:
-                    for exp in (1, -1):
-                        members.append(
-                            concat(rep, TaggedWord((("e", ((token, exp),)),)))
-                        )
-                for m in members:
-                    t = ("elt", m)
-                    edges.add((t, node))
-                    if t not in dist:
-                        dist[t] = d + 1
-                        nxt.append(t)
-            else:
-                _, b, rep = node
-                for m in (rep, concat(rep, TaggedWord((("b", b),)))):
-                    t = ("elt", m)
-                    edges.add((t, node))
-                    if t not in dist:
-                        dist[t] = d + 1
-                        nxt.append(t)
+            for t in _neighbours(table, node):
+                edges.add((node, t) if node[0] == "elt" else (t, node))
+                if t not in dist:
+                    dist[t] = d
+                    nxt.append(t)
         frontier = nxt
-        d += 1
-    vertices = sorted(dist, key=_node_key)
-    return vertices, sorted(edges, key=lambda e: (_node_key(e[0]), _node_key(e[1]))), dist
+    edges = sorted(edges, key=lambda e: (_node_key(e[0]), _node_key(e[1])))
+    return sorted(dist, key=_node_key), edges, dist
+
+
+# per kind: its rank in the vertex order, its name prefix, its DOT color
+_KINDS = {
+    "elt": (0, "elt", "white"),
+    "e": (1, "cosetE", "lightblue"),
+    "b": (2, "cosetB", "salmon"),
+}
 
 
 def _node_key(node):
-    if node[0] == "elt":
-        return (0, node[1].as_string(), "")
-    if node[0] == "e":
-        return (1, node[1].as_string(), "")
-    return (2, node[2].as_string(), node[1])
+    kind, w, label = _view(node)
+    return _KINDS[kind][0], w.as_string(), label
+
+
+def _node_name(node):
+    kind, w, label = _view(node)
+    return _KINDS[kind][1] + (f"[{label}]" if label else "") + ":" + w.as_string()
 
 
 def left_translate(node, g: TaggedWord):
     """The left action of a group element on tree vertices."""
-    if node[0] == "elt":
-        return ("elt", concat(g, node[1]))
-    if node[0] == "e":
-        return ("e", _coset_e_rep(concat(g, node[1])))
-    return ("b", node[1], _coset_b_rep(concat(g, node[2]), node[1]))
+    kind, w, label = _view(node)
+    w = concat(g, w)
+    return ("elt", w) if kind == "elt" else _coset(kind, w, label)
 
 
 def ball_to_dot(vertices, edges) -> str:
-    colors = {"elt": "white", "e": "lightblue", "b": "salmon"}
     lines = ["graph bass_serre {"]
     for v in vertices:
-        label = v[1].as_string() if v[0] != "b" else f"{v[2].as_string()}.<{v[1]}>"
-        kind = v[0]
-        name = _node_name(v)
+        kind, w, label = _view(v)
+        text = w.as_string() + (f".<{label}>" if label else "")
         lines.append(
-            f'  "{name}" [label="{label or "1"}", style=filled, '
-            f'fillcolor={colors[kind]}, kind={kind}];'
+            f'  "{_node_name(v)}" [label="{text or "1"}", style=filled, '
+            f'fillcolor={_KINDS[kind][2]}, kind={kind}];'
         )
     for a, b in edges:
         lines.append(f'  "{_node_name(a)}" -- "{_node_name(b)}";')
     lines.append("}")
     return "\n".join(lines)
-
-
-def _node_name(node):
-    if node[0] == "elt":
-        return f"elt:{node[1].as_string()}"
-    if node[0] == "e":
-        return f"cosetE:{node[1].as_string()}"
-    return f"cosetB[{node[1]}]:{node[2].as_string()}"

@@ -43,7 +43,6 @@ N1.N2.N3 / (12 |PGL_3|), are implemented in `mq_bound` / `mq_cross_check`.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from bisect import bisect_right
@@ -52,7 +51,6 @@ from fractions import Fraction
 
 from .field_tower import euler_phi, frobenius_orbit, get_ctx
 from .general_position import GaloisOrbit8, general_position_report
-from .plane_geometry import ProjTransform
 
 __all__ = [
     "CensusResult",
@@ -60,7 +58,6 @@ __all__ = [
     "canonical_class",
     "mq_bound",
     "mq_cross_check",
-    "pgl3_elements",
     "pgl3_order",
     "run_census",
     "total_degree8_orbits",
@@ -78,22 +75,6 @@ def pgl3_order(q: int) -> int:
 def total_degree8_orbits(q: int) -> int:
     """(|P^2(F_{q^8})| - |P^2(F_{q^4})|) / 8 = (q^16 - q^4) / 8."""
     return (q ** 16 - q ** 4) // 8
-
-
-def pgl3_elements(q: int):
-    """Every element of PGL_3(F_q) exactly once, in normalized form
-    (first nonzero entry in row-major order equal to 1), deterministic
-    lexicographic order."""
-    from .plane_geometry import _det3_mod
-
-    for flat in itertools.product(range(q), repeat=9):
-        lead = next((x for x in flat if x), None)
-        if lead != 1:
-            continue
-        rows = (flat[0:3], flat[3:6], flat[6:9])
-        if _det3_mod(rows, q) == 0:
-            continue
-        yield ProjTransform(q, rows)
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +340,8 @@ def _class_of(job):
     q, point, stab = job
     ctx = get_ctx(q, 8)
     # the all-tuples test, not orbit_report: a faster census-q3 would
-    # outgrow its per-item oracle check (ROADMAP item 7)
+    # outgrow its per-item oracle check (ROADMAP item 1, which waits on
+    # the bound of that check in item 3)
     if not general_position_report(frobenius_orbit(ctx, point), ctx).ok:
         return None
     states = set(_component(q, *_point_state(q, point)))

@@ -181,19 +181,21 @@ def _poly_powmod(a: list[int], k: int, mod: list[int], p: int) -> list[int]:
 
 
 def _poly_is_irreducible(f: list[int], p: int) -> bool:
-    """Exhaustive trial division by all monic divisors of degree <= deg/2."""
+    """Ben-Or's test: f of degree n >= 2 is irreducible over F_p iff
+    gcd(t^(p^i) - t mod f, f) = 1 for i = 1, ..., n/2, since a factor
+    of degree i divides t^(p^i) - t.  Works on int coefficient lists
+    alone, so building a field's tables never loops back into it."""
     n = len(f) - 1
     if n <= 0:
         return False
-    if n == 1:
-        return True
-    if f[0] == 0:  # divisible by t
-        return False
-    for d in range(1, n // 2 + 1):
-        for enc in range(p ** d):
-            div = _decode(enc, p, d) + [1]
-            if not _poly_divmod(f, div, p)[1]:
-                return False
+    h = [0, 1]
+    for _ in range(n // 2):
+        h = _poly_powmod(h, p, f, p)
+        a, b = f, _poly_sub(h, [0, 1], p)
+        while b:
+            a, b = b, _poly_divmod(a, b, p)[1]
+        if len(a) > 1:
+            return False
     return True
 
 

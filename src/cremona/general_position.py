@@ -92,7 +92,6 @@ __all__ = [
     "orbit_from_point",
     "orbit_from_seed",
     "orbit_report",
-    "pair_products",
     "test_general_position",
     "unexplained_lambda_failures",
 ]
@@ -411,14 +410,3 @@ def beta_twist(a: FieldElement, beta: FieldElement) -> FieldElement:
     if ctx.in_subfield(b.e, 4):
         raise ShortOrbit("twist collapsed the orbit")
     return b
-
-
-def pair_products(a: FieldElement) -> list[int]:
-    """The four products a_i * tau(a_i) where tau: x -> x^(q^4) is the
-    unique order-2 element of the Galois group; the pairing used in the
-    conic-failure analysis of nodal orbits."""
-    ctx = a.ctx
-    vals = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
-    if len(vals) != 8:
-        raise ShortOrbit("pairing needs a full orbit")
-    return [ctx.mul(vals[i], vals[i + 4]) for i in range(4)]

@@ -21,9 +21,11 @@ Contractions are tracked as sets of pairwise-orthogonal walls in the
 ambient lattice: the pullbacks of the exceptional orbit classes
 contracted along the way.  Iterating over all contraction states yields
 the chamber decomposition of the big cone (each chamber is the set of
-divisors whose ample model contracts exactly that state), the windows
-(rank-1 fibrations) on its non-big boundary, and the raw material for
-the square complexes built in `sarkisov_complex`.
+divisors whose ample model contracts exactly that state) and the
+explorer's cached `fibrations` list: every fibration of rank 1 to 3,
+decided once.  Its rank-1 entries are the windows on the non-big
+boundary, and all of its entries are the vertices of the square
+complexes built in `sarkisov_complex`.
 
 The explorer works in integers: walls, fibers and states never leave
 Z, projections away from a state are taken as m times the projection
@@ -430,6 +432,28 @@ class LatticeExplorer:
             lat.dot(f, g) == 0 and lat.dot(kint, g) >= 0 for g in self._kept(state)
         )
 
+    @cached_property
+    def fibrations(self) -> list[tuple]:
+        """Every fibration of rank 1 to 3 carried by a state, as
+        (rank, contracted, base, fiber) in state order: at each state,
+        the point-base model when it is del Pezzo, then one conic bundle
+        over P^1 per fiber class.  `windows` reads its rank-1 entries,
+        and `sarkisov_complex.build_local` makes its vertices from all
+        of them."""
+        out = []
+        for state in self.states:
+            rank = self.lat.rank - len(state)
+            contracted = tuple(sorted(state))
+            if 1 <= rank <= 3 and self.is_del_pezzo(state):
+                out.append((rank, contracted, "pt", None))
+            if 2 <= rank <= 4:
+                out.extend(
+                    (rank - 1, contracted, "P1", f)
+                    for f in self.fibers_at(state)
+                    if self.is_conic_bundle(state, f)
+                )
+        return out
+
 
 _EXPLORER_CACHE: dict[Lattice, LatticeExplorer] = {}
 
@@ -619,15 +643,10 @@ class Window:
 
 
 def windows(lat: Lattice) -> list[Window]:
-    """All rank-1 fibrations dominated by the lattice."""
-    ex = explorer(lat)
-    out = []
-    for state in ex.states:
-        rank_pt = lat.rank - len(state)
-        if rank_pt == 1 and ex.is_del_pezzo(state):
-            out.append(Window(lat, tuple(sorted(state)), "pt"))
-        if rank_pt == 2:
-            for f in ex.fibers_at(state):
-                if ex.is_conic_bundle(state, f):
-                    out.append(Window(lat, tuple(sorted(state)), "P1", f))
-    return out
+    """All rank-1 fibrations dominated by the lattice: the rank-1
+    entries of the explorer's `fibrations`."""
+    return [
+        Window(lat, contracted, base, fiber)
+        for rank, contracted, base, fiber in explorer(lat).fibrations
+        if rank == 1
+    ]

@@ -3,11 +3,13 @@
 Vertices are rank 1, 2, 3 fibrations carried by the contractions of an
 ambient blow-up lattice Z: a contracted set of wall classes together
 with a base (a point, or P^1 with a chosen fiber class; the two rulings
-of a quadric are distinct vertices).  An edge runs from a higher-rank
-vertex to a lower-rank one when the contraction factorizes and the
-bases are compatible.  Every edge of type (3,1) lies in exactly two
-triangles (the two-rays game); gluing each such pair of triangles and
-dropping the diagonal yields the square complex.
+of a quadric are distinct vertices).  They are the entries of the
+lattice explorer's `fibrations` list, which `picard_lattice.windows`
+reads too.  An edge runs from a higher-rank vertex to a lower-rank one
+when the contraction factorizes and the bases are compatible.  Every
+edge of type (3,1) lies in exactly two triangles (the two-rays game);
+gluing each such pair of triangles and dropping the diagonal yields the
+square complex.
 
 The degree-8 check: the edge from the blow-up of a general degree-8
 point down to the plane lies in no square, because any dominating
@@ -109,35 +111,15 @@ def _vertex_name(lat: Lattice, state, base, fiber) -> str:
 
 def build_local(lat: Lattice) -> SquareComplex:
     """The square complex of all rank <= 3 fibrations carried by the
-    lattice's contraction states."""
-    ex = explorer(lat)
-    vertices = []
-    for state in ex.states:
-        rank_pt = lat.rank - len(state)
-        contracted = tuple(sorted(state))
-        if 1 <= rank_pt <= 3 and ex.is_del_pezzo(state):
-            vertices.append(
-                FibrationVertex(
-                    _vertex_name(lat, contracted, "pt", None),
-                    rank_pt,
-                    contracted,
-                    "pt",
-                )
-            )
-        rank_cb = rank_pt - 1
-        if 1 <= rank_cb <= 3:
-            for f in ex.fibers_at(state):
-                if ex.is_conic_bundle(state, f):
-                    vertices.append(
-                        FibrationVertex(
-                            _vertex_name(lat, contracted, "P1", f),
-                            rank_cb,
-                            contracted,
-                            "P1",
-                            f,
-                        )
-                    )
-    vertices.sort(key=lambda v: (v.rank, v.name))
+    lattice's contraction states: one vertex per entry of the explorer's
+    `fibrations`."""
+    vertices = sorted(
+        (
+            FibrationVertex(_vertex_name(lat, c, base, f), rank, c, base, f)
+            for rank, c, base, f in explorer(lat).fibrations
+        ),
+        key=lambda v: (v.rank, v.name),
+    )
 
     def has_edge(hi: FibrationVertex, lo: FibrationVertex) -> bool:
         if hi.rank <= lo.rank:
@@ -161,7 +143,7 @@ def build_local(lat: Lattice) -> SquareComplex:
         for k in range(len(lo.contracted) + 1)
         for sub in itertools.combinations(lo.contracted, k)
         for i in by_contracted.get(sub, ())
-        if vertices[i].rank > lo.rank and has_edge(vertices[i], lo)
+        if has_edge(vertices[i], lo)
     )
     edges_all = [(vertices[i], vertices[j]) for i, j in pairs]
     below: dict[str, list] = {}
@@ -181,16 +163,9 @@ def build_local(lat: Lattice) -> SquareComplex:
             )
         triangles.append((v3, middles, v1))
 
-    squares = tuple(
-        (v3.name, middles[0].name, v1.name, middles[1].name)
-        for v3, middles, v1 in sorted(
-            triangles, key=lambda t: (t[0].name, t[2].name)
-        )
-    )
-    diagonals = tuple(
-        (v3.name, v1.name)
-        for v3, _, v1 in sorted(triangles, key=lambda t: (t[0].name, t[2].name))
-    )
+    triangles.sort(key=lambda t: (t[0].name, t[2].name))
+    squares = tuple((v3.name, a.name, v1.name, b.name) for v3, (a, b), v1 in triangles)
+    diagonals = tuple((v3.name, v1.name) for v3, _, v1 in triangles)
     kept = tuple(
         (hi.name, lo.name, (hi.rank, lo.rank))
         for hi, lo in sorted(edges_all, key=lambda e: (e[0].name, e[1].name))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -5,8 +6,9 @@ import pytest
 
 from cremona import bertini_census
 from cremona.bertini_census import run_census
-from cremona.field_tower import frobenius_orbit, get_ctx
-from cremona.general_position import general_position_report
+from cremona.field_tower import FieldElement, frobenius_orbit, get_ctx
+from cremona.general_position import ShortOrbit, general_position_report
+from cremona.plane_geometry import ProjTransform, _det3_mod
 
 # Golden regression values, frozen after the first verified exhaustive
 # run at q = 2 (modulus encoding 283).
@@ -33,6 +35,31 @@ def _cache_dir_env(tmp_path_factory):
 def census_q2():
     """The exact q = 2 census, shared across the whole session."""
     return run_census(2, mode="exact", threads=1)
+
+
+def pgl3_elements(q: int):
+    """Every element of PGL_3(F_q) exactly once, in normalized form
+    (first nonzero entry in row-major order equal to 1), deterministic
+    lexicographic order."""
+    for flat in itertools.product(range(q), repeat=9):
+        lead = next((x for x in flat if x), None)
+        if lead != 1:
+            continue
+        rows = (flat[0:3], flat[3:6], flat[6:9])
+        if _det3_mod(rows, q) == 0:
+            continue
+        yield ProjTransform(q, rows)
+
+
+def pair_products(a: FieldElement) -> list[int]:
+    """The four products a_i * tau(a_i) where tau: x -> x^(q^4) is the
+    unique order-2 element of the Galois group; the pairing used in the
+    conic-failure analysis of nodal orbits."""
+    ctx = a.ctx
+    vals = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
+    if len(vals) != 8:
+        raise ShortOrbit("pairing needs a full orbit")
+    return [ctx.mul(vals[i], vals[i + 4]) for i in range(4)]
 
 
 def q2_frobenius_orbits():

@@ -86,10 +86,25 @@ def test_alternating_words_have_length_2n():
         assert w.letters[0][0] == "b" and w.letters[-1][0] == "e"
 
 
+def rand_raw_word(rnd, k, table=T3):
+    """A word of k letters whose e-letters carry 0 to 3 tokens, neither
+    free-reduced nor merged, the empty payload included."""
+    letters = []
+    for _ in range(k):
+        if rnd.random() < 0.5:
+            letters.append(("b", rnd.choice(table.bertini_ids)))
+        else:
+            letters.append(("e", tuple(
+                (rnd.choice(table.e_alphabet), rnd.choice([1, -1]))
+                for _ in range(rnd.randrange(4))
+            )))
+    return TaggedWord(letters)
+
+
 def test_normal_form_idempotent_and_confluent():
     rnd = random.Random(61)
-    for _ in range(1000):
-        w = rand_word(rnd, rnd.randrange(0, 14))
+    for _ in range(2000):
+        w = rand_raw_word(rnd, rnd.randrange(0, 41))
         nf = normal_form(w)
         assert normal_form(nf) == nf
         assert nf.is_normal()
@@ -193,6 +208,80 @@ def test_edge_pair_stabilizer_trivial():
         and left_translate(bnode, v[1]) == bnode
     ]
     assert fixers == [TaggedWord()]
+
+
+def _three_branch_ball(table, radius):
+    """(vertices, edges, dist) of bass_serre_ball as first written, with
+    one frontier step per kind of vertex."""
+    def coset_e_rep(w):
+        if w.letters and w.letters[-1][0] == "e":
+            return TaggedWord(w.letters[:-1])
+        return w
+
+    def coset_b_rep(w, b):
+        if w.letters and w.letters[-1] == ("b", b):
+            return TaggedWord(w.letters[:-1])
+        return w
+
+    def key(node):
+        if node[0] == "elt":
+            return (0, node[1].as_string(), "")
+        if node[0] == "e":
+            return (1, node[1].as_string(), "")
+        return (2, node[2].as_string(), node[1])
+
+    root = TaggedWord()
+    dist = {("elt", root): 0}
+    edges = set()
+    frontier = [("elt", root)]
+    d = 0
+    while d < radius and frontier:
+        nxt = []
+        for node in frontier:
+            if node[0] == "elt":
+                w = node[1]
+                targets = [("e", coset_e_rep(w))]
+                for b in table.bertini_ids:
+                    targets.append(("b", b, coset_b_rep(w, b)))
+                for t in targets:
+                    edges.add((node, t))
+                    if t not in dist:
+                        dist[t] = d + 1
+                        nxt.append(t)
+            elif node[0] == "e":
+                rep = node[1]
+                members = [rep]
+                for token in table.e_alphabet:
+                    for exp in (1, -1):
+                        members.append(
+                            concat(rep, TaggedWord((("e", ((token, exp),)),)))
+                        )
+                for m in members:
+                    t = ("elt", m)
+                    edges.add((t, node))
+                    if t not in dist:
+                        dist[t] = d + 1
+                        nxt.append(t)
+            else:
+                _, b, rep = node
+                for m in (rep, concat(rep, TaggedWord((("b", b),)))):
+                    t = ("elt", m)
+                    edges.add((t, node))
+                    if t not in dist:
+                        dist[t] = d + 1
+                        nxt.append(t)
+        frontier = nxt
+        d += 1
+    vertices = sorted(dist, key=key)
+    return vertices, sorted(edges, key=lambda e: (key(e[0]), key(e[1]))), dist
+
+
+@pytest.mark.parametrize("table", [T3, FactorTable(("b1",), ("j", "g", "h"))])
+def test_ball_matches_three_branch_oracle(table):
+    for radius in range(7):
+        verts, edges, dist = bass_serre_ball(table, radius)
+        assert (verts, edges, dist) == _three_branch_ball(table, radius)
+        assert max(dist.values()) == radius
 
 
 def test_radius_too_large():

@@ -11,7 +11,6 @@ from cremona.bertini_census import (
     canonical_class,
     mq_bound,
     mq_cross_check,
-    pgl3_elements,
     pgl3_order,
     run_census,
     total_degree8_orbits,
@@ -29,6 +28,7 @@ from conftest import (
     Q2_NODAL_CLASSES,
     Q2_TOTAL_ORBITS,
     broken_search,
+    pgl3_elements,
 )
 
 

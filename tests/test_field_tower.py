@@ -107,7 +107,14 @@ def test_find_modulus_degree_one():
     assert find_modulus(2, 1) == (0, 1)  # the polynomial t
 
 
-@pytest.mark.parametrize("p,golden", [(2, F2_OCTIC), (3, F3_OCTIC)])
+@pytest.mark.parametrize("p,golden", [
+    (2, F2_OCTIC),
+    (3, F3_OCTIC),
+    (5, (2, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (7, (3, 1, 0, 0, 0, 0, 0, 0, 1)),
+    (11, (4, 1, 0, 0, 0, 0, 0, 0, 1)),
+    (13, (2, 0, 0, 0, 0, 0, 0, 0, 1)),
+])
 def test_find_modulus_octics_against_scan_oracle(p, golden):
     # exhaustive scan with the independent (Rabin) irreducibility test
     found = None
@@ -123,6 +130,38 @@ def test_find_modulus_octics_against_scan_oracle(p, golden):
             break
     assert found == golden
     assert find_modulus(p, 8) == golden
+
+
+def _trial_division_irreducible(f, p):
+    """Exhaustive trial division by all monic divisors of degree <= deg/2."""
+    n = len(f) - 1
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    if f[0] == 0:  # divisible by t
+        return False
+    for d in range(1, n // 2 + 1):
+        for enc in range(p ** d):
+            div = field_tower._decode(enc, p, d) + [1]
+            if not field_tower._poly_divmod(f, div, p)[1]:
+                return False
+    return True
+
+
+def test_ben_or_matches_trial_division():
+    # every monic polynomial of degree <= 8 over F_2, <= 5 over F_3,
+    # <= 4 over F_5 and <= 3 over F_7, constants included
+    checked = 0
+    for p, top in ((2, 8), (3, 5), (5, 4), (7, 3)):
+        for n in range(top + 1):
+            for low in range(p ** n):
+                f = field_tower._decode(low, p, n) + [1]
+                assert field_tower._poly_is_irreducible(f, p) == (
+                    _trial_division_irreducible(f, p)
+                ), (p, f)
+                checked += 1
+    assert checked == 2056
 
 
 def test_reducible_modulus_rejected():

@@ -6,7 +6,6 @@ import pytest
 
 from cremona import bertini_census
 from cremona import general_position as gp
-from cremona.bertini_census import pgl3_elements
 from cremona.field_tower import FieldElement, frobenius_orbit, get_ctx, rank
 from cremona.general_position import (
     Collision,
@@ -18,7 +17,6 @@ from cremona.general_position import (
     orbit_from_point,
     orbit_from_seed,
     orbit_report,
-    pair_products,
     unexplained_lambda_failures,
 )
 from cremona.nodal_cubic import NodalCubicNF, param_point
@@ -27,6 +25,8 @@ from cremona.plane_geometry import ProjPoint, apply, singular_cubic_through, ver
 from conftest import (
     Q2_GENERAL_POSITION,
     Q2_TOTAL_ORBITS,
+    pair_products,
+    pgl3_elements,
     q13_seed_bad_at_squares,
     q2_frobenius_orbits,
     q7_seed_bad_at_every_lambda,

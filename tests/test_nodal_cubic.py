@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-from cremona.bertini_census import pgl3_elements
 from cremona.field_tower import FieldElement, _poly_trim, frobenius_orbit, get_ctx
 from cremona.general_position import GaloisOrbit8, orbit_from_seed
 from cremona.general_position import test_general_position as gp_verdict
@@ -45,12 +44,19 @@ from cremona.plane_geometry import (
     substitute_form,
 )
 
+from conftest import pgl3_elements
+
 
 def test_normal_form_has_node_with_cone_xz():
-    for q in (2, 3, 7):
-        nf = NodalCubicNF(q, 1)
+    # every normal form the constructor accepts; y appears only in xyz,
+    # so at [0:1:0] the tangent cone is xz
+    for q in (2, 3, 5, 7, 11, 13):
         ctx = get_ctx(q, 1)
-        assert node_check(nf.curve(ctx), ProjPoint(ctx, (0, 1, 0)))
+        for c0 in range(1, q):
+            curve = NodalCubicNF(q, c0).curve(ctx)
+            assert node_check(curve, ProjPoint(ctx, (0, 1, 0)))
+            with_y = {e for e, c in zip(monomials(3), curve.coeffs) if c and e[1]}
+            assert with_y == {(1, 1, 1)}
     with pytest.raises(ZeroArgument):
         NodalCubicNF(3, 0)
 

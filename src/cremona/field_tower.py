@@ -39,6 +39,10 @@ forward elimination alone (`_eliminate`: no pivot is normalised, nothing
 above a pivot is cleared, one `div` per eliminated row); `nullspace`
 follows that pass with a backward one to the reduced echelon form, with
 the same row operation.
+
+A polynomial with F_p coefficients is evaluated in any context by the
+fused `FieldCtx.poly_at`: with tables, c x^i is one exp lookup, since
+log c is read straight off the table for c in F_p.
 """
 
 from __future__ import annotations
@@ -146,6 +150,13 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
     return _poly_trim(out)
+
+
+def _poly_pow(a: list[int], k: int, p: int) -> list[int]:
+    out = [1]
+    for _ in range(k):
+        out = _poly_mul(out, a, p)
+    return out
 
 
 def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -514,6 +525,30 @@ class FieldCtx:
                 z = zech[(lf + log[y] - lx) % units]
                 out.append(exp[lx + z] if z >= 0 else 0)
         return out
+
+    def poly_at(self, terms, x: int) -> int:
+        """The value at x of the polynomial sum of c x^i over `terms`,
+        pairs (i, c) with c a nonzero element of F_p.  With tables each
+        term is the one exp lookup c x^i = g^(log c + i log x), and in
+        characteristic 2 the sum is an inline xor; at x = 0, or without
+        tables, `pow` and `mul` per term."""
+        add = self.add
+        if self._exp is None or x == 0:
+            mul, pw = self.mul, self.pow
+            acc = 0
+            for i, c in terms:
+                acc = add(acc, mul(c, pw(x, i)))
+            return acc
+        exp, log, units = self._exp, self._log, self._units
+        lx = log[x]
+        acc = 0
+        if self.p == 2:
+            for i, _ in terms:
+                acc ^= exp[i * lx % units]
+            return acc
+        for i, c in terms:
+            acc = add(acc, exp[(log[c] + i * lx) % units])
+        return acc
 
     def pow(self, a: int, k: int) -> int:
         if a == 0:

@@ -13,11 +13,20 @@ The count finds singular points before members: the singular points of
 all members of the pencil together are the rank-1 locus of a 4x2
 matrix of forms, and each point names the one member singular there.
 The forms have F_p coefficients, so Frobenius permutes the locus and
-the members alike.  At each extension level m the scan tests one x per
-Frobenius orbit of F_{q^m}, about q^m/m of them, and keeps one point
-per Frobenius orbit of points of exact degree m; the forms are
-evaluated once at that point to name its member, and one node test
-decides the whole orbit of m conjugate members.
+the members alike.  Once per pencil, y is eliminated from two of the
+2x2 minors over F_p by a subresultant sequence: the eliminant r(x) lies
+in the ideal of the minors, so it vanishes at the x of every point of
+the locus off the line z = 0.  At each extension level m, r is
+evaluated at one x per Frobenius orbit of F_{q^m}, about q^m/m of
+them, and only at its roots are the minors solved for y.  r has F_p
+coefficients, so it vanishes on the whole orbit of such an x or on none
+of it, and the pruning cannot lose a point; when every pair of minors
+eliminates to 0, every x stays a candidate.  One point is kept per
+Frobenius orbit of points of exact degree m; the forms are evaluated
+once at that point to name its member, and one node test decides the
+whole orbit of m conjugate members.  The roots of r are found by this
+scan, not by factoring r: factoring over F_p waits for a polynomial
+layer over any field context.
 """
 
 from __future__ import annotations
@@ -30,6 +39,10 @@ from functools import lru_cache
 from .field_tower import (
     FieldCtx,
     FieldElement,
+    _poly_divmod,
+    _poly_mul,
+    _poly_pow,
+    _poly_sub,
     _poly_trim,
     frobenius_orbit,
     get_ctx,
@@ -315,7 +328,7 @@ def _frobenius_orbits(ctx):
     return tuple(out)
 
 
-def _roots(f, ctx, k=1):
+def _roots(f, ctx, k):
     """One root in ctx from each F^k-orbit of roots of a nonzero
     polynomial f with coefficients in F_{p^k}, where F is the p-power
     Frobenius: F^k fixes f, so it permutes the roots.  An F-orbit of size
@@ -335,6 +348,74 @@ def _roots(f, ctx, k=1):
     return out
 
 
+def _prime_roots(terms, ctx):
+    """[(x, k)]: one root x in ctx from each Frobenius orbit of roots of
+    the polynomial with F_p coefficients given by its sparse `terms`
+    [(i, c)], k the size of the orbit.  F fixes the polynomial, so it
+    permutes the roots, and only the least element of each orbit is
+    evaluated, by `FieldCtx.poly_at`; and only on orbits of at most deg f
+    elements, since a root with an orbit of k elements has a minimal
+    polynomial over F_p of degree k, which divides f.  Every element is a
+    root of the zero polynomial, terms = []."""
+    at = ctx.poly_at
+    top = terms[-1][0] if terms else ctx.n
+    return [(x, k) for x, k in _frobenius_orbits(ctx) if k <= top and not at(terms, x)]
+
+
+def _sparse_to_dense(row):
+    """The int list of the sparse polynomial [(i, c)]."""
+    out = [0] * (max((i for i, _ in row), default=-1) + 1)
+    for i, c in row:
+        out[i] = c
+    return out
+
+
+def _prem(a, b, p):
+    """The pseudo-remainder of a by b in F_p[x][y], deg_y a >= deg_y b:
+    lc(b)^(deg a - deg b + 1) a reduced modulo b, one leading term at a
+    time.  A polynomial in y is a list over the powers of y of int lists
+    in x, with no trailing zero entry."""
+    a = a[:]
+    db, lead = len(b) - 1, b[-1]
+    for _ in range(len(a) - db):
+        top = a.pop()
+        off = len(a) - db
+        a = [_poly_mul(lead, c, p) for c in a]
+        for i in range(db):
+            a[off + i] = _poly_sub(a[off + i], _poly_mul(top, b[i], p), p)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _eliminant(a, b, p):
+    """Res_y(a, b) up to sign, for a and b in F_p[x][y] written as in
+    `_prem`, by the subresultant PRS (Collins; Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 3.3.7), whose divisions
+    are exact in F_p[x]; a itself when neither involves y.  Either way
+    the result lies in the ideal (a, b), and it is [], the zero
+    polynomial, exactly when a and b share a factor of positive degree
+    in y.  No squarefree part is taken: in characteristic p, f / gcd(f,
+    f') drops every factor whose multiplicity p divides."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) == 1:
+        return a[0]
+    g = h = [1]
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _prem(a, b, p)
+        if not r:
+            return []
+        den = _poly_mul(g, _poly_pow(h, delta, p), p)
+        a, b = b, [_poly_divmod(c, den, p)[0] for c in r]
+        g = a[-1]
+        if delta:
+            h = _poly_divmod(_poly_pow(g, delta, p), _poly_pow(h, delta - 1, p), p)[0]
+    da = len(a) - 1
+    return _poly_divmod(_poly_pow(b[0], da, p), _poly_pow(h, da - 1, p), p)[0]
+
+
 class _SingularLocus:
     """The singular points of all members of the pencil s g1 + t g2
     together: the points P where rank[v1(P) v2(P)] <= 1, with
@@ -344,12 +425,17 @@ class _SingularLocus:
     chart z = 1 each one is kept as a list, over the powers of y, of
     sparse rows [(i, c)] of its nonzero coefficients c of x^i; on the line
     z = 0 the minors at [x:1:0] are univariate in x with F_p coefficients,
-    so their gcd is taken once.  Since the minors have F_p coefficients,
-    Frobenius permutes the locus, and `points` visits one x per Frobenius
-    orbit of the field, O(q^m/m) x-steps at level m, the list of orbits
-    of each field being built once, on first use.  Raises NotAPencil where
-    the locus is seen not to be finite: a line z = 0 or x = x0 z inside
-    it, or a point where every member is singular.
+    so their gcd is taken once.  The eliminant r, once per pencil too, is
+    the first nonzero `_eliminant` of a pair of charts, the pairs taken in
+    order: a polynomial in x alone with F_p coefficients in the ideal of
+    the charts, so r(x0) = 0 at every point [x0:y0:1] of the locus.  When
+    the charts share a factor in y pair by pair, as on a locus that holds
+    a curve, r is the zero polynomial.  Since the minors have F_p
+    coefficients, Frobenius permutes the locus, and `points` visits one x
+    per Frobenius orbit of roots of r, the list of orbits of each field
+    being built once, on first use.  Raises NotAPencil where the locus is
+    seen not to be finite: a line z = 0 or x = x0 z inside it, or a point
+    where every member is singular.
     """
 
     def __init__(self, g1, g2, prime):
@@ -372,34 +458,48 @@ class _SingularLocus:
             self.corner = self.corner and minor.get((deg, 0, 0), 0) == 0
         if not line:
             raise NotAPencil("the minors vanish on the line z = 0")
-        self.line = line
+        self.line = [(i, c) for i, c in enumerate(line) if c]
         # the highest power of x in the charts, for one table of powers per x0
         self.top = max(i for chart in self.charts for row in chart for i, _ in row)
         # lowest degree in y first, then fewest terms: the gcd of the first
         # two charts is nearly always constant, and its cost grows with
         # their degrees in y
         self.charts.sort(key=lambda chart: (len(chart), sum(map(len, chart))))
+        p = prime.p
+        dense = [[_sparse_to_dense(row) for row in chart] for chart in self.charts]
+        r = []
+        for a, b in itertools.combinations(dense, 2):
+            r = _eliminant(a, b, p)
+            if r:
+                break
+        self.eliminant = [(i, c) for i, c in enumerate(r) if c]
 
     def points(self, ctx):
         """One point from each Frobenius orbit of the points of the locus
         that have exact degree m = ctx.n: those with coordinates in
         F_{q^m} and in no smaller field.
 
-        The chart is scanned over one x0 per Frobenius orbit of ctx.  At
-        each x0 the rows of every chart are evaluated from one table of
-        the powers of x0, and the gcd in y of the charts stops as soon as
-        it is a constant, so roots are sought only at the x0 of the locus.
-        Frobenius maps the fibre over x0 onto the fibre over F(x0), so one
-        root y0 per F^k-orbit of the fibre (k the orbit size of x0) gives
-        one point per Frobenius orbit of points over the orbit of x0; it
-        is kept when that orbit has size m.  On the line z = 0 the roots
-        of the gcd come one per Frobenius orbit, and a point [x0:1:0] has
-        the degree of x0."""
+        The chart is visited only over the roots x0 of the eliminant r,
+        one per Frobenius orbit of ctx (`_prime_roots`).  r lies in the
+        ideal of the charts, so it vanishes at the x0 of every point of
+        the locus with z = 1, and it has F_p coefficients, so it vanishes
+        on the whole Frobenius orbit of such an x0 and at its least
+        element: the pruning loses no point.  When every pair of charts
+        has eliminant 0, r is the zero polynomial and every x0 is visited.
+        At each x0 kept the rows of every chart are evaluated from one
+        table of the powers of x0, and the gcd in y of the charts stops as
+        soon as it is a constant, so roots are sought only at the x0 of
+        the locus.  Frobenius maps the fibre over x0 onto the fibre over
+        F(x0), so one root y0 per F^k-orbit of the fibre (k the orbit
+        size of x0) gives one point per Frobenius orbit of points over the
+        orbit of x0; it is kept when that orbit has size m.  On the line
+        z = 0 the roots of the gcd come one per Frobenius orbit, by the
+        same `_prime_roots`, and a point [x0:1:0] has the degree of x0."""
         m = ctx.n
         add, mul = ctx.add, ctx.mul
         top = self.top
         out = []
-        for x0, k in _frobenius_orbits(ctx):
+        for x0, k in _prime_roots(self.eliminant, ctx):
             powers = [1]
             for _ in range(top):
                 powers.append(mul(powers[-1], x0))
@@ -420,8 +520,8 @@ class _SingularLocus:
                 for y0 in _roots(g, ctx, k):
                     if len(frobenius_orbit(ctx, (x0, y0))) == m:
                         out.append((x0, y0, 1))
-        for x0 in _roots(self.line, ctx):
-            if len(frobenius_orbit(ctx, (x0,))) == m:
+        for x0, k in _prime_roots(self.line, ctx):
+            if k == m:
                 out.append((x0, 1, 0))
         if self.corner and m == 1:
             out.append((1, 0, 0))
@@ -480,7 +580,13 @@ def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     P exactly when s v1(P) + t v2(P) = 0 (the value row keeps this exact
     in characteristic 3, where Euler's relation fails).  So one scan of
     the rank-1 locus of [v1 v2] over P^2(F_{q^m}) finds every singular
-    point of every member, and each point names its member.  At level m
+    point of every member, and each point names its member.  The scan
+    solves for y only over the roots of one eliminant r(x) of two minors,
+    computed once per pencil over F_p; r is in the ideal of the minors
+    and has F_p coefficients, so it vanishes on the whole Frobenius orbit
+    of the x of every point of the locus with z = 1, and pruning by it
+    loses no point.  If every pair of minors eliminates to 0, r is the
+    zero polynomial and the scan keeps every x.  At level m
     only the points of exact degree m are kept, one per Frobenius orbit:
     a point of lower degree names a member of lower degree, which its own
     level has already judged.  The basis has F_p coefficients, so the m

@@ -272,6 +272,8 @@ def test_polynomial_helpers_match_sympy_galoistools(p):
         quot, rem = field_tower._poly_divmod(a, b, p)
         assert rem == little(gt.gf_rem(big(a), big(b), p, ZZ))
         assert [quot, rem] == [little(f) for f in gt.gf_div(big(a), big(b), p, ZZ)]
+        k = rnd.randrange(5)
+        assert field_tower._poly_pow(b, k, p) == little(gt.gf_pow(big(b), k, p, ZZ))
     # field arithmetic on them: inverses by extended Euclid against the
     # Bezout cofactor of sympy, products and powers against the tables
     ctx = get_ctx(p, 4)
@@ -439,6 +441,29 @@ def test_row_sub_matches_mul_and_sub(elimination_ctx):
         b = [rnd.choice((0, rnd.randrange(ctx.size))) for _ in range(8)]
         a[0] = ctx.mul(f, b[0])  # an entry that cancels to 0
         assert ctx.row_sub(a, f, b) == [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a, b)]
+
+
+def test_poly_at_matches_mul_and_add(elimination_ctx):
+    # sparse polynomials with F_p coefficients, the zero polynomial among
+    # them, at 0, at 1 and at seeded points, in the field and in its prime
+    # field; in odd characteristic x^j + (p - 1) x^i cancels at x = 1
+    p = elimination_ctx.p
+    rnd = random.Random(p + 1)
+    for ctx in (elimination_ctx, FieldCtx(p, 1)):
+        def naive(terms, x):
+            acc = 0
+            for i, c in terms:
+                acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, i)))
+            return acc
+
+        polys = [[], [(0, 1)], [(3, 1), (7, p - 1)]]
+        for _ in range(40):
+            support = sorted(rnd.sample(range(30), rnd.randrange(1, 8)))
+            polys.append([(i, rnd.randrange(1, p)) for i in support])
+        xs = [0, 1] + [rnd.randrange(ctx.size) for _ in range(10)]
+        for terms in polys:
+            for x in xs:
+                assert ctx.poly_at(terms, x) == naive(terms, x), (ctx, terms, x)
 
 
 def _planted(ctx, rnd, m, n, k):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -19,7 +20,9 @@ from cremona.nodal_cubic import (
     _pencil_minors,
     _poly_gcd,
     _roots,
+    _eliminant,
     _SingularLocus,
+    _sparse_to_dense,
     count_nodal_members,
     cubic_pencil_basis,
     is_cube,
@@ -641,6 +644,14 @@ def _expand_walk(locus, ctx):
     return {member: sorted(pts) for member, pts in out.items()}
 
 
+@lru_cache(maxsize=None)
+def _scan_orbit(orbit, m):
+    """`_scan_points` on the pencil through the orbit at level m, computed
+    once: the walk and the eliminant are both checked against it."""
+    g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
+    return tuple(_scan_points(g1, g2, get_ctx(orbit.ctx.p, m)))
+
+
 def _assert_walk_matches_scan(orbit, top):
     """Level by level: the points of `points` are one per Frobenius orbit
     of the full scan's points of exact degree m, and `members` gives the
@@ -651,7 +662,7 @@ def _assert_walk_matches_scan(orbit, top):
     locus = _SingularLocus(g1, g2, get_ctx(ctx.p, 1))
     for m in range(1, top + 1):
         sub = get_ctx(ctx.p, m)
-        scan = _scan_points(g1, g2, sub)
+        scan = _scan_orbit(orbit, m)
         pts = [pt for rep in locus.points(sub) for pt in frobenius_orbit(sub, rep)]
         assert len(pts) == len(set(pts)), (orbit, m)
         exact = {pt for pt in scan if len(frobenius_orbit(sub, pt)) == m}
@@ -759,3 +770,164 @@ def test_singular_locus_not_finite():
     cusp = _cubic(ctx, {(2, 0, 1): 1, (0, 3, 0): 1})
     with pytest.raises(NotAPencil, match="every member"):
         _SingularLocus(cusp, _cubic(ctx, {(1, 2, 0): 1}), ctx).members(ctx)
+
+
+# ----------------------------------------------------------------------
+# the eliminant that prunes the x-scan of the singular locus
+
+def _dense_charts(locus):
+    return [[_sparse_to_dense(row) for row in chart] for chart in locus.charts]
+
+
+def _assert_eliminant_vanishes_on_scan(orbit, top):
+    """r != 0, and r(x0) = 0 at the x0 of every point [x0:y0:1] that the
+    full scan finds at the levels 1..top, by Horner's rule on dense r."""
+    ctx = orbit.ctx
+    g1, g2 = cubic_pencil_basis(orbit.points, ctx)
+    r = _sparse_to_dense(_SingularLocus(g1, g2, get_ctx(ctx.p, 1)).eliminant)
+    assert r, orbit
+    for m in range(1, top + 1):
+        sub = get_ctx(ctx.p, m)
+        for x0, _, z0 in _scan_orbit(orbit, m):
+            assert z0 == 0 or _horner(r, x0, sub) == 0, (orbit, m, x0)
+
+
+def test_eliminant_vanishes_on_scanned_points_q2(orbits_q2):
+    for orbit in orbits_q2:
+        _assert_eliminant_vanishes_on_scan(orbit, 12)
+
+
+def test_eliminant_vanishes_on_scanned_points_q3():
+    for orbit in _gp_orbits_q3(31, 6):
+        _assert_eliminant_vanishes_on_scan(orbit, 8)
+
+
+def _integer_resultant(a, b, p):
+    """Res_y(a, b) taken over Z by sympy, of the lifts of a and b with
+    coefficients 0..p-1, then reduced mod p: the Sylvester determinant
+    commutes with the reduction, since the lifts keep their degrees in y."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def lift(f):
+        return sympy.Poly(
+            sum(c * x**i * y**j for j, row in enumerate(f) for i, c in enumerate(row)),
+            y, x, domain=sympy.ZZ,
+        )
+
+    res = lift(a).resultant(lift(b))
+    return _poly_trim([int(c) % p for c in reversed(sympy.Poly(res, x).all_coeffs())])
+
+
+def test_eliminant_matches_integer_resultant():
+    # seeded pairs over F_2, F_3 and F_5 with y-degrees 0..4, some sharing
+    # a factor of positive degree in y (resultant 0); the charts of the
+    # seeded q=3 orbit; Res is taken up to sign.  Two polynomials in x
+    # alone eliminate to the first of them.
+    assert _eliminant([[1, 0, 1]], [[0, 1]], 2) == [1, 0, 1]
+    rnd = random.Random(39)
+    cases = []
+    for p in (2, 3, 5):
+        def bivariate(dy, dx):
+            f = [_poly_trim([rnd.randrange(p) for _ in range(dx + 1)]) for _ in range(dy)]
+            return f + [_poly_trim([rnd.randrange(p) for _ in range(dx)] + [rnd.randrange(1, p)])]
+
+        def times(f, h):
+            out = [[] for _ in range(len(f) + len(h) - 1)]
+            for i, u in enumerate(f):
+                for j, v in enumerate(h):
+                    out[i + j] = _poly_trim(
+                        [(s + t) % p for s, t in itertools.zip_longest(
+                            out[i + j], _poly_mul(u, v, get_ctx(p, 1)), fillvalue=0)])
+            return out
+
+        for _ in range(12):
+            a = bivariate(rnd.randrange(1, 5), rnd.randrange(4))
+            b = bivariate(rnd.randrange(1, 5), rnd.randrange(4))
+            cases.append((a, b, p))
+        cases.append((bivariate(0, 3), bivariate(2, 2), p))  # Res = a0^2
+        for _ in range(4):
+            h = bivariate(1, 2)
+            cases.append((times(bivariate(2, 2), h), times(bivariate(1, 3), h), p))
+    (orbit,) = _gp_orbits_q3(31, 1)
+    g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
+    charts = _dense_charts(_SingularLocus(g1, g2, get_ctx(3, 1)))
+    cases += [(a, b, 3) for a, b in itertools.combinations(charts[:4], 2)]
+    zeros = 0
+    for a, b, p in cases:
+        res = _integer_resultant(a, b, p)
+        zeros += not res
+        assert _eliminant(a, b, p) in (res, [-c % p for c in res]), (a, b, p)
+    assert zeros >= 3 * 4 + 3
+
+
+def test_seeded_q3_orbit_needs_a_later_pair():
+    # the seeded orbit of test_cap12_q3_seeded_orbit: its first three
+    # charts share a factor of positive degree in y, so the pairs (0, 1)
+    # and (0, 2) eliminate to 0 and the pair (0, 3) gives r
+    (orbit,) = _gp_orbits_q3(31, 1)
+    g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
+    locus = _SingularLocus(g1, g2, get_ctx(3, 1))
+    charts = _dense_charts(locus)
+    assert _eliminant(charts[0], charts[1], 3) == []
+    assert _eliminant(charts[0], charts[2], 3) == []
+    r = _eliminant(charts[0], charts[3], 3)
+    assert r and locus.eliminant == [(i, c) for i, c in enumerate(r) if c]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_zero_eliminant_visits_every_x(q):
+    # the member y^2 z is singular along the line y = 0, so every chart
+    # vanishes there and every pair eliminates to 0: r is the zero
+    # polynomial, every x0 is visited, and the walk still gives one point
+    # per orbit of the scanned locus of exact degree m
+    ctx = get_ctx(q, 1)
+    g1 = _cubic(ctx, {(0, 2, 1): 1})
+    g2 = _cubic(ctx, {(0, 3, 0): 1, (0, 0, 3): 1, (1, 0, 2): 1, (3, 0, 0): 1})
+    locus = _SingularLocus(g1, g2, ctx)
+    assert locus.eliminant == []
+    charts = _dense_charts(locus)
+    assert all(not _eliminant(a, b, q) for a, b in itertools.combinations(charts, 2))
+    for m in range(1, 5):
+        sub = get_ctx(q, m)
+        pts = [pt for rep in locus.points(sub) for pt in frobenius_orbit(sub, rep)]
+        assert len(pts) == len(set(pts))
+        exact = {pt for pt in _scan_points(g1, g2, sub) if len(frobenius_orbit(sub, pt)) == m}
+        assert set(pts) == exact
+        line = {(x0, 0, 1) for x0 in range(sub.size) if len(frobenius_orbit(sub, (x0,))) == m}
+        assert line <= exact
+
+
+def _member_degrees(orbit, cap):
+    """((degree, number of members), ...): the degrees of the fields of
+    definition of the singular members of the pencil, up to cap."""
+    ctx = orbit.ctx
+    g1, g2 = cubic_pencil_basis(orbit.points, ctx)
+    locus = _SingularLocus(g1, g2, get_ctx(ctx.p, 1))
+    counts = {m: m * len(locus.members(get_ctx(ctx.p, m))) for m in range(1, cap + 1)}
+    return tuple((m, n) for m, n in counts.items() if n)
+
+
+def test_member_degrees_invariant_under_pgl3_q2(orbits_q2):
+    # the degrees of the singular members are a PGL_3(F_2)-invariant of
+    # the orbit; at cap 12 they are all the singular members
+    degrees = [_member_degrees(orbit, 12) for orbit in orbits_q2]
+    assert Counter(degrees) == {
+        ((1, 1), (11, 11)): 6,
+        ((1, 2), (3, 3), (7, 7)): 4,
+        ((1, 3), (3, 3)): 4,
+        ((1, 2), (7, 7)): 2,
+        ((1, 2), (2, 2), (3, 3)): 2,
+        ((1, 1), (2, 2), (4, 4), (5, 5)): 2,
+        ((1, 3), (2, 2), (4, 4)): 2,
+        ((1, 2), (3, 3), (4, 4)): 2,
+        ((1, 2), (5, 5)): 2,
+        ((1, 2), (2, 2), (5, 5)): 2,
+    }
+    ctx = orbits_q2[0].ctx
+    for g in random.Random(38).sample(list(pgl3_elements(2)), 4):
+        moved = [
+            GaloisOrbit8(ctx, [apply_raw(g.matrix, p, ctx) for p in orbit.points])
+            for orbit in orbits_q2
+        ]
+        assert [_member_degrees(orbit, 12) for orbit in moved] == degrees, g

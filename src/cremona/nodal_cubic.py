@@ -21,12 +21,14 @@ evaluated at one x per Frobenius orbit of F_{q^m}, about q^m/m of
 them, and only at its roots are the minors solved for y.  r has F_p
 coefficients, so it vanishes on the whole orbit of such an x or on none
 of it, and the pruning cannot lose a point; when every pair of minors
-eliminates to 0, every x stays a candidate.  One point is kept per
-Frobenius orbit of points of exact degree m; the forms are evaluated
-once at that point to name its member, and one node test decides the
-whole orbit of m conjugate members.  The roots of r are found by this
-scan, not by factoring r: factoring over F_p waits for a polynomial
-layer over any field context.
+eliminates to 0, every x stays a candidate.  Over a root x in F_p the
+minors are F_p polynomials in y, so that fibre is solved once per pencil
+and each level reads off its roots of that level's degree.  One point is
+kept per Frobenius orbit of points of exact degree m; the forms are
+evaluated once at that point to name its member, and one node test
+decides the whole orbit of m conjugate members.  The roots of r are
+found by this scan, not by factoring r: factoring over F_p waits for a
+polynomial layer over any field context.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ class Reducible(ValueError):
 
 class NotAPencil(ValueError):
     """The cubics through the orbit do not form a pencil, or the singular
-    points of its members are not finitely many."""
+    points of its members are seen not to be finitely many (the three
+    cases of `count_nodal_members`)."""
 
 
 # support of a posed nodal cubic xyz = c0 x^3 + c1 x^2 z + c2 x z^2 + c3 z^3
@@ -258,14 +261,11 @@ def _value_rows(g, prime):
     return [(g, 3)] + [(partial_form(g, 3, v, prime), 2) for v in range(3)]
 
 
-def _pencil_minors(g1, g2, prime):
+def _pencil_minors(rows, p):
     """The six 2x2 minors of [v1 v2], v_i = (g_i, d_x g_i, d_y g_i, d_z g_i),
-    as forms {exponent triple: coefficient in F_p}; zero minors are dropped."""
-    p = prime.p
-    rows = [
-        [{e: c for e, c in zip(monomials(d), f) if c} for f, d in _value_rows(g, prime)]
-        for g in (g1, g2)
-    ]
+    given as the `_value_rows` of g1 and g2, as forms {exponent triple:
+    coefficient in F_p}; zero minors are dropped."""
+    rows = [[{e: c for e, c in zip(monomials(d), f) if c} for f, d in v] for v in rows]
     minors = []
     for j, k in itertools.combinations(range(4), 2):
         minor = _form_mul(rows[0][j], rows[1][k], p)
@@ -421,29 +421,42 @@ class _SingularLocus:
     together: the points P where rank[v1(P) v2(P)] <= 1, with
     v_i = (g_i, d_x g_i, d_y g_i, d_z g_i).
 
-    The six 2x2 minors of [v1 v2] are computed once over F_p.  On the
-    chart z = 1 each one is kept as a list, over the powers of y, of
-    sparse rows [(i, c)] of its nonzero coefficients c of x^i; on the line
-    z = 0 the minors at [x:1:0] are univariate in x with F_p coefficients,
-    so their gcd is taken once.  The eliminant r, once per pencil too, is
-    the first nonzero `_eliminant` of a pair of charts, the pairs taken in
-    order: a polynomial in x alone with F_p coefficients in the ideal of
-    the charts, so r(x0) = 0 at every point [x0:y0:1] of the locus.  When
-    the charts share a factor in y pair by pair, as on a locus that holds
-    a curve, r is the zero polynomial.  Since the minors have F_p
-    coefficients, Frobenius permutes the locus, and `points` visits one x
-    per Frobenius orbit of roots of r, the list of orbits of each field
-    being built once, on first use.  Raises NotAPencil where the locus is
-    seen not to be finite: a line z = 0 or x = x0 z inside it, or a point
-    where every member is singular.
+    The value rows v_i and the six 2x2 minors of [v1 v2] are computed
+    once over F_p.  On the chart z = 1 each minor is kept as a list, over
+    the powers of y, of sparse rows [(i, c)] of its nonzero coefficients c
+    of x^i; on the line z = 0 the minors at [x:1:0] are univariate in x
+    with F_p coefficients, so their gcd is taken once.  The eliminant r,
+    once per pencil too, is the first nonzero `_eliminant` of a pair of
+    charts, the pairs taken in order and each chart made dense when a
+    pair first reads it: a polynomial in x alone with F_p coefficients in
+    the ideal of the charts, so r(x0) = 0 at every point [x0:y0:1] of the
+    locus.  When the charts share a factor in y pair by pair, as on a
+    locus that holds a curve, r is the zero polynomial.  Since the minors
+    have F_p coefficients, Frobenius permutes the locus, and `points`
+    visits one x per Frobenius orbit of roots of r, the list of orbits of
+    each field being built once, on first use.
+
+    The fibre over a root x0 in F_p is solved once per locus, at the
+    first level that visits it: the charts at x0 take values in F_p, so
+    their gcd in y is one polynomial over F_p at every level, and
+    `fibres` keeps it, {x0: sparse terms [(i, c)]}, a constant for a
+    fibre with no point.  Fibres over roots outside F_p are solved at
+    each level that visits them.
+
+    Raises NotAPencil in three cases only: the line z = 0 inside the
+    locus (here), a line x = x0 z inside it (`points`, at each visit of
+    x0, since a zero fibre is not kept), or a point where every member is
+    singular (`member`).  Any other curve in the locus passes unseen
+    (ROADMAP item 12).
     """
 
     def __init__(self, g1, g2, prime):
+        self.prime = prime
         self.rows = [_value_rows(g, prime) for g in (g1, g2)]
         self.charts = []
         line = []
         self.corner = True  # whether [1:0:0] is in the locus
-        for minor in _pencil_minors(g1, g2, prime):
+        for minor in _pencil_minors(self.rows, prime.p):
             deg = sum(next(iter(minor)))
             chart = [[] for _ in range(deg + 1)]
             at_line = [0] * (deg + 1)
@@ -466,18 +479,46 @@ class _SingularLocus:
         # their degrees in y
         self.charts.sort(key=lambda chart: (len(chart), sum(map(len, chart))))
         p = prime.p
-        dense = [[_sparse_to_dense(row) for row in chart] for chart in self.charts]
+        dense = lru_cache(maxsize=None)(
+            lambda i: [_sparse_to_dense(row) for row in self.charts[i]]
+        )
         r = []
-        for a, b in itertools.combinations(dense, 2):
-            r = _eliminant(a, b, p)
+        for i, j in itertools.combinations(range(len(self.charts)), 2):
+            r = _eliminant(dense(i), dense(j), p)
             if r:
                 break
         self.eliminant = [(i, c) for i, c in enumerate(r) if c]
+        self.fibres = {}
+
+    def _fibre(self, x0, ctx):
+        """The gcd in y of the charts at x = x0 over ctx, a trimmed list:
+        the rows of every chart are evaluated from one table of the powers
+        of x0, and the gcd stops as soon as it is a constant.  Raises
+        NotAPencil when every chart vanishes at x0."""
+        add, mul = ctx.add, ctx.mul
+        powers = [1]
+        for _ in range(self.top):
+            powers.append(mul(powers[-1], x0))
+        g = []
+        for chart in self.charts:
+            ys = []
+            for row in chart:
+                acc = 0
+                for i, c in row:
+                    acc = add(acc, powers[i] if c == 1 else mul(c, powers[i]))
+                ys.append(acc)
+            g = _poly_gcd(g, _poly_trim(ys), ctx)
+            if len(g) == 1:
+                return g
+        if not g:
+            raise NotAPencil(f"the minors vanish at every point [{x0}:y:1]")
+        return g
 
     def points(self, ctx):
         """One point from each Frobenius orbit of the points of the locus
         that have exact degree m = ctx.n: those with coordinates in
-        F_{q^m} and in no smaller field.
+        F_{q^m} and in no smaller field.  The levels may be visited in any
+        order and more than once.
 
         The chart is visited only over the roots x0 of the eliminant r,
         one per Frobenius orbit of ctx (`_prime_roots`).  r lies in the
@@ -486,38 +527,30 @@ class _SingularLocus:
         on the whole Frobenius orbit of such an x0 and at its least
         element: the pruning loses no point.  When every pair of charts
         has eliminant 0, r is the zero polynomial and every x0 is visited.
-        At each x0 kept the rows of every chart are evaluated from one
-        table of the powers of x0, and the gcd in y of the charts stops as
-        soon as it is a constant, so roots are sought only at the x0 of
-        the locus.  Frobenius maps the fibre over x0 onto the fibre over
-        F(x0), so one root y0 per F^k-orbit of the fibre (k the orbit
-        size of x0) gives one point per Frobenius orbit of points over the
-        orbit of x0; it is kept when that orbit has size m.  On the line
-        z = 0 the roots of the gcd come one per Frobenius orbit, by the
-        same `_prime_roots`, and a point [x0:1:0] has the degree of x0."""
+        Over x0 in F_p the fibre is the F_p polynomial of `fibres`, solved
+        on the first visit, and the points of exact degree m over x0 are
+        its roots of exact degree m, one per Frobenius orbit, found by the
+        same `_prime_roots`; a level above the degree of the fibre is
+        skipped, since it holds none.  Over an x0 outside F_p the gcd is
+        taken over ctx, so roots are sought only at the x0 of the locus.
+        Frobenius maps the fibre over x0 onto the fibre over F(x0), so one
+        root y0 per F^k-orbit of the fibre (k the orbit size of x0) gives
+        one point per Frobenius orbit of points over the orbit of x0; it
+        is kept when that orbit has size m.  On the line z = 0 the roots
+        of the gcd come one per Frobenius orbit, by `_prime_roots` too,
+        and a point [x0:1:0] has the degree of x0."""
         m = ctx.n
-        add, mul = ctx.add, ctx.mul
-        top = self.top
         out = []
         for x0, k in _prime_roots(self.eliminant, ctx):
-            powers = [1]
-            for _ in range(top):
-                powers.append(mul(powers[-1], x0))
-            g = []
-            for chart in self.charts:
-                ys = []
-                for row in chart:
-                    acc = 0
-                    for i, c in row:
-                        acc = add(acc, powers[i] if c == 1 else mul(c, powers[i]))
-                    ys.append(acc)
-                g = _poly_gcd(g, _poly_trim(ys), ctx)
-                if len(g) == 1:
-                    break
+            if k == 1:
+                if x0 not in self.fibres:
+                    g = self._fibre(x0, self.prime)
+                    self.fibres[x0] = [(i, c) for i, c in enumerate(g) if c]
+                fibre = self.fibres[x0]
+                if m <= fibre[-1][0]:
+                    out.extend((x0, y0, 1) for y0, j in _prime_roots(fibre, ctx) if j == m)
             else:
-                if not g:
-                    raise NotAPencil(f"the minors vanish at every point [{x0}:y:1]")
-                for y0 in _roots(g, ctx, k):
+                for y0 in _roots(self._fibre(x0, ctx), ctx, k):
                     if len(frobenius_orbit(ctx, (x0, y0))) == m:
                         out.append((x0, y0, 1))
         for x0, k in _prime_roots(self.line, ctx):
@@ -586,13 +619,21 @@ def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     and has F_p coefficients, so it vanishes on the whole Frobenius orbit
     of the x of every point of the locus with z = 1, and pruning by it
     loses no point.  If every pair of minors eliminates to 0, r is the
-    zero polynomial and the scan keeps every x.  At level m
-    only the points of exact degree m are kept, one per Frobenius orbit:
-    a point of lower degree names a member of lower degree, which its own
-    level has already judged.  The basis has F_p coefficients, so the m
-    members of a Frobenius orbit are conjugate: one of them is named
-    and node-tested, and the orbit adds m to the count.  Raises
-    NotAPencil when the locus is not finite.
+    zero polynomial and the scan keeps every x.  The fibre over a root of
+    r in F_p is an F_p polynomial in y, solved once for all the levels.
+    At level m only the points of exact degree m are kept, one per
+    Frobenius orbit: a point of lower degree names a member of lower
+    degree, which its own level has already judged.  The basis has F_p
+    coefficients, so the m members of a Frobenius orbit are conjugate:
+    one of them is named and node-tested, and the orbit adds m to the
+    count.
+
+    Raises NotAPencil when the cubics through the orbit are not a pencil,
+    and when the singular locus is seen not to be finite, in three cases
+    only: it holds the line z = 0, or a line x = x0 z with x0 a visited
+    root of r, or a point where every member is singular.  A locus that
+    holds any other curve passes unseen (ROADMAP item 12); on a GP orbit
+    every member is irreducible, so its locus is finite.
     """
     points = orbit.points if hasattr(orbit, "points") else orbit
     ctx = orbit.ctx if hasattr(orbit, "ctx") else points[0].ctx

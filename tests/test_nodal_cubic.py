@@ -19,10 +19,12 @@ from cremona.nodal_cubic import (
     _horner,
     _pencil_minors,
     _poly_gcd,
+    _prime_roots,
     _roots,
     _eliminant,
     _SingularLocus,
     _sparse_to_dense,
+    _value_rows,
     count_nodal_members,
     cubic_pencil_basis,
     is_cube,
@@ -574,7 +576,8 @@ def _scan_points(g1, g2, ctx):
     then the points [x0:1:0] and [1:0:0] where every minor vanishes.
     O(q^m) x-steps per level, where the walk takes one x0 per Frobenius
     orbit."""
-    minors = _pencil_minors(g1, g2, get_ctx(ctx.p, 1))
+    prime = get_ctx(ctx.p, 1)
+    minors = _pencil_minors([_value_rows(g, prime) for g in (g1, g2)], ctx.p)
     add, mul, pw = ctx.add, ctx.mul, ctx.pow
 
     def fibre(minor, x0):
@@ -763,8 +766,10 @@ def test_singular_locus_not_finite():
     # singular, makes the singular locus of the pencil infinite
     ctx = get_ctx(3, 1)
     other = _cubic(ctx, {(0, 3, 0): 1, (0, 0, 3): 1, (1, 0, 2): 1})
-    with pytest.raises(NotAPencil, match="every point"):
-        _SingularLocus(_cubic(ctx, {(2, 1, 0): 1}), other, ctx).members(ctx)
+    locus = _SingularLocus(_cubic(ctx, {(2, 1, 0): 1}), other, ctx)
+    for m in (1, 2):  # a zero fibre over F_p is not kept: each visit raises
+        with pytest.raises(NotAPencil, match="every point"):
+            locus.members(get_ctx(3, m))
     with pytest.raises(NotAPencil, match="z = 0"):
         _SingularLocus(_cubic(ctx, {(1, 0, 2): 1}), other, ctx)
     cusp = _cubic(ctx, {(2, 0, 1): 1, (0, 3, 0): 1})
@@ -875,6 +880,15 @@ def test_seeded_q3_orbit_needs_a_later_pair():
     assert r and locus.eliminant == [(i, c) for i, c in enumerate(r) if c]
 
 
+def _zero_eliminant_pencil(ctx):
+    """y^2 z and y^3 + z^3 + x z^2 + x^3: every pair of charts shares the
+    factor y, so the eliminant is the zero polynomial."""
+    return (
+        _cubic(ctx, {(0, 2, 1): 1}),
+        _cubic(ctx, {(0, 3, 0): 1, (0, 0, 3): 1, (1, 0, 2): 1, (3, 0, 0): 1}),
+    )
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_zero_eliminant_visits_every_x(q):
     # the member y^2 z is singular along the line y = 0, so every chart
@@ -882,8 +896,7 @@ def test_zero_eliminant_visits_every_x(q):
     # polynomial, every x0 is visited, and the walk still gives one point
     # per orbit of the scanned locus of exact degree m
     ctx = get_ctx(q, 1)
-    g1 = _cubic(ctx, {(0, 2, 1): 1})
-    g2 = _cubic(ctx, {(0, 3, 0): 1, (0, 0, 3): 1, (1, 0, 2): 1, (3, 0, 0): 1})
+    g1, g2 = _zero_eliminant_pencil(ctx)
     locus = _SingularLocus(g1, g2, ctx)
     assert locus.eliminant == []
     charts = _dense_charts(locus)
@@ -896,6 +909,80 @@ def test_zero_eliminant_visits_every_x(q):
         assert set(pts) == exact
         line = {(x0, 0, 1) for x0 in range(sub.size) if len(frobenius_orbit(sub, (x0,))) == m}
         assert line <= exact
+
+
+# ----------------------------------------------------------------------
+# the fibres over F_p, solved once per pencil
+
+def _walk(locus, p, levels):
+    """{m: [(points, members)]}, one entry per visit of level m, in the
+    order given, with every list sorted."""
+    out = {}
+    for m in levels:
+        sub = get_ctx(p, m)
+        members = {key: sorted(named) for key, named in locus.members(sub).items()}
+        out.setdefault(m, []).append((sorted(locus.points(sub)), members))
+    return out
+
+
+def _assert_any_level_order(g1, g2, p, top, scan_at, rnd):
+    """One locus visited at the levels 1..top in a shuffled order, one
+    level twice, gives at each level the points and members of a fresh
+    locus walked in order, and those of the full scan `scan_at(m)`."""
+    prime = get_ctx(p, 1)
+    in_order = _walk(_SingularLocus(g1, g2, prime), p, range(1, top + 1))
+    levels = list(range(1, top + 1))
+    rnd.shuffle(levels)
+    levels.insert(rnd.randrange(top + 1), rnd.choice(levels))
+    locus = _SingularLocus(g1, g2, prime)
+    shuffled = _walk(locus, p, levels)
+    assert sorted(map(len, shuffled.values())) == [1] * (top - 1) + [2]
+    for m in range(1, top + 1):
+        assert shuffled[m] == in_order[m] * len(shuffled[m]), (levels, m)
+        sub, scan = get_ctx(p, m), scan_at(m)
+        pts = {pt for rep in shuffled[m][0][0] for pt in frobenius_orbit(sub, rep)}
+        assert pts == {pt for pt in scan if len(frobenius_orbit(sub, pt)) == m}, m
+        assert _expand_walk(locus, sub) == _members_by_point(locus, scan, sub), m
+
+
+def test_levels_in_any_order_match_full_scan(orbits_q2):
+    # the fibres over F_p are kept on the locus from the first level that
+    # visits them; any order of the levels, and a repeated level, gives
+    # the in-order walk and the full scan: the 28 q=2 orbits to cap 12,
+    # the seeded q=3 orbits to cap 8, and the zero-eliminant pencils
+    rnd = random.Random(40)
+    for orbit in orbits_q2 + _gp_orbits_q3(31, 6):
+        g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
+        top = 12 if orbit.ctx.p == 2 else 8
+        _assert_any_level_order(g1, g2, orbit.ctx.p, top, lambda m: _scan_orbit(orbit, m), rnd)
+    for q in (2, 3):
+        g1, g2 = _zero_eliminant_pencil(get_ctx(q, 1))
+        scan_at = lru_cache(maxsize=None)(lambda m: _scan_points(g1, g2, get_ctx(q, m)))
+        _assert_any_level_order(g1, g2, q, 4, scan_at, rnd)
+
+
+def test_fibres_over_the_prime_field_solved_once(orbits_q2, monkeypatch):
+    # a root x0 of r in F_2 is visited at every level of a cap-8 count,
+    # but the gcd in y of the charts over it is taken once
+    calls = Counter()
+    fibre = _SingularLocus._fibre
+
+    def counted(self, x0, ctx):
+        if ctx.in_subfield(x0, 1):
+            calls[x0] += 1
+        return fibre(self, x0, ctx)
+
+    monkeypatch.setattr(_SingularLocus, "_fibre", counted)
+    prime = get_ctx(2, 1)
+    visited = 0
+    for orbit in orbits_q2:
+        g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
+        roots = [x0 for x0, _ in _prime_roots(_SingularLocus(g1, g2, prime).eliminant, prime)]
+        calls.clear()
+        count_nodal_members(orbit, 8)
+        assert calls == Counter(roots), orbit
+        visited += len(roots)
+    assert visited > 0
 
 
 def _member_degrees(orbit, cap):

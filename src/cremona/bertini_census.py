@@ -379,8 +379,8 @@ def run_census(
     Sampled mode makes `sample_size` draws of states of degree 8 by a
     seeded RNG, on one worker whatever `threads` says, and reports a
     certified lower bound on the class count: distinct keys are distinct
-    classes, so it can never overcount.  A sample larger than the
-    (q^16 - q^4)/8 degree-8 orbits raises ValueError before any work.
+    classes, so it can never overcount.  Draws are made with replacement,
+    so a sample may be larger than the number of orbits.
 
     Both modes flag each GP class nodal or not by the lookup of the
     module docstring; the exact census finds 14 nodal classes of 38 at
@@ -431,11 +431,6 @@ def run_census(
     else:
         if not sample_size or sample_size < 1:
             raise ValueError("sampled mode needs a positive sample_size")
-        if sample_size > total:
-            raise ValueError(
-                f"a sample of {sample_size} draws exceeds the {total} "
-                f"degree-8 orbits over F_{q}"
-            )
         import random
 
         rng = random.Random(rng_seed)

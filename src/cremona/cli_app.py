@@ -7,14 +7,14 @@ Sarkisov square complexes with DOT/JSON export), and `amalgam` (word
 reductions, signature, parity, Bass-Serre balls).
 
 Exit codes: 0 success, 2 mathematical violation (a bound, lemma or
-census identity failed: treat as a regression alarm), a lattice outside
-the modelled scope (K^2 <= 0) or a census sample larger than the orbit
-count (both refused before any work), 3 infrastructure failure (an
-output file that cannot be written).  Results of census runs are cached
-under --cache-dir (default $CREMONA_CACHE_DIR or ~/.cache/cremona), keyed
-by the field modulus and the result-format version; a file that holds
-no whole result of the current version is recomputed and overwritten,
-never migrated, and a cache that cannot be read or written is skipped.
+census identity failed: treat as a regression alarm) or a lattice
+outside the modelled scope (K^2 <= 0, refused before any work), 3
+infrastructure failure (an output file that cannot be written).
+Results of census runs are cached under --cache-dir (default
+$CREMONA_CACHE_DIR or ~/.cache/cremona), keyed by the field modulus and
+the result-format version; a file that holds no whole result of the
+current version is recomputed and overwritten, never migrated, and a
+cache that cannot be read or written is skipped.
 """
 
 from __future__ import annotations

@@ -40,9 +40,11 @@ above a pivot is cleared, one `div` per eliminated row); `nullspace`
 follows that pass with a backward one to the reduced echelon form, with
 the same row operation.
 
-A polynomial with F_p coefficients is evaluated in any context by the
-fused `FieldCtx.poly_at`: with tables, c x^i is one exp lookup, since
-log c is read straight off the table for c in F_p.
+A polynomial with coefficients in the context is evaluated by the fused
+`FieldCtx.poly_at`: with tables, c x^i is the one exp lookup
+g^(log c + i log x).  Every other polynomial operation, and the
+arithmetic of contexts without tables, lives in `polynomial`, on int
+coefficient lists over F_p.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ import os
 import random
 from array import array
 from functools import lru_cache
+
+from . import polynomial as poly
 
 __all__ = [
     "FieldCtx",
@@ -127,89 +131,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-# ----------------------------------------------------------------------
-# polynomial arithmetic over F_p: coefficient lists, little-endian; the
-# results carry no trailing zeros
-
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    m = max(len(a), len(b))
-    a, b = a + [0] * (m - len(a)), b + [0] * (m - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_pow(a: list[int], k: int, p: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, a, p)
-    return out
-
-
-def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of num by den over F_p; den must have a
-    nonzero leading coefficient."""
-    rem = _poly_trim(num[:])
-    dn = len(den) - 1
-    dinv = pow(den[-1], -1, p)
-    quot = [0] * max(0, len(rem) - dn)
-    while len(rem) > dn:
-        coef = rem.pop() * dinv % p  # the leading term cancels
-        if coef:
-            off = len(rem) - dn
-            quot[off] = coef
-            for i in range(dn):
-                rem[off + i] = (rem[off + i] - coef * den[i]) % p
-    return _poly_trim(quot), _poly_trim(rem)
-
-
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    return _poly_divmod(_poly_mul(a, b, p), mod, p)[1]
-
-
-def _poly_powmod(a: list[int], k: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
-    base = _poly_divmod(a, mod, p)[1]
-    while k:
-        if k & 1:
-            out = _poly_mulmod(out, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        k >>= 1
-    return out
-
-
-def _poly_is_irreducible(f: list[int], p: int) -> bool:
-    """Ben-Or's test: f of degree n >= 2 is irreducible over F_p iff
-    gcd(t^(p^i) - t mod f, f) = 1 for i = 1, ..., n/2, since a factor
-    of degree i divides t^(p^i) - t.  Works on int coefficient lists
-    alone, so building a field's tables never loops back into it."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    h = [0, 1]
-    for _ in range(n // 2):
-        h = _poly_powmod(h, p, f, p)
-        a, b = f, _poly_sub(h, [0, 1], p)
-        while b:
-            a, b = b, _poly_divmod(a, b, p)[1]
-        if len(a) > 1:
-            return False
-    return True
-
-
 def _decode(e: int, p: int, n: int) -> list[int]:
     out = []
     for _ in range(n):
@@ -238,7 +159,7 @@ def find_modulus(p: int, n: int) -> tuple[int, ...]:
         raise ValueError("degree must be in 1..16")
     for low in range(p ** n):
         f = _decode(low, p, n) + [1]
-        if _poly_is_irreducible(f, p):
+        if poly.is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -289,7 +210,7 @@ class FieldCtx:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree n")
-            if not _poly_is_irreducible(list(modulus), p):
+            if not poly.is_irreducible(list(modulus), p):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
         self._units = self.size - 1
@@ -310,7 +231,7 @@ class FieldCtx:
         for enc in range(2, self.size):
             g = _decode(enc, self.p, self.n)
             if all(
-                _poly_powmod(g, self._units // ell, mod, self.p) != [1]
+                poly.power(g, self._units // ell, self.p, mod) != [1]
                 for ell in fac
             ):
                 return g
@@ -528,12 +449,15 @@ class FieldCtx:
 
     def poly_at(self, terms, x: int) -> int:
         """The value at x of the polynomial sum of c x^i over `terms`,
-        pairs (i, c) with c a nonzero element of F_p.  With tables each
-        term is the one exp lookup c x^i = g^(log c + i log x), and in
-        characteristic 2 the sum is an inline xor; at x = 0, or without
-        tables, `pow` and `mul` per term."""
+        pairs (i, c) with c a nonzero element of the context.  With tables
+        each term is the one exp lookup c x^i = g^(log c + i log x), where
+        i log x is reduced mod the units and exp is doubled, and in
+        characteristic 2 the sum is an inline xor.  At x = 0 the value is
+        the constant term, and without tables `pow` and `mul` per term."""
+        if x == 0:
+            return dict(terms).get(0, 0)
         add = self.add
-        if self._exp is None or x == 0:
+        if self._exp is None:
             mul, pw = self.mul, self.pow
             acc = 0
             for i, c in terms:
@@ -543,11 +467,11 @@ class FieldCtx:
         lx = log[x]
         acc = 0
         if self.p == 2:
-            for i, _ in terms:
-                acc ^= exp[i * lx % units]
+            for i, c in terms:
+                acc ^= exp[log[c] + i * lx % units]
             return acc
         for i, c in terms:
-            acc = add(acc, exp[(log[c] + i * lx) % units])
+            acc = add(acc, exp[log[c] + i * lx % units])
         return acc
 
     def pow(self, a: int, k: int) -> int:
@@ -665,23 +589,16 @@ class FieldCtx:
         return _encode([(-x) % p for x in self._coeffs(a)], p)
 
     def _mul_poly(self, a: int, b: int) -> int:
-        mod = list(self.modulus)
-        return _encode(_poly_mulmod(self._coeffs(a), self._coeffs(b), mod, self.p), self.p)
+        p = self.p
+        prod = poly.mul(self._coeffs(a), self._coeffs(b), p)
+        return _encode(poly.div_rem(prod, list(self.modulus), p)[1], p)
 
     def _pow_poly(self, a: int, k: int) -> int:
-        return _encode(_poly_powmod(self._coeffs(a), k, list(self.modulus), self.p), self.p)
+        return _encode(poly.power(self._coeffs(a), k, self.p, list(self.modulus)), self.p)
 
     def _inv_poly(self, a: int) -> int:
-        # extended Euclid in F_p[t]: s0 a = r0 mod the modulus throughout
-        p = self.p
-        r0, r1 = list(self.modulus), _poly_trim(self._coeffs(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        lead_inv = pow(r0[-1], -1, p)
-        return _encode([c * lead_inv % p for c in s0], p)
+        # the cofactor s of s a = 1 mod the (irreducible) modulus
+        return _encode(poly.gcdex(self._coeffs(a), list(self.modulus), self.p)[1], self.p)
 
     # -- element interface ----------------------------------------------
 

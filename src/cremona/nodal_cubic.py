@@ -27,8 +27,9 @@ and each level reads off its roots of that level's degree.  One point is
 kept per Frobenius orbit of points of exact degree m; the forms are
 evaluated once at that point to name its member, and one node test
 decides the whole orbit of m conjugate members.  The roots of r are
-found by this scan, not by factoring r: factoring over F_p waits for a
-polynomial layer over any field context.
+found by this scan, not by factoring r.  The polynomial arithmetic, the
+eliminant and the root scan live in `polynomial`; this module keeps the
+geometry: the forms, their minors and the locus they cut out.
 """
 
 from __future__ import annotations
@@ -38,18 +39,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field_tower import (
-    FieldCtx,
-    FieldElement,
-    _poly_divmod,
-    _poly_mul,
-    _poly_pow,
-    _poly_sub,
-    _poly_trim,
-    frobenius_orbit,
-    get_ctx,
-    nullspace,
-)
+from . import polynomial as poly
+from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx, nullspace
 from .plane_geometry import (
     PlaneCurve,
     ProjPoint,
@@ -277,145 +268,6 @@ def _pencil_minors(rows, p):
     return minors
 
 
-def _horner(f, x, ctx):
-    """f(x) for a little-endian coefficient list f."""
-    add, mul = ctx.add, ctx.mul
-    acc = 0
-    for c in reversed(f):
-        acc = add(mul(acc, x), c)
-    return acc
-
-
-def _poly_gcd(a, b, ctx):
-    """A gcd (not made monic) of two trimmed little-endian polynomials;
-    gcd(0, 0) = 0, the empty list.  Each reduction step adds -(a_top /
-    b_top) times b, which costs no negation per coefficient, and a
-    nonzero constant ends the loop."""
-    add, mul = ctx.add, ctx.mul
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        a = a[:]
-        lead = ctx.neg(ctx.inv(b[-1]))
-        db = len(b) - 1
-        while len(a) > db:
-            c = mul(a[-1], lead)
-            if c:
-                off = len(a) - 1 - db
-                for i in range(db):
-                    a[off + i] = add(a[off + i], mul(c, b[i]))
-            a.pop()
-        a, b = b, _poly_trim(a)
-    return b or a
-
-
-@lru_cache(maxsize=None)
-def _frobenius_orbits(ctx):
-    """[(least element, orbit size)] over the Frobenius orbits of ctx, by
-    least element: one pass marking a visited bytearray, so that each
-    element is stepped once.  Built on first use and kept per context."""
-    frob = ctx.frobenius
-    seen = bytearray(ctx.size)
-    out = []
-    for x in range(ctx.size):
-        if seen[x]:
-            continue
-        size, y = 1, frob(x)
-        while y != x:
-            seen[y] = 1
-            size, y = size + 1, frob(y)
-        out.append((x, size))
-    return tuple(out)
-
-
-def _roots(f, ctx, k):
-    """One root in ctx from each F^k-orbit of roots of a nonzero
-    polynomial f with coefficients in F_{p^k}, where F is the p-power
-    Frobenius: F^k fixes f, so it permutes the roots.  An F-orbit of size
-    s splits into gcd(k, s) orbits of F^k, one through each of y, Fy, ...,
-    F^(gcd(k, s) - 1) y for its least element y; only these are tested."""
-    if len(f) == 2:
-        return [ctx.div(ctx.neg(f[0]), f[1])]
-    if len(f) < 2:
-        return []
-    frob = ctx.frobenius
-    out = []
-    for y, size in _frobenius_orbits(ctx):
-        for _ in range(math.gcd(k, size)):
-            if _horner(f, y, ctx) == 0:
-                out.append(y)
-            y = frob(y)
-    return out
-
-
-def _prime_roots(terms, ctx):
-    """[(x, k)]: one root x in ctx from each Frobenius orbit of roots of
-    the polynomial with F_p coefficients given by its sparse `terms`
-    [(i, c)], k the size of the orbit.  F fixes the polynomial, so it
-    permutes the roots, and only the least element of each orbit is
-    evaluated, by `FieldCtx.poly_at`; and only on orbits of at most deg f
-    elements, since a root with an orbit of k elements has a minimal
-    polynomial over F_p of degree k, which divides f.  Every element is a
-    root of the zero polynomial, terms = []."""
-    at = ctx.poly_at
-    top = terms[-1][0] if terms else ctx.n
-    return [(x, k) for x, k in _frobenius_orbits(ctx) if k <= top and not at(terms, x)]
-
-
-def _sparse_to_dense(row):
-    """The int list of the sparse polynomial [(i, c)]."""
-    out = [0] * (max((i for i, _ in row), default=-1) + 1)
-    for i, c in row:
-        out[i] = c
-    return out
-
-
-def _prem(a, b, p):
-    """The pseudo-remainder of a by b in F_p[x][y], deg_y a >= deg_y b:
-    lc(b)^(deg a - deg b + 1) a reduced modulo b, one leading term at a
-    time.  A polynomial in y is a list over the powers of y of int lists
-    in x, with no trailing zero entry."""
-    a = a[:]
-    db, lead = len(b) - 1, b[-1]
-    for _ in range(len(a) - db):
-        top = a.pop()
-        off = len(a) - db
-        a = [_poly_mul(lead, c, p) for c in a]
-        for i in range(db):
-            a[off + i] = _poly_sub(a[off + i], _poly_mul(top, b[i], p), p)
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _eliminant(a, b, p):
-    """Res_y(a, b) up to sign, for a and b in F_p[x][y] written as in
-    `_prem`, by the subresultant PRS (Collins; Cohen, *A Course in
-    Computational Algebraic Number Theory*, Alg. 3.3.7), whose divisions
-    are exact in F_p[x]; a itself when neither involves y.  Either way
-    the result lies in the ideal (a, b), and it is [], the zero
-    polynomial, exactly when a and b share a factor of positive degree
-    in y.  No squarefree part is taken: in characteristic p, f / gcd(f,
-    f') drops every factor whose multiplicity p divides."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(a) == 1:
-        return a[0]
-    g = h = [1]
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        r = _prem(a, b, p)
-        if not r:
-            return []
-        den = _poly_mul(g, _poly_pow(h, delta, p), p)
-        a, b = b, [_poly_divmod(c, den, p)[0] for c in r]
-        g = a[-1]
-        if delta:
-            h = _poly_divmod(_poly_pow(g, delta, p), _poly_pow(h, delta - 1, p), p)[0]
-    da = len(a) - 1
-    return _poly_divmod(_poly_pow(b[0], da, p), _poly_pow(h, da - 1, p), p)[0]
-
-
 class _SingularLocus:
     """The singular points of all members of the pencil s g1 + t g2
     together: the points P where rank[v1(P) v2(P)] <= 1, with
@@ -426,15 +278,15 @@ class _SingularLocus:
     the powers of y, of sparse rows [(i, c)] of its nonzero coefficients c
     of x^i; on the line z = 0 the minors at [x:1:0] are univariate in x
     with F_p coefficients, so their gcd is taken once.  The eliminant r,
-    once per pencil too, is the first nonzero `_eliminant` of a pair of
-    charts, the pairs taken in order and each chart made dense when a
-    pair first reads it: a polynomial in x alone with F_p coefficients in
-    the ideal of the charts, so r(x0) = 0 at every point [x0:y0:1] of the
-    locus.  When the charts share a factor in y pair by pair, as on a
-    locus that holds a curve, r is the zero polynomial.  Since the minors
-    have F_p coefficients, Frobenius permutes the locus, and `points`
-    visits one x per Frobenius orbit of roots of r, the list of orbits of
-    each field being built once, on first use.
+    once per pencil too, is the first nonzero `polynomial.eliminant` of a
+    pair of charts, the pairs taken in order and each chart made dense
+    when a pair first reads it: a polynomial in x alone with F_p
+    coefficients in the ideal of the charts, so r(x0) = 0 at every point
+    [x0:y0:1] of the locus.  When the charts share a factor in y pair by
+    pair, as on a locus that holds a curve, r is the zero polynomial.
+    Since the minors have F_p coefficients, Frobenius permutes the locus,
+    and `points` visits one x per Frobenius orbit of roots of r, the list
+    of orbits of each field being built once, on first use.
 
     The fibre over a root x0 in F_p is solved once per locus, at the
     first level that visits it: the charts at x0 take values in F_p, so
@@ -467,11 +319,11 @@ class _SingularLocus:
             while not chart[-1]:
                 chart.pop()
             self.charts.append(chart)
-            line = _poly_gcd(line, _poly_trim(at_line), prime)
+            line = poly.gcd(line, poly.trim(at_line), prime)
             self.corner = self.corner and minor.get((deg, 0, 0), 0) == 0
         if not line:
             raise NotAPencil("the minors vanish on the line z = 0")
-        self.line = [(i, c) for i, c in enumerate(line) if c]
+        self.line = poly.to_sparse(line)
         # the highest power of x in the charts, for one table of powers per x0
         self.top = max(i for chart in self.charts for row in chart for i, _ in row)
         # lowest degree in y first, then fewest terms: the gcd of the first
@@ -480,18 +332,18 @@ class _SingularLocus:
         self.charts.sort(key=lambda chart: (len(chart), sum(map(len, chart))))
         p = prime.p
         dense = lru_cache(maxsize=None)(
-            lambda i: [_sparse_to_dense(row) for row in self.charts[i]]
+            lambda i: [poly.to_dense(row) for row in self.charts[i]]
         )
         r = []
         for i, j in itertools.combinations(range(len(self.charts)), 2):
-            r = _eliminant(dense(i), dense(j), p)
+            r = poly.eliminant(dense(i), dense(j), p)
             if r:
                 break
-        self.eliminant = [(i, c) for i, c in enumerate(r) if c]
+        self.eliminant = poly.to_sparse(r)
         self.fibres = {}
 
     def _fibre(self, x0, ctx):
-        """The gcd in y of the charts at x = x0 over ctx, a trimmed list:
+        """The gcd in y of the charts at x = x0 over ctx, as sparse terms:
         the rows of every chart are evaluated from one table of the powers
         of x0, and the gcd stops as soon as it is a constant.  Raises
         NotAPencil when every chart vanishes at x0."""
@@ -507,12 +359,12 @@ class _SingularLocus:
                 for i, c in row:
                     acc = add(acc, powers[i] if c == 1 else mul(c, powers[i]))
                 ys.append(acc)
-            g = _poly_gcd(g, _poly_trim(ys), ctx)
+            g = poly.gcd(g, poly.trim(ys), ctx)
             if len(g) == 1:
-                return g
+                break
         if not g:
             raise NotAPencil(f"the minors vanish at every point [{x0}:y:1]")
-        return g
+        return poly.to_sparse(g)
 
     def points(self, ctx):
         """One point from each Frobenius orbit of the points of the locus
@@ -521,39 +373,38 @@ class _SingularLocus:
         order and more than once.
 
         The chart is visited only over the roots x0 of the eliminant r,
-        one per Frobenius orbit of ctx (`_prime_roots`).  r lies in the
-        ideal of the charts, so it vanishes at the x0 of every point of
-        the locus with z = 1, and it has F_p coefficients, so it vanishes
-        on the whole Frobenius orbit of such an x0 and at its least
-        element: the pruning loses no point.  When every pair of charts
-        has eliminant 0, r is the zero polynomial and every x0 is visited.
-        Over x0 in F_p the fibre is the F_p polynomial of `fibres`, solved
-        on the first visit, and the points of exact degree m over x0 are
-        its roots of exact degree m, one per Frobenius orbit, found by the
-        same `_prime_roots`; a level above the degree of the fibre is
-        skipped, since it holds none.  Over an x0 outside F_p the gcd is
-        taken over ctx, so roots are sought only at the x0 of the locus.
-        Frobenius maps the fibre over x0 onto the fibre over F(x0), so one
-        root y0 per F^k-orbit of the fibre (k the orbit size of x0) gives
-        one point per Frobenius orbit of points over the orbit of x0; it
-        is kept when that orbit has size m.  On the line z = 0 the roots
-        of the gcd come one per Frobenius orbit, by `_prime_roots` too,
-        and a point [x0:1:0] has the degree of x0."""
+        one per Frobenius orbit of ctx (`polynomial.roots`).  r lies in
+        the ideal of the charts, so it vanishes at the x0 of every point
+        of the locus with z = 1, and it has F_p coefficients, so it
+        vanishes on the whole Frobenius orbit of such an x0 and at its
+        least element: the pruning loses no point.  When every pair of
+        charts has eliminant 0, r is the zero polynomial and every x0 is
+        visited.  Over x0 in F_p the fibre is the F_p polynomial of
+        `fibres`, solved on the first visit; over an x0 outside F_p the
+        gcd is taken over ctx, so roots are sought only at the x0 of the
+        locus.  Frobenius maps the fibre over x0 onto the fibre over
+        F(x0), so one root y0 per F^k-orbit of the fibre (k the orbit size
+        of x0), by the same `polynomial.roots`, gives one point per
+        Frobenius orbit of points over the orbit of x0.  Its orbit has
+        size lcm(k, j), j that of y0, and it is kept when that is m.
+        Since j / gcd(k, j) is at most the degree d of the fibre, a level
+        m > k d holds no point and is skipped.  On the line z = 0 the
+        roots of the gcd come one per Frobenius orbit too, and a point
+        [x0:1:0] has the degree of x0."""
         m = ctx.n
         out = []
-        for x0, k in _prime_roots(self.eliminant, ctx):
-            if k == 1:
-                if x0 not in self.fibres:
-                    g = self._fibre(x0, self.prime)
-                    self.fibres[x0] = [(i, c) for i, c in enumerate(g) if c]
+        for x0, k in poly.roots(self.eliminant, ctx):
+            if k > 1:
+                fibre = self._fibre(x0, ctx)
+            elif x0 in self.fibres:
                 fibre = self.fibres[x0]
-                if m <= fibre[-1][0]:
-                    out.extend((x0, y0, 1) for y0, j in _prime_roots(fibre, ctx) if j == m)
             else:
-                for y0 in _roots(self._fibre(x0, ctx), ctx, k):
-                    if len(frobenius_orbit(ctx, (x0, y0))) == m:
-                        out.append((x0, y0, 1))
-        for x0, k in _prime_roots(self.line, ctx):
+                fibre = self.fibres[x0] = self._fibre(x0, self.prime)
+            if m <= k * fibre[-1][0]:
+                out.extend(
+                    (x0, y0, 1) for y0, j in poly.roots(fibre, ctx, k) if math.lcm(k, j) == m
+                )
+        for x0, k in poly.roots(self.line, ctx):
             if k == m:
                 out.append((x0, 1, 0))
         if self.corner and m == 1:

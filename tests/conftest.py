@@ -62,6 +62,15 @@ def pair_products(a: FieldElement) -> list[int]:
     return [ctx.mul(vals[i], vals[i + 4]) for i in range(4)]
 
 
+def horner(f, x, ctx):
+    """f(x) by Horner's rule, for a dense little-endian list f of
+    encodings over ctx: the oracle of the sparse `poly_at` evaluation."""
+    acc = 0
+    for c in reversed(f):
+        acc = ctx.add(ctx.mul(acc, x), c)
+    return acc
+
+
 def q2_frobenius_orbits():
     """Every degree-8 orbit of P^2(F_{2^8}), each in Frobenius order from
     its least point."""

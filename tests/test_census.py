@@ -558,6 +558,3 @@ def test_census_rejects_bad_arguments():
         run_census(2, mode="other")
     with pytest.raises(ValueError):
         run_census(2, mode="sampled", sample_size=0)
-    # no sample can exceed the 8190 orbits: refused before any draw
-    with pytest.raises(ValueError, match="exceeds the 8190"):
-        run_census(2, mode="sampled", sample_size=Q2_TOTAL_ORBITS + 1)

@@ -138,17 +138,6 @@ def test_census_sampled_records_one_worker(tmp_path):
     assert json.loads(out.read_text())["threads"] == 1
 
 
-def test_census_oversized_sample_exits_2(tmp_path, capsys):
-    # a sample beyond the 8190 orbits at q = 2 is refused before any
-    # draw: one line on stderr and exit code 2, not a traceback
-    argv = ["census", "--q", "2", "--sample", str(Q2_TOTAL_ORBITS + 1),
-            "--cache-dir", str(tmp_path)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("census refused:") and "8190" in err[0]
-    assert list(tmp_path.iterdir()) == []  # nothing cached
-
-
 def test_census_exact_q2(tmp_path, capsys):
     csv_path = tmp_path / "reps.csv"
     assert main(["census", "--q", "2", "--exact", "--no-cache", "--csv", str(csv_path)]) == 0

@@ -132,38 +132,6 @@ def test_find_modulus_octics_against_scan_oracle(p, golden):
     assert find_modulus(p, 8) == golden
 
 
-def _trial_division_irreducible(f, p):
-    """Exhaustive trial division by all monic divisors of degree <= deg/2."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    if f[0] == 0:  # divisible by t
-        return False
-    for d in range(1, n // 2 + 1):
-        for enc in range(p ** d):
-            div = field_tower._decode(enc, p, d) + [1]
-            if not field_tower._poly_divmod(f, div, p)[1]:
-                return False
-    return True
-
-
-def test_ben_or_matches_trial_division():
-    # every monic polynomial of degree <= 8 over F_2, <= 5 over F_3,
-    # <= 4 over F_5 and <= 3 over F_7, constants included
-    checked = 0
-    for p, top in ((2, 8), (3, 5), (5, 4), (7, 3)):
-        for n in range(top + 1):
-            for low in range(p ** n):
-                f = field_tower._decode(low, p, n) + [1]
-                assert field_tower._poly_is_irreducible(f, p) == (
-                    _trial_division_irreducible(f, p)
-                ), (p, f)
-                checked += 1
-    assert checked == 2056
-
-
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FieldCtx(2, 2, (1, 0, 1))  # t^2 + 1 = (t + 1)^2
@@ -244,48 +212,6 @@ def test_polynomial_fallback_arithmetic():
         assert ctx.add(a, ctx.neg(a)) == 0  # the Zech table's -1 entry
         assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
         assert ctx.frobenius_iter(a, 8) == a
-
-
-@pytest.mark.parametrize("p", [2, 3, 7, 13])
-def test_polynomial_helpers_match_sympy_galoistools(p):
-    # sympy lists coefficients big-endian, the helpers little-endian
-    gt = pytest.importorskip("sympy.polys.galoistools")
-    from sympy.polys.domains import ZZ
-
-    def big(f):
-        return [ZZ(c) for c in reversed(f)]
-
-    def little(f):
-        return [int(c) for c in reversed(f)]
-
-    rnd = random.Random(p)
-
-    def poly(deg):
-        return [rnd.randrange(p) for _ in range(deg)] + [rnd.randrange(1, p)]
-
-    for _ in range(60):
-        a, b = poly(rnd.randrange(12)), poly(rnd.randrange(6))
-        if rnd.random() < 0.2:
-            a = []  # the zero polynomial
-        assert field_tower._poly_mul(a, b, p) == little(gt.gf_mul(big(a), big(b), p, ZZ))
-        assert field_tower._poly_sub(a, b, p) == little(gt.gf_sub(big(a), big(b), p, ZZ))
-        quot, rem = field_tower._poly_divmod(a, b, p)
-        assert rem == little(gt.gf_rem(big(a), big(b), p, ZZ))
-        assert [quot, rem] == [little(f) for f in gt.gf_div(big(a), big(b), p, ZZ)]
-        k = rnd.randrange(5)
-        assert field_tower._poly_pow(b, k, p) == little(gt.gf_pow(big(b), k, p, ZZ))
-    # field arithmetic on them: inverses by extended Euclid against the
-    # Bezout cofactor of sympy, products and powers against the tables
-    ctx = get_ctx(p, 4)
-    modulus = big(ctx.modulus)
-    for _ in range(30):
-        a, b = rnd.randrange(1, ctx.size), rnd.randrange(ctx.size)
-        s, _, h = gt.gf_gcdex(big(field_tower._poly_trim(ctx._coeffs(a))), modulus, p, ZZ)
-        assert h == [1]
-        assert ctx._inv_poly(a) == field_tower._encode(little(s), p) == ctx.inv(a)
-        assert ctx._mul_poly(a, b) == ctx.mul(a, b)
-        k = rnd.randrange(50)
-        assert ctx._pow_poly(a, k) == ctx.pow(a, k)
 
 
 @pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (7, 2)])
@@ -444,9 +370,10 @@ def test_row_sub_matches_mul_and_sub(elimination_ctx):
 
 
 def test_poly_at_matches_mul_and_add(elimination_ctx):
-    # sparse polynomials with F_p coefficients, the zero polynomial among
-    # them, at 0, at 1 and at seeded points, in the field and in its prime
-    # field; in odd characteristic x^j + (p - 1) x^i cancels at x = 1
+    # sparse polynomials, the zero polynomial among them, with coefficients
+    # in F_p and with coefficients anywhere in the context, at 0, at 1 and
+    # at seeded points, in the field and in its prime field; in odd
+    # characteristic x^j + (p - 1) x^i cancels at x = 1
     p = elimination_ctx.p
     rnd = random.Random(p + 1)
     for ctx in (elimination_ctx, FieldCtx(p, 1)):
@@ -457,9 +384,11 @@ def test_poly_at_matches_mul_and_add(elimination_ctx):
             return acc
 
         polys = [[], [(0, 1)], [(3, 1), (7, p - 1)]]
-        for _ in range(40):
-            support = sorted(rnd.sample(range(30), rnd.randrange(1, 8)))
-            polys.append([(i, rnd.randrange(1, p)) for i in support])
+        for top in (p, ctx.size):
+            for _ in range(40):
+                support = sorted(rnd.sample(range(30), rnd.randrange(1, 8)))
+                polys.append([(i, rnd.randrange(1, top)) for i in support])
+        assert any(c >= p for terms in polys for _, c in terms) == (ctx.n > 1)
         xs = [0, 1] + [rnd.randrange(ctx.size) for _ in range(10)]
         for terms in polys:
             for x in xs:

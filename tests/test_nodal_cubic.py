@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from cremona.field_tower import FieldElement, _poly_trim, frobenius_orbit, get_ctx
+from cremona.field_tower import FieldElement, frobenius_orbit, get_ctx
 from cremona.general_position import GaloisOrbit8, orbit_from_seed
 from cremona.general_position import test_general_position as gp_verdict
 from cremona.nodal_cubic import (
@@ -15,15 +15,8 @@ from cremona.nodal_cubic import (
     ProductNotOne,
     Reducible,
     ZeroArgument,
-    _frobenius_orbits,
-    _horner,
     _pencil_minors,
-    _poly_gcd,
-    _prime_roots,
-    _roots,
-    _eliminant,
     _SingularLocus,
-    _sparse_to_dense,
     _value_rows,
     count_nodal_members,
     cubic_pencil_basis,
@@ -48,8 +41,9 @@ from cremona.plane_geometry import (
     six_on_conic,
     substitute_form,
 )
+from cremona.polynomial import _frobenius_orbits, eliminant, gcd, roots, to_dense, to_sparse, trim
 
-from conftest import pgl3_elements
+from conftest import horner, pgl3_elements
 
 
 def test_normal_form_has_node_with_cone_xz():
@@ -584,7 +578,7 @@ def _scan_points(g1, g2, ctx):
         out = [0] * 6
         for (i, j, _), c in minor.items():
             out[j] = add(out[j], mul(c, pw(x0, i)))
-        return _poly_trim(out)
+        return trim(out)
 
     forms = []  # the minors as dense forms, for the points with z = 0
     for minor in minors:
@@ -598,13 +592,13 @@ def _scan_points(g1, g2, ctx):
     for x0 in range(ctx.size):
         g = []
         for minor in minors:
-            g = _poly_gcd(g, fibre(minor, x0), ctx)
+            g = gcd(g, fibre(minor, x0), ctx)
             if len(g) == 1:
                 break
         else:
             if not g:
                 raise NotAPencil(f"the minors vanish at every point [{x0}:y:1]")
-            out.extend((x0, y0, 1) for y0 in range(ctx.size) if _horner(g, y0, ctx) == 0)
+            out.extend((x0, y0, 1) for y0 in range(ctx.size) if horner(g, y0, ctx) == 0)
         if vanish((x0, 1, 0)):
             out.append((x0, 1, 0))
     if vanish((1, 0, 0)):
@@ -734,27 +728,43 @@ def _power_orbit(ctx, y, k):
     return out
 
 
-@pytest.mark.parametrize("p, m, k", [(2, 12, 4), (2, 12, 6), (3, 6, 2), (3, 6, 3)])
+@pytest.mark.parametrize(
+    "p, m, k", [(2, 12, 4), (2, 12, 6), (3, 6, 2), (3, 6, 3), (2, 8, 1), (3, 6, 1)]
+)
 def test_roots_over_subfield_match_full_scan(p, m, k):
-    # a polynomial with coefficients in F_{p^k}, k > 1, of degree >= 2: the
-    # minimal polynomial over F_{p^k} of a random r times a random factor
-    # y - a with a in F_{p^k}, times a random quadratic over F_{p^k}
+    # sparse polynomials with coefficients in F_{p^k}: the minimal
+    # polynomial over F_{p^k} of a random r, alone (its roots sit at the
+    # orbit-size bound) and times a random factor y - a with a in F_{p^k}
+    # and a random quadratic over F_{p^k}; two linear polynomials, one
+    # with root 0; and the zero polynomial, of which every element is a
+    # root.  k = 1 gives F_p coefficients; for k > 1 some coefficients
+    # lie outside F_p, which poly_at reads by their logs in characteristic 2
     ctx = get_ctx(p, m)
-    assert sum(size for _, size in _frobenius_orbits(ctx)) == ctx.size
+    assert sum(size for _, size, _ in _frobenius_orbits(ctx)) == ctx.size
+    assert sum(d for _, _, d in _frobenius_orbits(ctx, k)) == ctx.size
     sub = [e for e in range(ctx.size) if ctx.in_subfield(e, k)]
     rnd = random.Random(35 + m + k)
+    polys = [[], [rnd.choice(sub), rnd.choice(sub[1:])], [0, rnd.choice(sub[1:])]]
     for _ in range(20):
         r = rnd.randrange(ctx.size)
         f = [1]
         for y in _power_orbit(ctx, r, k):
             f = _poly_mul(f, [ctx.neg(y), 1], ctx)
+        polys.append(f)
         f = _poly_mul(f, [ctx.neg(rnd.choice(sub)), 1], ctx)
-        f = _poly_mul(f, [rnd.choice(sub), rnd.choice(sub), 1], ctx)
+        polys.append(_poly_mul(f, [rnd.choice(sub), rnd.choice(sub), 1], ctx))
+    outside = 0
+    for f in polys:
         assert all(ctx.in_subfield(c, k) for c in f)
-        # one root per F^k-orbit of roots
-        found = [z for y in _roots(f, ctx, k) for z in _power_orbit(ctx, y, k)]
+        outside += any(not ctx.in_subfield(c, 1) for c in f)
+        # one root per F^k-orbit of roots, with the size of its F-orbit
+        found = []
+        for y, size in roots(to_sparse(f), ctx, k):
+            assert size == len(frobenius_orbit(ctx, (y,)))
+            found += _power_orbit(ctx, y, k)
         assert len(found) == len(set(found))
-        assert set(found) == {y for y in range(ctx.size) if _horner(f, y, ctx) == 0}
+        assert set(found) == {y for y in range(ctx.size) if horner(f, y, ctx) == 0}
+    assert bool(outside) == (k > 1)
 
 
 def _cubic(ctx, terms):
@@ -781,7 +791,7 @@ def test_singular_locus_not_finite():
 # the eliminant that prunes the x-scan of the singular locus
 
 def _dense_charts(locus):
-    return [[_sparse_to_dense(row) for row in chart] for chart in locus.charts]
+    return [[to_dense(row) for row in chart] for chart in locus.charts]
 
 
 def _assert_eliminant_vanishes_on_scan(orbit, top):
@@ -789,12 +799,12 @@ def _assert_eliminant_vanishes_on_scan(orbit, top):
     full scan finds at the levels 1..top, by Horner's rule on dense r."""
     ctx = orbit.ctx
     g1, g2 = cubic_pencil_basis(orbit.points, ctx)
-    r = _sparse_to_dense(_SingularLocus(g1, g2, get_ctx(ctx.p, 1)).eliminant)
+    r = to_dense(_SingularLocus(g1, g2, get_ctx(ctx.p, 1)).eliminant)
     assert r, orbit
     for m in range(1, top + 1):
         sub = get_ctx(ctx.p, m)
         for x0, _, z0 in _scan_orbit(orbit, m):
-            assert z0 == 0 or _horner(r, x0, sub) == 0, (orbit, m, x0)
+            assert z0 == 0 or horner(r, x0, sub) == 0, (orbit, m, x0)
 
 
 def test_eliminant_vanishes_on_scanned_points_q2(orbits_q2):
@@ -821,7 +831,7 @@ def _integer_resultant(a, b, p):
         )
 
     res = lift(a).resultant(lift(b))
-    return _poly_trim([int(c) % p for c in reversed(sympy.Poly(res, x).all_coeffs())])
+    return trim([int(c) % p for c in reversed(sympy.Poly(res, x).all_coeffs())])
 
 
 def test_eliminant_matches_integer_resultant():
@@ -829,19 +839,19 @@ def test_eliminant_matches_integer_resultant():
     # a factor of positive degree in y (resultant 0); the charts of the
     # seeded q=3 orbit; Res is taken up to sign.  Two polynomials in x
     # alone eliminate to the first of them.
-    assert _eliminant([[1, 0, 1]], [[0, 1]], 2) == [1, 0, 1]
+    assert eliminant([[1, 0, 1]], [[0, 1]], 2) == [1, 0, 1]
     rnd = random.Random(39)
     cases = []
     for p in (2, 3, 5):
         def bivariate(dy, dx):
-            f = [_poly_trim([rnd.randrange(p) for _ in range(dx + 1)]) for _ in range(dy)]
-            return f + [_poly_trim([rnd.randrange(p) for _ in range(dx)] + [rnd.randrange(1, p)])]
+            f = [trim([rnd.randrange(p) for _ in range(dx + 1)]) for _ in range(dy)]
+            return f + [trim([rnd.randrange(p) for _ in range(dx)] + [rnd.randrange(1, p)])]
 
         def times(f, h):
             out = [[] for _ in range(len(f) + len(h) - 1)]
             for i, u in enumerate(f):
                 for j, v in enumerate(h):
-                    out[i + j] = _poly_trim(
+                    out[i + j] = trim(
                         [(s + t) % p for s, t in itertools.zip_longest(
                             out[i + j], _poly_mul(u, v, get_ctx(p, 1)), fillvalue=0)])
             return out
@@ -862,7 +872,7 @@ def test_eliminant_matches_integer_resultant():
     for a, b, p in cases:
         res = _integer_resultant(a, b, p)
         zeros += not res
-        assert _eliminant(a, b, p) in (res, [-c % p for c in res]), (a, b, p)
+        assert eliminant(a, b, p) in (res, [-c % p for c in res]), (a, b, p)
     assert zeros >= 3 * 4 + 3
 
 
@@ -874,9 +884,9 @@ def test_seeded_q3_orbit_needs_a_later_pair():
     g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
     locus = _SingularLocus(g1, g2, get_ctx(3, 1))
     charts = _dense_charts(locus)
-    assert _eliminant(charts[0], charts[1], 3) == []
-    assert _eliminant(charts[0], charts[2], 3) == []
-    r = _eliminant(charts[0], charts[3], 3)
+    assert eliminant(charts[0], charts[1], 3) == []
+    assert eliminant(charts[0], charts[2], 3) == []
+    r = eliminant(charts[0], charts[3], 3)
     assert r and locus.eliminant == [(i, c) for i, c in enumerate(r) if c]
 
 
@@ -900,7 +910,7 @@ def test_zero_eliminant_visits_every_x(q):
     locus = _SingularLocus(g1, g2, ctx)
     assert locus.eliminant == []
     charts = _dense_charts(locus)
-    assert all(not _eliminant(a, b, q) for a, b in itertools.combinations(charts, 2))
+    assert all(not eliminant(a, b, q) for a, b in itertools.combinations(charts, 2))
     for m in range(1, 5):
         sub = get_ctx(q, m)
         pts = [pt for rep in locus.points(sub) for pt in frobenius_orbit(sub, rep)]
@@ -977,11 +987,11 @@ def test_fibres_over_the_prime_field_solved_once(orbits_q2, monkeypatch):
     visited = 0
     for orbit in orbits_q2:
         g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
-        roots = [x0 for x0, _ in _prime_roots(_SingularLocus(g1, g2, prime).eliminant, prime)]
+        xs = [x0 for x0, _ in roots(_SingularLocus(g1, g2, prime).eliminant, prime)]
         calls.clear()
         count_nodal_members(orbit, 8)
-        assert calls == Counter(roots), orbit
-        visited += len(roots)
+        assert calls == Counter(xs), orbit
+        visited += len(xs)
     assert visited > 0
 
 

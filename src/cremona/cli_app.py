@@ -353,29 +353,17 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
-def _count(text: str) -> int:
-    """The argparse type of a count: an integer >= 1."""
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
+def _at_least(k: int):
+    """The argparse type of an integer >= k: 1 for a count, 2 for --q-max
+    (so that some prime is checked), 0 for a ball radius."""
 
+    def parse(text: str) -> int:
+        value = _integer(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be >= {k}, got {text!r}")
+        return value
 
-def _at_least_2(text: str) -> int:
-    """The argparse type of --q-max: an integer >= 2, so that some prime
-    is checked."""
-    value = _integer(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {text!r}")
-    return value
-
-
-def _nonnegative(text: str) -> int:
-    """The argparse type of a ball radius: an integer >= 0."""
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
+    return parse
 
 
 def _prime(text: str) -> int:
@@ -411,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, choices=(2, 3), required=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exact", action="store_true", help="exhaustive census (default)")
-    g.add_argument("--sample", type=_count, default=None, metavar="N",
+    g.add_argument("--sample", type=_at_least(1), default=None, metavar="N",
                    help="sampled census of N draws")
-    p.add_argument("--threads", type=_count, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="FILE", help="write the JSON result")
     p.add_argument("--csv", metavar="FILE", help="write class representatives")
@@ -424,10 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a lemma verification suite")
     p.add_argument("lemma", choices=sorted(VERIFIERS))
     p.add_argument("--q", type=_prime, default=2)
-    p.add_argument("--samples", type=_count, default=10000)
-    p.add_argument("--seeds", type=_count, default=100)
+    p.add_argument("--samples", type=_at_least(1), default=10000)
+    p.add_argument("--seeds", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q-max", type=_at_least_2, default=101)
+    p.add_argument("--q-max", type=_at_least(2), default=101)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("chambers", help="chamber decomposition of a lattice")
@@ -439,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complex", help="build a local square complex")
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--points", type=_count, help="number of degree-1 points")
+    g.add_argument("--points", type=_at_least(1), help="number of degree-1 points")
     g.add_argument("--degrees", type=_degrees, metavar="D1,D2,...")
     p.add_argument("--dot", metavar="FILE")
     p.add_argument("--json", metavar="FILE")
@@ -450,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default="")
     p.add_argument("--factors", default="b1,b2")
     p.add_argument("--etokens", default="j")
-    p.add_argument("--radius", type=_nonnegative, default=2)
+    p.add_argument("--radius", type=_at_least(0), default=2)
     p.add_argument("--dot", metavar="FILE")
     p.set_defaults(func=cmd_amalgam)
     return parser

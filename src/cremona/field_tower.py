@@ -5,8 +5,10 @@ encoding of the coefficient vector of a residue polynomial.  This gives a
 bijection with {0, ..., p^n - 1}; the zero and one of the field are the
 ints 0 and 1, and elements of the prime subfield F_p are the ints
 0, ..., p-1 in every context of the same characteristic.  A `FieldCtx`
-carries the modulus and all arithmetic; a thin `FieldElement` wrapper is
-provided for callers that prefer objects over (ctx, int) pairs.
+carries the modulus and all arithmetic: ints plus a context are the one
+arithmetic path.  `FieldElement` only carries such a pair, (ctx, e), as
+the parameter-side API (`param_point`, `orbit_from_seed`, `lambda_scan`,
+...) and the `perfbench` workloads pass it; it has no arithmetic.
 
 For fields of size up to 2^23 the context builds discrete-log tables
 (exp/log, plus Zech logarithms in odd characteristic), so that every
@@ -54,6 +56,7 @@ import os
 import random
 from array import array
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import polynomial as poly
 
@@ -600,28 +603,7 @@ class FieldCtx:
         # the cofactor s of s a = 1 mod the (irreducible) modulus
         return _encode(poly.gcdex(self._coeffs(a), list(self.modulus), self.p)[1], self.p)
 
-    # -- element interface ----------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.ctx is not self:
-                raise ValueError("element from a different context")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.size if value < 0 else value)
-        return FieldElement(self, _encode(list(value), self.p))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        """All encodings 0..p^n-1 (the decode(encode) bijection)."""
-        return range(self.size)
+    # -- digits and serialization ----------------------------------------
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         return tuple(_decode(a, self.p, self.n))
@@ -648,85 +630,12 @@ def get_ctx(p: int, n: int) -> FieldCtx:
     return FieldCtx(p, n)
 
 
-class FieldElement:
-    """An element of F_{p^n}: a context plus its int encoding."""
+class FieldElement(NamedTuple):
+    """An element of F_{p^n} as its context and int encoding, passed whole
+    where an API takes one element; arithmetic goes through `ctx`."""
 
-    __slots__ = ("ctx", "e")
-
-    def __init__(self, ctx: FieldCtx, e: int):
-        self.ctx = ctx
-        self.e = e
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ValueError("mixed field contexts")
-            return other.e
-        if isinstance(other, int):
-            return other % self.ctx.p
-        return NotImplemented
-
-    def __add__(self, other):
-        return FieldElement(self.ctx, self.ctx.add(self.e, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub(self.e, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub(self._coerce(other), self.e))
-
-    def __mul__(self, other):
-        return FieldElement(self.ctx, self.ctx.mul(self.e, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.ctx, self.ctx.div(self.e, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.ctx, self.ctx.div(self._coerce(other), self.e))
-
-    def __pow__(self, k: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.e, k))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.e))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.e == other % self.ctx.p
-        return (
-            isinstance(other, FieldElement)
-            and self.ctx == other.ctx
-            and self.e == other.e
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.ctx.n, self.e))
-
-    def __bool__(self):
-        return self.e != 0
-
-    def __int__(self):
-        return self.e
-
-    def __repr__(self):
-        return f"F({self.ctx.p}^{self.ctx.n})#{self.e}"
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ctx.coeffs(self.e)
-
-    def frobenius(self, times: int = 1) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.frobenius_iter(self.e, times))
-
-    def order(self) -> int:
-        return self.ctx.order(self.e)
-
-    def in_subfield(self, d: int) -> bool:
-        return self.ctx.in_subfield(self.e, d)
+    ctx: FieldCtx
+    e: int
 
 
 def frobenius_orbit(ctx: FieldCtx, x: tuple) -> list[tuple]:
@@ -744,16 +653,6 @@ def frobenius_orbit(ctx: FieldCtx, x: tuple) -> list[tuple]:
 
 # ----------------------------------------------------------------------
 # exact linear algebra over a field context
-
-def _as_rows(matrix, ctx):
-    if ctx is None:
-        first = matrix[0][0]
-        ctx = first.ctx
-        rows = [[int(v.e) for v in row] for row in matrix]
-    else:
-        rows = [[int(v) for v in row] for row in matrix]
-    return rows, ctx
-
 
 def _eliminate(rows, ctx):
     """Forward elimination in place; returns the list of pivot columns.
@@ -787,29 +686,26 @@ def _eliminate(rows, ctx):
     return pivots
 
 
-def rank(matrix, ctx=None) -> int:
-    """The rank, from forward elimination alone (`_eliminate`): the
-    number of pivots of a row echelon form, which is not reduced."""
-    rows, ctx = _as_rows(matrix, ctx)
+def rank(matrix, ctx: FieldCtx) -> int:
+    """The rank of a grid of int encodings over ctx, from forward
+    elimination alone (`_eliminate`): the number of pivots of a row
+    echelon form, which is not reduced."""
+    rows = [[int(v) for v in row] for row in matrix]
     if not rows:
         return 0
     return len(_eliminate(rows, ctx))
 
 
-def nullspace(matrix, ctx=None):
-    """Basis of the right kernel, in reduced echelon form.
+def nullspace(matrix, ctx: FieldCtx) -> list[list[int]]:
+    """Basis of the right kernel of a grid of int encodings over ctx, as
+    int vectors in reduced echelon form.
 
     The forward pass of `rank` is followed by a backward one, from the
     last pivot row up, that scales each pivot to 1 and clears its column
     above it with the same row operation, `FieldCtx.row_sub`.  Each free
     column gives one basis vector, read off the reduced rows.
-
-    `matrix` is either a grid of FieldElement or a grid of int encodings
-    with an explicit ctx.  The result uses the same convention as the
-    input (FieldElement grids give FieldElement vectors).
     """
-    wrap = ctx is None
-    rows, ctx = _as_rows(matrix, ctx)
+    rows = [[int(v) for v in row] for row in matrix]
     if not rows:
         return []
     ncols = len(rows[0])
@@ -832,6 +728,4 @@ def nullspace(matrix, ctx=None):
         for r, pc in enumerate(pivots):
             vec[pc] = ctx.neg(rows[r][fc])
         basis.append(vec)
-    if wrap:
-        return [[FieldElement(ctx, e) for e in vec] for vec in basis]
     return basis

@@ -45,12 +45,12 @@ from .plane_geometry import (
     PlaneCurve,
     ProjPoint,
     ProjTransform,
-    _eval_monomial,
     evaluate_form,
     monomials,
     node_check,
     partial_form,
     substitute_form,
+    veronese_row,
 )
 
 __all__ = [
@@ -230,7 +230,7 @@ def cubic_pencil_basis(orbit_points, ctx: FieldCtx):
     """
     seed = orbit_points[0]
     coords = seed.coords if isinstance(seed, ProjPoint) else seed
-    values = [_eval_monomial(ctx, coords, e) for e in monomials(3)]
+    values = veronese_row(coords, 3, ctx)
     basis = nullspace(list(zip(*map(ctx.coeffs, values))), get_ctx(ctx.p, 1))
     if len(basis) != 2:
         raise NotAPencil(f"kernel dimension {len(basis)} != 2")

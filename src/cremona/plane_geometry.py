@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field_tower import FieldCtx, FieldElement, rank
+from .field_tower import FieldCtx, rank
 
 __all__ = [
     "DuplicatePoint",
@@ -74,18 +74,16 @@ def normalize_coords(coords, ctx: FieldCtx) -> tuple[int, int, int]:
 
 
 class ProjPoint:
-    """A point of P^2 over a field context, stored in normalized form."""
+    """A point of P^2 over a field context, given by three int encodings
+    and stored in normalized form."""
 
     __slots__ = ("ctx", "coords")
 
     def __init__(self, ctx: FieldCtx, coords):
-        vals = []
-        for c in coords:
-            vals.append(c.e if isinstance(c, FieldElement) else int(c))
-        if len(vals) != 3:
+        if len(coords) != 3:
             raise ValueError("a projective point needs 3 coordinates")
         self.ctx = ctx
-        self.coords = normalize_coords(vals, ctx)
+        self.coords = normalize_coords(coords, ctx)
 
     def __eq__(self, other):
         return (
@@ -123,13 +121,13 @@ def _eval_monomial(ctx, coords, expo) -> int:
 
 
 class PlaneCurve:
-    """A plane curve of degree d: a nonzero coefficient vector over
+    """A plane curve of degree d: a nonzero vector of int encodings over
     monomials(d), normalized so the first nonzero coefficient is 1."""
 
     __slots__ = ("ctx", "degree", "coeffs")
 
     def __init__(self, ctx: FieldCtx, degree: int, coeffs):
-        vals = [c.e if isinstance(c, FieldElement) else int(c) for c in coeffs]
+        vals = [int(c) for c in coeffs]
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if len(vals) != len(monomials(degree)):
@@ -150,17 +148,12 @@ class PlaneCurve:
 
     @classmethod
     def from_dict(cls, ctx, degree, coeff_map):
-        """Curve from {exponent triple: coefficient}; negative ints are
+        """Curve from {exponent triple: int encoding}; negative ints are
         taken in the prime subfield (e.g. -1 means p - 1)."""
         idx = _mono_index(degree)
         vals = [0] * len(idx)
         for expo, c in coeff_map.items():
-            if isinstance(c, FieldElement):
-                vals[idx[expo]] = c.e
-            elif c < 0:
-                vals[idx[expo]] = c % ctx.p
-            else:
-                vals[idx[expo]] = int(c)
+            vals[idx[expo]] = c % ctx.p if c < 0 else c
         return cls(ctx, degree, vals)
 
     def evaluate(self, point: ProjPoint) -> int:

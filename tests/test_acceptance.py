@@ -107,13 +107,13 @@ def test_criterion_3_produit_equivalences(q):
     violations = 0
     for _ in range(5000):
         vals = rnd.sample(range(1, ctx.size), 3)
-        pts = [param_point(nf, ctx.element(v)) for v in vals]
+        pts = [param_point(nf, FieldElement(ctx, v)) for v in vals]
         prod = ctx.mul(ctx.mul(vals[0], vals[1]), vals[2])
         if collinear(*pts) != (prod == 1):
             violations += 1
     for _ in range(5000):
         vals = rnd.sample(range(1, ctx.size), 6)
-        pts = [param_point(nf, ctx.element(v)) for v in vals]
+        pts = [param_point(nf, FieldElement(ctx, v)) for v in vals]
         prod = 1
         for v in vals:
             prod = ctx.mul(prod, v)
@@ -233,7 +233,7 @@ def test_criterion_7_nodal_member_bound_exhaustive_q2():
             cur = ctx.frobenius(cur)
             if cur == e:
                 break
-        orbit = orbit_from_seed(nf, ctx.element(e))
+        orbit = orbit_from_seed(nf, FieldElement(ctx, e))
         if not gp.test_general_position(orbit).ok:
             continue
         count = count_nodal_members(orbit, extension_cap=8)

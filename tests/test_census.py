@@ -16,7 +16,7 @@ from cremona.bertini_census import (
     total_degree8_orbits,
     verify_orbit_lemma,
 )
-from cremona.field_tower import frobenius_orbit, get_ctx
+from cremona.field_tower import FieldElement, frobenius_orbit, get_ctx
 from cremona.general_position import GaloisOrbit8, orbit_from_seed
 from cremona.nodal_cubic import NodalCubicNF, param_point
 from cremona.plane_geometry import ProjTransform, apply, apply_raw
@@ -145,7 +145,7 @@ def nodal_class_keys(q: int) -> set:
         for e in range(1, ctx.size):
             params = frobenius_orbit(ctx, (e,))
             if len(params) == 8 and min(params) == params[0]:
-                coords = param_point(nf, ctx.element(e)).coords
+                coords = param_point(nf, FieldElement(ctx, e)).coords
                 points = frobenius_orbit(ctx, coords)
                 if gp.general_position_report(points, ctx).ok:
                     keys.add(canonical_class(GaloisOrbit8(ctx, points)))
@@ -209,7 +209,7 @@ def test_orbit_stream_prefix_q3():
 def test_canonical_class_invariance_and_stability():
     ctx = get_ctx(2, 8)
     nf = NodalCubicNF(2, 1)
-    orbit = orbit_from_seed(nf, ctx.element(2))
+    orbit = orbit_from_seed(nf, FieldElement(ctx, 2))
     key = canonical_class(orbit)
     rnd = random.Random(41)
     group = list(pgl3_elements(2))
@@ -218,7 +218,7 @@ def test_canonical_class_invariance_and_stability():
         assert canonical_class(image) == key
     assert canonical_class(orbit) == key  # stable across calls
     # distinct classes separate
-    other = orbit_from_seed(nf, ctx.element(3))
+    other = orbit_from_seed(nf, FieldElement(ctx, 3))
     assert canonical_class(other) != key
 
 
@@ -464,7 +464,7 @@ def test_exact_census_q3(census_q3):
         if ctx.in_subfield(e, 4):
             continue
         nf = NodalCubicNF(3, rnd.randrange(1, 3))
-        hit = bertini_census._class_of((3, param_point(nf, ctx.element(e)).coords, None))
+        hit = bertini_census._class_of((3, param_point(nf, FieldElement(ctx, e)).coords, None))
         if hit:
             assert hit[2], f"parameter {e}, c0 = {nf.c0}"
             flagged += 1

@@ -7,7 +7,6 @@ import pytest
 from cremona import field_tower, plane_geometry
 from cremona.field_tower import (
     FieldCtx,
-    FieldElement,
     ZeroElement,
     euler_phi,
     find_modulus,
@@ -244,9 +243,10 @@ def test_subfield_membership_matches_orbit_length():
 
 def test_element_order():
     ctx = get_ctx(2, 8)
-    assert ctx.one.order() == ctx.order(1) == 1
+    assert ctx.order(1) == 1
     gen = next(e for e in range(2, 256) if ctx.order(e) == 255)
-    assert ctx.element(gen).order() == 255
+    assert ctx.pow(gen, 255 // 3) != 1 and ctx.pow(gen, 255 // 5) != 1
+    assert ctx.pow(gen, 255 // 17) != 1 and ctx.pow(gen, 255) == 1
     with pytest.raises(ZeroElement):
         ctx.order(0)
     c3 = get_ctx(3, 8)
@@ -260,17 +260,6 @@ def test_euler_phi():
     # direct-count oracle for 255
     direct = sum(1 for k in range(1, 256) if math.gcd(k, 255) == 1)
     assert euler_phi(255) == direct == 128
-
-
-def test_element_wrapper_arithmetic():
-    ctx = get_ctx(3, 4)
-    a, b = ctx.element(37), ctx.element(53)
-    assert (a + b) - b == a
-    assert (a * b) / b == a
-    assert a * 1 == a and a + 0 == a
-    assert (a ** 3) * a == a ** 4
-    assert -(-a) == a
-    assert a.frobenius().frobenius() == a.frobenius(2) == a ** 9
 
 
 def test_nullspace_trivial_cases():
@@ -451,12 +440,6 @@ def test_rank_matches_rref_oracle_on_every_q2_orbit(monkeypatch):
             assert got == _rref_oracle(matrix, ctx)[0]
             deficient += got < len(matrix[0])
     assert deficient  # some orbit fails a conic or cubic condition
-
-
-def test_field_element_wrapper_matrix_interface():
-    ctx = get_ctx(2, 8)
-    grid = [[ctx.element(1), ctx.element(0)], [ctx.element(0), ctx.element(1)]]
-    assert nullspace(grid) == []
 
 
 def test_serialization():

@@ -149,7 +149,7 @@ def tier(report):
 def test_orbit_report_needs_frobenius_order():
     # a GaloisOrbit8 holds its points in Frobenius order from the least
     # one, whatever order they come in; orbit_report refuses any other
-    orbit = orbit_from_seed(NF, CTX.element(2))
+    orbit = orbit_from_seed(NF, FieldElement(CTX, 2))
     frob_order = frobenius_orbit(CTX, min(orbit.points))
     assert list(orbit.points) == frob_order and orbit.seed == min(frob_order)
     for points in (sorted(frob_order), frob_order[3:] + frob_order[:3], frob_order[::-1]):
@@ -382,7 +382,7 @@ def test_nodal_orbits_q2_exhaustive_facts():
     assert len(seeds) == 30
     ok_count = 0
     for e in seeds:
-        orbit = orbit_from_seed(NF, CTX.element(e))
+        orbit = orbit_from_seed(NF, FieldElement(CTX, e))
         report = gp.test_general_position(orbit)
         assert not report.failed_lines
         # run the cubic systems directly even when conics already failed
@@ -393,7 +393,7 @@ def test_nodal_orbits_q2_exhaustive_facts():
             ok_count += 1
         else:
             assert report.failed_conics
-            pis = pair_products(CTX.element(e))
+            pis = pair_products(FieldElement(CTX, e))
             assert len(set(pis)) == 1
             pi = pis[0]
             assert CTX.pow(pi, 3) == 1
@@ -408,7 +408,7 @@ def test_general_position_pgl_invariant_exhaustive():
     rnd = random.Random(31)
     sample = rnd.sample(seeds, 10)
     for e in sample:
-        orbit = orbit_from_seed(NF, CTX.element(e))
+        orbit = orbit_from_seed(NF, FieldElement(CTX, e))
         verdict = gp.test_general_position(orbit).ok
         for g in group:
             image = GaloisOrbit8(
@@ -419,31 +419,30 @@ def test_general_position_pgl_invariant_exhaustive():
 
 def test_orbit_from_seed_contract():
     x = next(e for e in range(2, 256) if CTX.order(e) == 17)
-    orbit = orbit_from_seed(NF, CTX.element(x))
+    orbit = orbit_from_seed(NF, FieldElement(CTX, x))
     assert len(orbit.points) == 8
     with pytest.raises(ShortOrbit):
-        orbit_from_seed(NF, CTX.element(1))
+        orbit_from_seed(NF, FieldElement(CTX, 1))
     # any element of F_16 is short
     f16 = next(e for e in range(2, 256) if CTX.in_subfield(e, 4))
     with pytest.raises(ShortOrbit):
-        orbit_from_seed(NF, CTX.element(f16))
+        orbit_from_seed(NF, FieldElement(CTX, f16))
 
 
 def test_param_commutes_with_frobenius():
     rnd = random.Random(32)
     for _ in range(100):
         e = rnd.randrange(1, 256)
-        a = CTX.element(e)
-        lhs = param_point(NF, a.frobenius())
-        rhs = param_point(NF, a).frobenius()
+        lhs = param_point(NF, FieldElement(CTX, CTX.frobenius(e)))
+        rhs = param_point(NF, FieldElement(CTX, e)).frobenius()
         assert lhs == rhs
 
 
 def test_lambda_scan_q2():
     seeds = nodal_seeds_q2()
     for e in seeds:
-        bad = lambda_scan(NF, CTX.element(e))
-        ok = gp.test_general_position(orbit_from_seed(NF, CTX.element(e))).ok
+        bad = lambda_scan(NF, FieldElement(CTX, e))
+        ok = gp.test_general_position(orbit_from_seed(NF, FieldElement(CTX, e))).ok
         assert bad == ([] if ok else [1])
 
 
@@ -454,9 +453,9 @@ def test_beta_twist_identity_and_coherence():
         e = rnd.randrange(1, 256)
         if CTX.in_subfield(e, 4):
             continue
-        a = CTX.element(e)
-        assert beta_twist(a, CTX.element(1)).e == e
-        beta = CTX.element(rnd.choice(betas))
+        a = FieldElement(CTX, e)
+        assert beta_twist(a, FieldElement(CTX, 1)).e == e
+        beta = FieldElement(CTX, rnd.choice(betas))
         b = beta_twist(a, beta)  # raises if coherence fails
         assert b.e == CTX.mul(beta.e, a.e)
 
@@ -478,12 +477,12 @@ def test_beta_twist_repairs_every_nonregular_orbit_q2():
     failing = [
         e
         for e in nodal_seeds_q2()
-        if not gp.test_general_position(orbit_from_seed(NF, CTX.element(e))).ok
+        if not gp.test_general_position(orbit_from_seed(NF, FieldElement(CTX, e))).ok
     ]
     assert len(failing) == 2
     for e in failing:
         for beta in betas:
-            twisted = beta_twist(CTX.element(e), CTX.element(beta))
+            twisted = beta_twist(FieldElement(CTX, e), FieldElement(CTX, beta))
             orbit = orbit_from_seed(NF, twisted)
             assert gp.test_general_position(orbit).ok
 
@@ -493,14 +492,14 @@ def test_short_orbit_on_collapsing_twist():
     x = next(e for e in range(2, 256) if not CTX.in_subfield(e, 4))
     beta_candidates = [e for e in range(2, 256) if CTX.in_subfield(e, 4)]
     for beta in beta_candidates:
-        b = beta_twist(CTX.element(x), CTX.element(beta))
+        b = beta_twist(FieldElement(CTX, x), FieldElement(CTX, beta))
         assert not CTX.in_subfield(b.e, 4)
 
 
 def test_orbit_serialization():
     # the points in Frobenius order from the least; equal point sets give
     # equal orbits, whatever order they come in
-    orbit = orbit_from_seed(NF, CTX.element(2))
+    orbit = orbit_from_seed(NF, FieldElement(CTX, 2))
     data = orbit.to_json()
     points = [tuple(p) for p in data]
     assert points == frobenius_orbit(CTX, min(points))
@@ -511,7 +510,7 @@ def test_orbit_serialization():
 
 def test_pair_products_need_full_orbit():
     with pytest.raises(ShortOrbit):
-        pair_products(CTX.element(1))
+        pair_products(FieldElement(CTX, 1))
 
 
 @pytest.mark.slow

@@ -63,9 +63,9 @@ def test_normal_form_has_node_with_cone_xz():
 def test_param_point_neutral_element():
     nf = NodalCubicNF(2, 1)
     ctx = get_ctx(2, 8)
-    assert param_point(nf, ctx.element(1)).coords == (1, 0, 1)
+    assert param_point(nf, FieldElement(ctx, 1)).coords == (1, 0, 1)
     with pytest.raises(ZeroArgument):
-        param_point(nf, ctx.element(0))
+        param_point(nf, FieldElement(ctx, 0))
 
 
 def test_param_points_lie_on_curve():
@@ -75,7 +75,7 @@ def test_param_points_lie_on_curve():
         ctx = get_ctx(q, 8)
         curve = nf.curve(ctx)
         for _ in range(1000):
-            a = ctx.element(rnd.randrange(1, ctx.size))
+            a = FieldElement(ctx, rnd.randrange(1, ctx.size))
             assert curve.evaluate(param_point(nf, a)) == 0
 
 
@@ -86,7 +86,7 @@ def test_collinearity_iff_product_one(q):
     nf = NodalCubicNF(q, 1)
     for _ in range(2000):
         vals = rnd.sample(range(1, ctx.size), 3)
-        pts = [param_point(nf, ctx.element(v)) for v in vals]
+        pts = [param_point(nf, FieldElement(ctx, v)) for v in vals]
         prod = ctx.mul(ctx.mul(vals[0], vals[1]), vals[2])
         assert collinear(*pts) == (prod == 1)
 
@@ -98,7 +98,7 @@ def test_coconic_iff_product_one(q):
     nf = NodalCubicNF(q, 1)
     for _ in range(2000):
         vals = rnd.sample(range(1, ctx.size), 6)
-        pts = [param_point(nf, ctx.element(v)) for v in vals]
+        pts = [param_point(nf, FieldElement(ctx, v)) for v in vals]
         prod = 1
         for v in vals:
             prod = ctx.mul(prod, v)
@@ -112,7 +112,7 @@ def test_collinearity_systematic_over_f256():
     import itertools
 
     pool = list(range(1, 33))
-    pts = {v: param_point(nf, ctx.element(v)) for v in pool}
+    pts = {v: param_point(nf, FieldElement(ctx, v)) for v in pool}
     for a, b, c in itertools.combinations(pool, 3):
         prod = ctx.mul(ctx.mul(a, b), c)
         assert collinear(pts[a], pts[b], pts[c]) == (prod == 1)
@@ -128,10 +128,10 @@ def test_line_witness():
         a3 = ctx.inv(ctx.mul(a1, a2))
         if len({a1, a2, a3}) != 3 or 0 in (a1, a2, a3):
             continue
-        line = line_witness(nf, ctx.element(a1), ctx.element(a2), ctx.element(a3))
+        line = line_witness(nf, *(FieldElement(ctx, a) for a in (a1, a2, a3)))
         assert line.degree == 1
         for v in (a1, a2, a3):
-            assert line.evaluate(param_point(nf, ctx.element(v))) == 0
+            assert line.evaluate(param_point(nf, FieldElement(ctx, v))) == 0
 
 
 def test_line_witness_coefficients_match_expansion():
@@ -139,8 +139,8 @@ def test_line_witness_coefficients_match_expansion():
     # A = -c0 e1(a), B = c0 e2(a) (elementary symmetric functions)
     ctx = get_ctx(7, 2)
     nf = NodalCubicNF(7, 2)
-    a1, a2 = ctx.element(5), ctx.element(11)
-    a3 = ctx.element(ctx.inv(ctx.mul(5, 11)))
+    a1, a2 = FieldElement(ctx, 5), FieldElement(ctx, 11)
+    a3 = FieldElement(ctx, ctx.inv(ctx.mul(5, 11)))
     line = line_witness(nf, a1, a2, a3)
     vals = [a1.e, a2.e, a3.e]
     e1 = 0
@@ -162,21 +162,21 @@ def test_line_witness_contract_errors():
     ctx = get_ctx(7, 2)
     nf = NodalCubicNF(7, 1)
     with pytest.raises(ProductNotOne):
-        line_witness(nf, ctx.element(2), ctx.element(3), ctx.element(4))
+        line_witness(nf, FieldElement(ctx, 2), FieldElement(ctx, 3), FieldElement(ctx, 4))
     with pytest.raises(ZeroArgument):
-        line_witness(nf, ctx.element(0), ctx.element(3), ctx.element(4))
+        line_witness(nf, FieldElement(ctx, 0), FieldElement(ctx, 3), FieldElement(ctx, 4))
 
 
 def test_is_cube():
     c2 = get_ctx(2, 1)
-    assert is_cube(c2.element(1))
+    assert is_cube(FieldElement(c2, 1))
     c7 = get_ctx(7, 1)
     cubes = {c7.pow(x, 3) for x in range(1, 7)}
     assert len(cubes) == 2  # (q-1)/3 cubes when 3 | q-1
     for x in range(1, 7):
-        assert is_cube(c7.element(x)) == (x in cubes)
+        assert is_cube(FieldElement(c7, x)) == (x in cubes)
     with pytest.raises(ZeroArgument):
-        is_cube(c7.element(0))
+        is_cube(FieldElement(c7, 0))
 
 
 def _posed_cubic(ctx, c0, c1, c2, c3):
@@ -238,7 +238,7 @@ def test_pencil_basis_and_not_a_pencil():
     ctx = get_ctx(2, 8)
     nf = NodalCubicNF(2, 1)
     x = next(e for e in range(2, 256) if ctx.order(e) == 17)
-    orbit = orbit_from_seed(nf, ctx.element(x))
+    orbit = orbit_from_seed(nf, FieldElement(ctx, x))
     g1, g2 = cubic_pencil_basis(orbit.points, ctx)
     # both members vanish at every orbit point
     for coeffs in (g1, g2):
@@ -256,7 +256,7 @@ def test_count_nodal_members_regression_witness():
     # and already 1 over the prime field (the defining cubic)
     ctx = get_ctx(2, 8)
     nf = NodalCubicNF(2, 1)
-    orbit = orbit_from_seed(nf, ctx.element(2))
+    orbit = orbit_from_seed(nf, FieldElement(ctx, 2))
     assert gp_verdict(orbit).ok
     count = count_nodal_members(orbit, extension_cap=8)
     assert count == 8
@@ -379,7 +379,7 @@ def _gp_nodal_orbits_q2():
         if ctx.in_subfield(e, 4) or e in seen:
             continue
         seen.update(v for (v,) in frobenius_orbit(ctx, (e,)))
-        orbit = orbit_from_seed(nf, ctx.element(e))
+        orbit = orbit_from_seed(nf, FieldElement(ctx, e))
         if gp_verdict(orbit).ok:
             out.append(orbit)
     return out
@@ -396,7 +396,7 @@ def _gp_orbits_q3(seed, n):
         nf = NodalCubicNF(3, rnd.randrange(1, 3))
         if ctx.in_subfield(e, 4):
             continue
-        orbit = orbit_from_seed(nf, ctx.element(e))
+        orbit = orbit_from_seed(nf, FieldElement(ctx, e))
         if gp_verdict(orbit).ok:
             out.append(orbit)
     return out

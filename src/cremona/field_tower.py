@@ -20,7 +20,8 @@ Table layout: exp holds g^0..g^(u-1) twice over (u = size - 1 units), so
 a product is the one lookup exp[log a + log b]; log and Zech hold one
 entry per element and per unit.  Fields up to 2^17 elements keep them as
 Python lists, with a Frobenius table besides; larger ones as array('i'),
-4 bytes an entry, so F_{7^8} takes 4 (2u + size + u) bytes, about 88 MB.
+4 bytes an entry, so F_{7^8} takes 4 (2u + size + u) bytes, about 88 MB,
+and take x^p as the one lookup exp[p log x mod u].
 From 2^20 elements on, the exp table is cached on disk as an int32 .npy
 file under `cache_dir()`.  A cached table is used only after it passes
 checks of its dtype and shape, of its range, of bijectivity onto the
@@ -40,7 +41,10 @@ without tables fall back to `mul` and `sub` per entry.  `rank` runs
 forward elimination alone (`_eliminate`: no pivot is normalised, nothing
 above a pivot is cleared, one `div` per eliminated row); `nullspace`
 follows that pass with a backward one to the reduced echelon form, with
-the same row operation.
+the same row operation.  Its one caller in `src/` is
+`nodal_cubic.cubic_pencil_basis`, on the F_p relations among ten values;
+the general-position test finds its F_p kernel by eliminating on the
+field elements themselves (`general_position._prime_kernel`).
 
 A polynomial with coefficients in the context is evaluated by the fused
 `FieldCtx.poly_at`: with tables, c x^i is the one exp lookup
@@ -491,9 +495,13 @@ class FieldCtx:
         return self._exp[(self._log[a] * k) % self._units]
 
     def frobenius(self, a: int) -> int:
-        """x -> x^p, the generating field automorphism."""
+        """x -> x^p, the generating field automorphism: one lookup in the
+        Frobenius table of a small field, else with tables the one exp
+        lookup g^(p log x mod u)."""
         if self._frob_table is not None:
             return self._frob_table[a]
+        if self._exp is not None:
+            return self._exp[self._log[a] * self.p % self._units] if a else 0
         return self.pow(a, self.p)
 
     def frobenius_iter(self, a: int, i: int) -> int:

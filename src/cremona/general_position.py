@@ -40,6 +40,16 @@ on the same points.
   and conics is in general position, and
   `GeneralPositionReport.failed_cubics` is empty on every report of
   `orbit_report`.
+- Lines, in an affine chart.  Take a coordinate c with points[0][c]
+  nonzero; it is nonzero at every point, since Frobenius fixes 0.  Let
+  u and v be the other two coordinates of points[0] divided by its
+  coordinate c: at points[k] they are F^k(u) and F^k(v), whatever
+  scaling the coordinates carry.  With du_k = F^k(u) - u and
+  dv_k = F^k(v) - v, the triple (0, j, k) is collinear iff
+  du_j dv_k = du_k dv_j.  Every line representative contains 0 (the
+  least member of a class does) and has k <= 6, so past one inverse
+  and two products for the chart the tier costs 12 Frobenius steps, 12
+  sums and 14 products.
 - Conics.  Decided by one small system over F_q, read off the base-p
   digits of the conic monomials at points[0]; digit b is the coefficient
   of x^b in the power basis 1, x, ..., x^7 of F_{q^8} over F_q, x the
@@ -53,13 +63,30 @@ on the same points.
   mu = sum_a u_a x*_a over the basis dual to the power basis under the
   trace form, Tr(x*_a x^b) = [a = b], built once per field: then
   Tr(mu w_j) = sum_a u_a digit_a(w_j), so the u are the F_q kernel of
-  the 6x8 digit matrix of w.  It has dimension at least 2.  If it is
-  larger, V has rank < 6 and all 28 sextuples lie on conics.  If it is
-  spanned by mu1 and mu2, the 6x6 minor of V on a sextuple vanishes iff
-  the complementary 2x2 minor of the kernel does: the sextuple that
-  misses {i, j}, j = i + d, lies on a conic iff
-  F^i(mu1) F^j(mu2) = F^j(mu1) F^i(mu2), that is (applying F^-i) iff
-  mu1 F^d(mu2) = F^d(mu1) mu2.
+  the 6x8 digit matrix of w.  The digits of an F_q-multiple and of a
+  difference are the field's own product by an element of F_q and
+  difference, so Gauss-Jordan runs on the six values w_j as rows, with
+  no decoding into digit lists (`_prime_kernel`).  The kernel has
+  dimension at least 2.  If it is larger, V has rank < 6 and all 28
+  sextuples lie on conics.  If it is spanned by mu1 and mu2, the 6x6
+  minor of V on a sextuple vanishes iff the complementary 2x2 minor of
+  the kernel does: the sextuple that misses {i, j}, j = i + d, lies on a
+  conic iff F^i(mu1) F^j(mu2) = F^j(mu1) F^i(mu2), that is (applying
+  F^-i) iff mu1 F^d(mu2) = F^d(mu1) mu2.
+- The conic ratio.  With rho = mu2 / mu1 (mu1 != 0, the dual basis
+  being a basis), that condition reads F^d(rho) = rho, that is
+  rho in F_{q^gcd(d, 8)}.  As mu1 and mu2 are F_q-independent, rho is
+  not in F_q: a sextuple that misses {i, i +- 1} or {i, i +- 3} lies on
+  a conic only when the kernel is larger, and then all 28 do.  Nor is
+  rho in F_{q^2}.  The kernel would then be mu1 F_{q^2}, so
+  Tr_{q^8/q^2}(mu1 w_j) = 0 for the six j: a relation, with the nonzero
+  coefficients F^2k(mu1), among the Veronese rows of points[0], [2],
+  [4] and [6].  Four distinct points with dependent Veronese rows lie on
+  a line L, which F^2 then fixes, and the conic L F(L), defined over
+  F_q, holds all 8 points: V has rank < 6 and the kernel is larger after
+  all.  So the tier is one subfield test, rho in F_{q^4}, which decides
+  the class of 4 sextuples that miss {i, i + 4}, and it fails on 0, 4
+  or 28 sextuples (never 12, the d = 2 class with the d = 4 one).
 
 The 8 points must be distinct, which `orbit_report` checks up front.
 
@@ -75,7 +102,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx, nullspace
+from .field_tower import FieldCtx, FieldElement, frobenius_orbit
 from .nodal_cubic import NodalCubicNF, param_point
 from .plane_geometry import (
     ProjPoint, collinear_raw, normalize_coords, singular_cubic_through, six_on_conic
@@ -263,6 +290,42 @@ def _combine(coeffs, values, ctx: FieldCtx) -> int:
     return acc
 
 
+def _prime_kernel(values, ctx: FieldCtx) -> list[list[int]]:
+    """The F_p-kernel of the base-p digits of `values`: the u in F_p^n
+    with sum_a u_a digit_a(w) = 0 for every w in values, as the reduced
+    echelon basis that `nullspace` gives on the digit grid
+    [ctx.coeffs(w) for w in values] over F_p (the whole of F_p^n, the
+    unit vectors, for no values).
+
+    Gauss-Jordan runs on the values themselves: the digits of c w and of
+    w - w', for c in F_p, are c times the digits of w and the difference
+    of digits, so each row operation is one field product by an element
+    of F_p and one sum, and a pivot is the digit w // p^c % p."""
+    p, n = ctx.p, ctx.n
+    rows, pivots = list(values), []
+    for c in range(n):
+        unit, r = p ** c, len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i] // unit % p), None)
+        if pr is None:
+            continue
+        top = ctx.mul(pow(rows[pr] // unit % p, -1, p), rows[pr])
+        rows[pr], rows[r] = rows[r], top
+        for i, w in enumerate(rows):
+            e = w // unit % p
+            if e and i != r:
+                rows[i] = ctx.add(w, ctx.mul(p - e, top))
+        pivots.append(c)
+    basis = []
+    for fc in range(n):
+        if fc not in pivots:
+            u = [0] * n
+            u[fc] = 1
+            for w, pc in zip(rows, pivots):
+                u[pc] = -(w // p ** fc) % p
+            basis.append(u)
+    return basis
+
+
 def _conic_monomials(coords, ctx: FieldCtx) -> list:
     """The 6 conic monomials at a point, in the order of monomials(2)."""
     x, y, z = coords
@@ -272,27 +335,52 @@ def _conic_monomials(coords, ctx: FieldCtx) -> list:
 
 def _on_conic(conic, ctx: FieldCtx):
     """The predicate t -> whether the sextuple t of the orbit lies on a
-    conic, from the conic monomials at points[0] (module docstring)."""
-    kernel = nullspace([ctx.coeffs(w) for w in conic], get_ctx(ctx.p, 1))
+    conic, from the conic monomials at points[0]: the F_p kernel, and
+    when it is spanned by mu1 and mu2 whether mu2 / mu1 lies in F_{q^4}
+    (module docstring)."""
+    kernel = _prime_kernel(conic, ctx)
     if len(kernel) > 2:
         return lambda t: True
     dual = _dual_basis(ctx)
     mu1, mu2 = (_combine(u, dual, ctx) for u in kernel)
+    if not ctx.in_subfield(ctx.div(mu2, mu1), 4):
+        return lambda t: False
 
     def fails(t):
         i, j = (k for k in range(8) if k not in t)
-        f1, f2 = ctx.frobenius_iter(mu1, j - i), ctx.frobenius_iter(mu2, j - i)
-        return ctx.mul(mu1, f2) == ctx.mul(f1, mu2)
+        return j - i == 4
 
     return fails
 
 
+def _differences(w, ctx: FieldCtx) -> list:
+    """[F^k(w) - w for k = 0..6]."""
+    frob, add, neg = ctx.frobenius, ctx.add, ctx.neg(w)
+    out = [0]
+    for _ in range(6):
+        w = frob(w)
+        out.append(add(w, neg))
+    return out
+
+
+def _on_line(seed, ctx: FieldCtx):
+    """The predicate t -> whether the triple t = (0, j, k) of the orbit
+    of `seed` is collinear, for k <= 6 (every line representative), from
+    the chart differences at the seed (module docstring)."""
+    c = next(i for i in range(3) if seed[i])
+    inv, mul = ctx.inv(seed[c]), ctx.mul
+    du, dv = (_differences(mul(seed[i], inv), ctx) for i in range(3) if i != c)
+    return lambda t: mul(du[t[1]], dv[t[2]]) == mul(du[t[2]], dv[t[1]])
+
+
 def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
     """The report of `general_position_report` for 8 points over F_{q^8}
-    in Frobenius order, points[k + 1] = F(points[k]) cyclically: 7 line
-    triples, one per rotation class, then the conic tier from one small
-    system over F_q at points[0]; no cubic tier is needed (see the module
-    docstring).
+    in Frobenius order, points[k + 1] = F(points[k]) cyclically, from
+    points[0] alone once the order is checked: 7 line triples, one per
+    rotation class, each one comparison of two products of chart
+    differences, then the conic tier from one F_p kernel of the six conic
+    monomials and one subfield test; no cubic tier is needed
+    (see the module docstring).
     Raises ValueError when the points are not in that order, since a
     sorted orbit would get a wrong verdict, or not over F_{q^8}, and
     Collision when they repeat (a shorter orbit listed more than once).
@@ -307,7 +395,7 @@ def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
         raise ValueError("orbit_report needs 8 points in Frobenius order")
     if len(set(pts)) != 8:
         raise Collision("orbit_report needs 8 distinct points")
-    bad = _failed(_LINE_CLASSES, lambda t: collinear_raw(*(pts[i] for i in t), ctx))
+    bad = _failed(_LINE_CLASSES, _on_line(pts[0], ctx))
     if bad:
         return GeneralPositionReport(False, failed_lines=bad)
     bad = _failed(_CONIC_CLASSES, _on_conic(_conic_monomials(pts[0], ctx), ctx))
@@ -344,10 +432,11 @@ def orbit_from_seed(nf: NodalCubicNF, a: FieldElement) -> GaloisOrbit8:
 def lambda_scan(nf: NodalCubicNF, a: FieldElement) -> list[int]:
     """All lambda in F_q* for which the orbit of lambda * a fails general
     position.  The points of lambda * a come in Frobenius order (lambda
-    is fixed by F), so each lambda costs one `orbit_report`: at most 7
-    line predicates and one small system over F_q, against 92 predicates
-    for the all-tuples test.  Callers check each bad lambda with
-    `unexplained_lambda_failures`."""
+    is fixed by F), so each lambda costs one `orbit_report`: 14 products
+    of chart differences for the lines, then one F_p elimination on six
+    field elements and one subfield test for the conics, against
+    92 predicates over F_{q^8} for the all-tuples test.  Callers check
+    each bad lambda with `unexplained_lambda_failures`."""
     ctx = a.ctx
     bad = []
     for lam in range(1, ctx.p):

@@ -165,6 +165,20 @@ def test_frobenius_is_field_automorphism():
         assert len(fixed) == q  # exactly the prime subfield
 
 
+@pytest.mark.parametrize("p, path", [(3, "list"), (7, "array"), (13, "none")])
+def test_frobenius_is_the_p_th_power(p, path):
+    """`frobenius` equals pow(a, p) and the polynomial path's a^p, 0
+    included, on each of its three paths: the Frobenius table of the
+    list-table F_{3^8}, the one exp lookup of the array-table F_{7^8},
+    and `pow` on the table-less F_{13^8}."""
+    ctx = get_ctx(p, 8)
+    assert path == ("list" if ctx._frob_table is not None else
+                    "array" if ctx._exp is not None else "none")
+    rnd = random.Random(p)
+    for a in [0, 1, p - 1, p, ctx.size - 1] + [rnd.randrange(ctx.size) for _ in range(200)]:
+        assert ctx.frobenius(a) == ctx.pow(a, p) == ctx._pow_poly(a, p), a
+
+
 def test_frobenius_trivial_and_order_preserving():
     ctx = get_ctx(2, 8)
     assert ctx.frobenius(0) == 0 and ctx.frobenius(1) == 1

@@ -6,7 +6,7 @@ import pytest
 
 from cremona import bertini_census
 from cremona import general_position as gp
-from cremona.field_tower import FieldElement, frobenius_orbit, get_ctx, rank
+from cremona.field_tower import FieldElement, frobenius_orbit, get_ctx, nullspace, rank
 from cremona.general_position import (
     Collision,
     GaloisOrbit8,
@@ -289,6 +289,44 @@ def test_dual_basis_under_the_trace_form(q):
         [int(a == b) for b in range(8)] for a in range(8)]
 
 
+@pytest.mark.parametrize("q", [2, 3, 7, 13])
+def test_prime_kernel_matches_nullspace_on_digits(q):
+    """`_prime_kernel` eliminates on the field elements themselves; the
+    oracle is `nullspace` over F_p on the grid of their base-p digits.
+    Both give the reduced echelon basis, so the bases agree exactly: on
+    seeded lists of 1 to 9 values, and on rank-deficient ones (zeros,
+    repeats, F_p-multiples, sums, values in F_{q^4}).  The empty list
+    leaves the whole of F_p^8, the unit vectors, where `nullspace` of an
+    empty grid has no columns.  F_{13^8} has no tables."""
+    ctx, fp = get_ctx(q, 8), get_ctx(q, 1)
+    rnd = random.Random(50 + q)
+
+    def draw(k):
+        return [rnd.randrange(ctx.size) for _ in range(k)]
+
+    quartic = [ctx.pow(y, q**4 + 1) for y in draw(6)]  # norms to F_{q^4}
+    assert all(ctx.in_subfield(w, 4) for w in quartic)
+    cases = [draw(k) for k in range(1, 10) for _ in range(2)]
+    for _ in range(3):
+        a, b, c = draw(3)
+        lam = rnd.randrange(1, q)
+        cases += [
+            [0, 0, 0],
+            [0, a, 0, b],
+            [a, a, b, a],
+            [a, ctx.mul(lam, a), b, c],
+            [a, b, ctx.add(a, b), ctx.add(a, ctx.mul(lam, b)), c],
+            quartic[:3] + [a],
+            quartic,
+            [1, lam, a],
+        ]
+    for values in cases:
+        expected = nullspace([ctx.coeffs(w) for w in values], fp)
+        assert gp._prime_kernel(values, ctx) == expected, values
+    assert gp._prime_kernel([], ctx) == [[int(a == b) for b in range(8)] for a in range(8)]
+    assert len(gp._prime_kernel(quartic, ctx)) >= 4
+
+
 CONIC_REPRESENTATIVES = [members[0] for members in gp._CONIC_CLASSES]
 
 
@@ -347,6 +385,86 @@ def test_descended_predicates_match_oracles_q3_q7():
     hits = [predicates_against_oracles(orbit, ctx, every) for orbit in orbits]
     assert hits[:6] == [4] * 6
     assert hits[-3:] == [28] * 3
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [2, 3])
+def test_conic_ratio_lemma(q):
+    """The conic-ratio lemma (module docstring), against ranks of the
+    Veronese systems over F_{q^8}, on every degree-8 orbit at q = 2 and
+    every degree-8 component of the q = 3 census, whatever tier the orbit
+    fails.  One representative per rotation class decides its class (the
+    classes miss {i, i + d} for d = 1, 2, 3, 4).  The sextuples that miss
+    {i, i + 1}, {i, i + 2} or {i, i + 3} lie on a conic only when all 28
+    do, so 0, 4 or 28 sextuples are on a conic, never 12; the report of
+    `orbit_report` lists them unless the lines fail first."""
+    ctx = get_ctx(q, 8)
+    if q == 2:
+        orbits = q2_frobenius_orbits()
+    else:
+        components = bertini_census._subspace_components(3)
+        orbits = [frobenius_orbit(ctx, point) for point, _ in components]
+        orbits = [orbit for orbit in orbits if len(orbit) == 8]
+    allowed = {
+        (False, False, False, False): 0,
+        (False, False, False, True): 4,
+        (True, True, True, True): 28,
+    }
+    counts = collections.Counter()
+    for orbit in orbits:
+        rows = [veronese_row(c, 2, ctx) for c in orbit]
+        classes = tuple(rank([rows[i] for i in t], ctx) < 6 for t in CONIC_REPRESENTATIVES)
+        assert classes in allowed, (orbit, classes)
+        counts[allowed[classes]] += 1
+        assert len(orbit_report(orbit, ctx).failed_conics) in (0, allowed[classes])
+    assert counts == {2: {0: 6384, 4: 336, 28: 1470}, 3: {0: 900, 4: 25, 28: 51}}[q]
+
+
+@pytest.mark.parametrize("q", [2, 7])
+def test_orbit_report_in_any_chart_and_scaling(q):
+    """The line tier works in the chart of the first nonzero coordinate
+    of points[0], so it must not depend on how the points are scaled nor
+    on which chart that is.  Against the all-tuples test, each orbit as
+    it comes and with points[k] scaled by F^k(s), s not in F_q (still in
+    Frobenius order), all with one report: orbits on the rational lines
+    x = 0 (chart y) and y = x + z (chart x), which fail every triple; at
+    q = 2 a seeded sample of the orbits that fail lines, fail conics and
+    pass; at q = 7 the pinned parameter, which fails conics at every
+    lambda, and a seeded parameter."""
+    ctx = get_ctx(q, 8)
+    rnd = random.Random(60 + q)
+
+    def off_fq():
+        while True:
+            s = rnd.randrange(q, ctx.size)
+            if not ctx.in_subfield(s, 1):
+                return s
+
+    orbits = []
+    while len(orbits) < 6:
+        t = rnd.randrange(ctx.size)
+        seed = (0, 1, t) if len(orbits) % 2 else (t, ctx.add(t, 1), 1)
+        orbit = frobenius_orbit(ctx, seed)
+        if len(orbit) == 8:
+            orbits.append(orbit)
+    if q == 2:
+        by_tier = collections.defaultdict(list)
+        for orbit in q2_frobenius_orbits():
+            by_tier[tier(orbit_report(orbit, ctx))].append(orbit)
+        orbits += [o for name in ("line", "conic", "ok") for o in rnd.sample(by_tier[name], 4)]
+    else:
+        a = q7_seed_bad_at_every_lambda(ctx)
+        orbits += [gp._param_points(NodalCubicNF(7, 1), FieldElement(ctx, ctx.mul(lam, a)))
+                   for lam in (1, 4)]
+        orbits += [gp._param_points(NodalCubicNF(7, 3), FieldElement(ctx, off_fq()))]
+    for k, orbit in enumerate(orbits):
+        report = general_position_report(orbit, ctx)
+        if k < 6:
+            assert len(report.failed_lines) == 56
+        for s in (1, off_fq(), off_fq()):
+            image = frobenius_orbit(ctx, tuple(ctx.mul(s, c) for c in orbit[0]))
+            assert image[1] == tuple(ctx.mul(ctx.frobenius(s), c) for c in orbit[1])
+            assert orbit_report(image, ctx) == general_position_report(image, ctx) == report
 
 
 def test_q13_parameter_fails_at_the_squares():

@@ -48,8 +48,11 @@ field elements themselves (`general_position._prime_kernel`).
 
 A polynomial with coefficients in the context is evaluated by the fused
 `FieldCtx.poly_at`: with tables, c x^i is the one exp lookup
-g^(log c + i log x).  Every other polynomial operation, and the
-arithmetic of contexts without tables, lives in `polynomial`, on int
+g^(log c + i log x).  It is the one univariate evaluator of the
+package; its callers are the root scan `polynomial.roots`, the chart
+rows of `nodal_cubic._SingularLocus._fibre` and f'(x) in
+`general_position._dual_basis`.  Every other polynomial operation, and
+the arithmetic of contexts without tables, lives in `polynomial`, on int
 coefficient lists over F_p.
 """
 
@@ -711,11 +714,13 @@ def nullspace(matrix, ctx: FieldCtx) -> list[list[int]]:
     The forward pass of `rank` is followed by a backward one, from the
     last pivot row up, that scales each pivot to 1 and clears its column
     above it with the same row operation, `FieldCtx.row_sub`.  Each free
-    column gives one basis vector, read off the reduced rows.
+    column gives one basis vector, read off the reduced rows.  Raises
+    ValueError on an empty grid: it has no column count, and the kernel
+    of no equations is the whole space, of a dimension it does not give.
     """
     rows = [[int(v) for v in row] for row in matrix]
     if not rows:
-        return []
+        raise ValueError("nullspace of an empty grid: no column count")
     ncols = len(rows[0])
     pivots = _eliminate(rows, ctx)
     for r in reversed(range(len(pivots))):

@@ -105,7 +105,8 @@ from functools import lru_cache
 from .field_tower import FieldCtx, FieldElement, frobenius_orbit
 from .nodal_cubic import NodalCubicNF, param_point
 from .plane_geometry import (
-    ProjPoint, collinear_raw, normalize_coords, singular_cubic_through, six_on_conic
+    ProjPoint, collinear_raw, dot, normalize_coords, singular_cubic_through, six_on_conic,
+    veronese_row,
 )
 
 __all__ = [
@@ -273,21 +274,9 @@ def _dual_basis(ctx: FieldCtx) -> tuple:
     b = [0] * (n - 1) + [1]
     for k in range(n - 1, 0, -1):
         b[k - 1] = ctx.add(f[k], ctx.mul(x, b[k]))
-    deriv = 0
-    for k in range(n, 0, -1):
-        deriv = ctx.add(ctx.mul(deriv, x), k * f[k] % ctx.p)
-    inv = ctx.inv(deriv)
+    deriv = [(k - 1, k * f[k] % ctx.p) for k in range(1, n + 1) if k * f[k] % ctx.p]
+    inv = ctx.inv(ctx.poly_at(deriv, x))
     return tuple(ctx.mul(c, inv) for c in b)
-
-
-def _combine(coeffs, values, ctx: FieldCtx) -> int:
-    """sum_i coeffs[i] values[i], for coefficients in the prime field."""
-    add, mul = ctx.add, ctx.mul
-    acc = 0
-    for c, v in zip(coeffs, values):
-        if c:
-            acc = add(acc, mul(c, v))
-    return acc
 
 
 def _prime_kernel(values, ctx: FieldCtx) -> list[list[int]]:
@@ -326,13 +315,6 @@ def _prime_kernel(values, ctx: FieldCtx) -> list[list[int]]:
     return basis
 
 
-def _conic_monomials(coords, ctx: FieldCtx) -> list:
-    """The 6 conic monomials at a point, in the order of monomials(2)."""
-    x, y, z = coords
-    mul = ctx.mul
-    return [mul(x, x), mul(x, y), mul(x, z), mul(y, y), mul(y, z), mul(z, z)]
-
-
 def _on_conic(conic, ctx: FieldCtx):
     """The predicate t -> whether the sextuple t of the orbit lies on a
     conic, from the conic monomials at points[0]: the F_p kernel, and
@@ -342,7 +324,7 @@ def _on_conic(conic, ctx: FieldCtx):
     if len(kernel) > 2:
         return lambda t: True
     dual = _dual_basis(ctx)
-    mu1, mu2 = (_combine(u, dual, ctx) for u in kernel)
+    mu1, mu2 = (dot(u, dual, ctx) for u in kernel)
     if not ctx.in_subfield(ctx.div(mu2, mu1), 4):
         return lambda t: False
 
@@ -398,7 +380,7 @@ def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
     bad = _failed(_LINE_CLASSES, _on_line(pts[0], ctx))
     if bad:
         return GeneralPositionReport(False, failed_lines=bad)
-    bad = _failed(_CONIC_CLASSES, _on_conic(_conic_monomials(pts[0], ctx), ctx))
+    bad = _failed(_CONIC_CLASSES, _on_conic(veronese_row(pts[0], 2, ctx), ctx))
     if bad:
         return GeneralPositionReport(False, failed_conics=bad)
     return GeneralPositionReport(True)

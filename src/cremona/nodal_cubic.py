@@ -45,7 +45,7 @@ from .plane_geometry import (
     PlaneCurve,
     ProjPoint,
     ProjTransform,
-    evaluate_form,
+    dot,
     monomials,
     node_check,
     partial_form,
@@ -218,7 +218,8 @@ def normalize(curve: PlaneCurve):
 # pencils of cubics through a degree-8 orbit and their nodal members
 
 def cubic_pencil_basis(orbit_points, ctx: FieldCtx):
-    """Basis over F_q of the cubics through a Frobenius-closed 8-point set.
+    """Basis over F_q of the cubics through a Frobenius-closed 8-point set,
+    given as its coordinate triples.
 
     A cubic with F_q coefficients through one point of the orbit passes
     through all of them, and by Galois descent these cubics span the
@@ -228,9 +229,7 @@ def cubic_pencil_basis(orbit_points, ctx: FieldCtx):
     the kernel over F_p of the 8x10 matrix of digits, one row per digit.
     Raises NotAPencil unless the kernel has dimension exactly 2.
     """
-    seed = orbit_points[0]
-    coords = seed.coords if isinstance(seed, ProjPoint) else seed
-    values = veronese_row(coords, 3, ctx)
+    values = veronese_row(orbit_points[0], 3, ctx)
     basis = nullspace(list(zip(*map(ctx.coeffs, values))), get_ctx(ctx.p, 1))
     if len(basis) != 2:
         raise NotAPencil(f"kernel dimension {len(basis)} != 2")
@@ -276,8 +275,9 @@ class _SingularLocus:
     The value rows v_i and the six 2x2 minors of [v1 v2] are computed
     once over F_p.  On the chart z = 1 each minor is kept as a list, over
     the powers of y, of sparse rows [(i, c)] of its nonzero coefficients c
-    of x^i; on the line z = 0 the minors at [x:1:0] are univariate in x
-    with F_p coefficients, so their gcd is taken once.  The eliminant r,
+    of x^i, which `FieldCtx.poly_at` evaluates at each x0; on the line
+    z = 0 the minors at [x:1:0] are univariate in x with F_p
+    coefficients, so their gcd is taken once.  The eliminant r,
     once per pencil too, is the first nonzero `polynomial.eliminant` of a
     pair of charts, the pairs taken in order and each chart made dense
     when a pair first reads it: a polynomial in x alone with F_p
@@ -324,8 +324,6 @@ class _SingularLocus:
         if not line:
             raise NotAPencil("the minors vanish on the line z = 0")
         self.line = poly.to_sparse(line)
-        # the highest power of x in the charts, for one table of powers per x0
-        self.top = max(i for chart in self.charts for row in chart for i, _ in row)
         # lowest degree in y first, then fewest terms: the gcd of the first
         # two charts is nearly always constant, and its cost grows with
         # their degrees in y
@@ -344,22 +342,13 @@ class _SingularLocus:
 
     def _fibre(self, x0, ctx):
         """The gcd in y of the charts at x = x0 over ctx, as sparse terms:
-        the rows of every chart are evaluated from one table of the powers
-        of x0, and the gcd stops as soon as it is a constant.  Raises
-        NotAPencil when every chart vanishes at x0."""
-        add, mul = ctx.add, ctx.mul
-        powers = [1]
-        for _ in range(self.top):
-            powers.append(mul(powers[-1], x0))
+        each row of a chart, a sparse polynomial in x, is evaluated at x0
+        by `FieldCtx.poly_at`, and the gcd stops as soon as it is a
+        constant.  Raises NotAPencil when every chart vanishes at x0."""
+        at = ctx.poly_at
         g = []
         for chart in self.charts:
-            ys = []
-            for row in chart:
-                acc = 0
-                for i, c in row:
-                    acc = add(acc, powers[i] if c == 1 else mul(c, powers[i]))
-                ys.append(acc)
-            g = poly.gcd(g, poly.trim(ys), ctx)
+            g = poly.gcd(g, poly.trim([at(row, x0) for row in chart]), ctx)
             if len(g) == 1:
                 break
         if not g:
@@ -417,7 +406,8 @@ class _SingularLocus:
         NotAPencil when every row vanishes, so every member is singular
         there."""
         for (f1, d), (f2, _) in zip(*self.rows):
-            a, b = evaluate_form(f1, d, pt, ctx), evaluate_form(f2, d, pt, ctx)
+            row = veronese_row(pt, d, ctx)
+            a, b = dot(f1, row, ctx), dot(f2, row, ctx)
             if a or b:
                 return (1, ctx.div(ctx.neg(a), b)) if b else (0, 1)
         raise NotAPencil(f"every member is singular at {pt}")
@@ -447,7 +437,8 @@ class _SingularLocus:
 
 def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     """Number of nodal members of the pencil of cubics through the orbit,
-    among members defined over F_{q^m} for m <= extension_cap.
+    a `GaloisOrbit8`, among members defined over F_{q^m} for
+    m <= extension_cap.
 
     The orbit must be in general position, so every member is
     geometrically irreducible (a line or conic component would violate
@@ -486,10 +477,8 @@ def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     holds any other curve passes unseen (ROADMAP item 12); on a GP orbit
     every member is irreducible, so its locus is finite.
     """
-    points = orbit.points if hasattr(orbit, "points") else orbit
-    ctx = orbit.ctx if hasattr(orbit, "ctx") else points[0].ctx
-    g1, g2 = cubic_pencil_basis(points, ctx)
-    p = ctx.p
+    g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
+    p = orbit.ctx.p
     locus = _SingularLocus(g1, g2, get_ctx(p, 1))
     count = 0
     for m in range(1, extension_cap + 1):

@@ -11,6 +11,16 @@ point are provided here: collinearity of a triple, existence of a conic
 through six points (degenerate conics count), and existence of a cubic
 singular at one point of an 8-tuple and passing through the rest.  All
 three are pure kernel/determinant conditions, hence PGL-invariant.
+
+Forms are evaluated at a point through one path, `veronese_row`: the
+values of all monomials of degree d, each one product of an entry of
+the row of degree d - 1 with a coordinate.  `hasse_row` reads the
+Hasse derivative D^(s) of every monomial off the row of degree d - |s|,
+since D^(s) x^e = binom(e, s) x^(e - s) with binom(e, s) the product of
+the binomials of the three exponents.  Those binomials are integers,
+taken mod p, so no division by s! is made and the rows, the partials
+(|s| = 1) and the tangent cone of `node_check` (|s| = 2) stay exact in
+characteristics 2 and 3.
 """
 
 from __future__ import annotations
@@ -109,17 +119,6 @@ class ProjPoint:
         return list(self.coords)
 
 
-def _eval_monomial(ctx, coords, expo) -> int:
-    mul, powf = ctx.mul, ctx.pow
-    v = 1
-    for c, e in zip(coords, expo):
-        if e:
-            if c == 0:
-                return 0
-            v = mul(v, powf(c, e))
-    return v
-
-
 class PlaneCurve:
     """A plane curve of degree d: a nonzero vector of int encodings over
     monomials(d), normalized so the first nonzero coefficient is 1."""
@@ -159,16 +158,6 @@ class PlaneCurve:
     def evaluate(self, point: ProjPoint) -> int:
         return evaluate_form(self.coeffs, self.degree, point.coords, self.ctx)
 
-    def partials(self):
-        """Coefficient vectors of the three partial derivatives.
-
-        Returned as raw vectors over monomials(degree-1); a partial may
-        be identically zero in small characteristic.
-        """
-        return [
-            partial_form(self.coeffs, self.degree, v, self.ctx) for v in range(3)
-        ]
-
     def __eq__(self, other):
         return (
             isinstance(other, PlaneCurve)
@@ -187,13 +176,71 @@ class PlaneCurve:
         return {"degree": self.degree, "coeffs": list(self.coeffs)}
 
 
-def evaluate_form(coeffs, degree, coords, ctx) -> int:
+@lru_cache(maxsize=None)
+def _veronese_steps(d: int) -> tuple[tuple[int, int], ...]:
+    """For each monomial m of degree d >= 2, the pair (j, v) with
+    m = x_v monomials(d - 1)[j], v the first variable of m."""
+    idx = _mono_index(d - 1)
+    steps = []
+    for m in monomials(d):
+        v = next(i for i in range(3) if m[i])
+        lower = list(m)
+        lower[v] -= 1
+        steps.append((idx[tuple(lower)], v))
+    return tuple(steps)
+
+
+def veronese_row(coords, degree, ctx) -> list:
+    """The values at coords of the monomials of the degree, in the order
+    of monomials(degree): [1] at degree 0, the coordinates at degree 1,
+    and after that one product per entry with the row a degree lower."""
+    mul = ctx.mul
+    row = list(coords) if degree else [1]
+    for d in range(2, degree + 1):
+        row = [mul(row[j], coords[v]) for j, v in _veronese_steps(d)]
+    return row
+
+
+@lru_cache(maxsize=None)
+def _hasse_steps(d: int, shift: tuple, p: int) -> tuple[tuple[int, int], ...]:
+    """For each monomial x^e of degree d, the pair (binom(e, shift) mod p,
+    index of x^(e - shift) in monomials(d - |shift|)), with index 0 where
+    the binomial vanishes."""
+    idx = _mono_index(d - sum(shift))
+    steps = []
+    for e in monomials(d):
+        c = math.prod(math.comb(a, s) for a, s in zip(e, shift)) % p
+        steps.append((c, idx[tuple(a - s for a, s in zip(e, shift))] if c else 0))
+    return tuple(steps)
+
+
+def hasse_row(coords, degree, shift, ctx) -> list:
+    """The Hasse derivative D^(shift) of every monomial of the degree at
+    coords, in the order of monomials(degree): binom(e, shift) times the
+    entry of x^(e - shift) in the Veronese row of degree
+    degree - |shift|, the binomial taken mod p; a zero row when
+    degree < |shift|.  D^(e_v) is the partial in x_v."""
+    lower = degree - sum(shift)
+    if lower < 0:
+        return [0] * len(monomials(degree))
+    row, mul = veronese_row(coords, lower, ctx), ctx.mul
+    steps = _hasse_steps(degree, tuple(shift), ctx.p)
+    return [row[j] if c == 1 else mul(c, row[j]) for c, j in steps]
+
+
+def dot(coeffs, values, ctx) -> int:
+    """sum_i coeffs[i] values[i] over ctx."""
     add, mul = ctx.add, ctx.mul
     acc = 0
-    for c, expo in zip(coeffs, monomials(degree)):
-        if c:
-            acc = add(acc, mul(c, _eval_monomial(ctx, coords, expo)))
+    for c, v in zip(coeffs, values):
+        if c and v:
+            acc = add(acc, mul(c, v))
     return acc
+
+
+def evaluate_form(coeffs, degree, coords, ctx) -> int:
+    """The value of a form at coords, over its Veronese row."""
+    return dot(coeffs, veronese_row(coords, degree, ctx), ctx)
 
 
 def partial_form(coeffs, degree, var, ctx):
@@ -353,6 +400,9 @@ def apply_curve(g: ProjTransform, curve: PlaneCurve) -> PlaneCurve:
 # ----------------------------------------------------------------------
 # incidence predicates
 
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the shifts of the three partials
+
+
 def _coords_of(p):
     return p.coords if isinstance(p, ProjPoint) else tuple(int(c) for c in p)
 
@@ -377,10 +427,6 @@ def collinear(p1, p2, p3, ctx=None) -> bool:
     if ctx is None:
         ctx = p1.ctx
     return collinear_raw(_coords_of(p1), _coords_of(p2), _coords_of(p3), ctx)
-
-
-def veronese_row(coords, degree, ctx):
-    return [_eval_monomial(ctx, coords, e) for e in monomials(degree)]
 
 
 def six_on_conic(points, ctx=None) -> bool:
@@ -415,19 +461,7 @@ def singular_cubic_through(points, i: int, ctx=None) -> bool:
     if not 0 <= i < 8:
         raise ValueError("index out of range")
     rows = [veronese_row(c, 3, ctx) for c in pts]
-    target = pts[i]
-    p = ctx.p
-    for var in range(3):
-        row = []
-        for expo in monomials(3):
-            e = expo[var] % p
-            if e == 0:
-                row.append(0)
-                continue
-            lower = list(expo)
-            lower[var] -= 1
-            row.append(ctx.mul(e, _eval_monomial(ctx, target, lower)))
-        rows.append(row)
+    rows += [hasse_row(pts[i], 3, s, ctx) for s in _UNIT]
     return rank(rows, ctx) < 10
 
 
@@ -440,36 +474,27 @@ def node_check(curve: PlaneCurve, point: ProjPoint) -> bool:
     e_a, e_b other than the point's leading coordinate: F(P + u e_a +
     v e_b) = A u^2 + B uv + C v^2 + (terms of degree 3 and more), where
     A, B, C are the second Hasse derivatives of F at P, D_a^(2) F,
-    D_a D_b F and D_b^(2) F.  The Hasse derivative D_a^(i) sends x^e to
-    binom(e_a, i) x^(e - i e_a); its binomial coefficients are taken mod
-    p, so the cone stays exact in characteristics 2 and 3.
+    D_a D_b F and D_b^(2) F, read off `hasse_row` (exact in
+    characteristics 2 and 3, module docstring).
 
     In characteristic 2 the discriminant is blind, so a binary quadratic
     A u^2 + B uv + C v^2 is squarefree iff B != 0.
     """
-    ctx = curve.ctx
+    ctx, coeffs, d, coords = curve.ctx, curve.coeffs, curve.degree, point.coords
     if curve.evaluate(point) != 0:
         raise PointNotOnCurve(f"{point} is not on the curve")
-    coords = point.coords
-    for part in curve.partials():
-        if evaluate_form(part, curve.degree - 1, coords, ctx):
-            return False
+
+    def at(shift):  # D^(shift) F at the point
+        return dot(coeffs, hasse_row(coords, d, shift, ctx), ctx)
+
+    if any(map(at, _UNIT)):
+        return False
     lead = coords.index(1)
-    ea, eb = (lead + 1) % 3, (lead + 2) % 3
-    cone = [0, 0, 0]  # A, B, C
-    p, add, mul = ctx.p, ctx.add, ctx.mul
-    for coef, expo in zip(curve.coeffs, monomials(curve.degree)):
-        if not coef:
-            continue
-        for slot, (i, j) in enumerate(((2, 0), (1, 1), (0, 2))):
-            binom = math.comb(expo[ea], i) * math.comb(expo[eb], j) % p
-            if binom:
-                rest = list(expo)
-                rest[ea] -= i
-                rest[eb] -= j
-                term = mul(mul(binom, coef), _eval_monomial(ctx, coords, rest))
-                cone[slot] = add(cone[slot], term)
-    a, b, c = cone
+    ua, ub = _UNIT[(lead + 1) % 3], _UNIT[(lead + 2) % 3]
+    a, b, c = (
+        at(tuple(i * x + j * y for x, y in zip(ua, ub))) for i, j in ((2, 0), (1, 1), (0, 2))
+    )
+    p = ctx.p
     if a == 0 and b == 0 and c == 0:
         return False  # worse than a double point
     if p == 2:

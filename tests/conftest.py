@@ -71,6 +71,18 @@ def horner(f, x, ctx):
     return acc
 
 
+def eval_monomial(ctx, coords, expo):
+    """The monomial x^expo at coords by one `pow` per coordinate: the
+    oracle of the Veronese recurrence `plane_geometry.veronese_row`."""
+    v = 1
+    for c, e in zip(coords, expo):
+        if e:
+            if c == 0:
+                return 0
+            v = ctx.mul(v, ctx.pow(c, e))
+    return v
+
+
 def q2_frobenius_orbits():
     """Every degree-8 orbit of P^2(F_{2^8}), each in Frobenius order from
     its least point."""

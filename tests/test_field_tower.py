@@ -282,6 +282,15 @@ def test_nullspace_trivial_cases():
     assert len(nullspace([[0, 0, 0], [0, 0, 0]], ctx)) == 3
 
 
+def test_nullspace_of_an_empty_grid_raises():
+    # no equations leave the whole space, whose dimension an empty grid
+    # does not give; its rank is still 0
+    ctx = get_ctx(2, 8)
+    with pytest.raises(ValueError):
+        nullspace([], ctx)
+    assert rank([], ctx) == 0
+
+
 def test_nullspace_of_coconic_veronese():
     # six points on the conic x z - y^2 = 0 give a rank-deficient 6x6
     ctx = get_ctx(2, 8)

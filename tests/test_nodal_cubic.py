@@ -296,8 +296,9 @@ def _node_oracle(curve, point):
     coords = point.coords
     if curve.evaluate(point) != 0:
         raise ValueError(f"{point} is not on the curve")
-    for part in curve.partials():
-        if evaluate_form(part, curve.degree - 1, coords, ctx):
+    d = curve.degree
+    for v in range(3):
+        if evaluate_form(partial_form(curve.coeffs, d, v, ctx), d - 1, coords, ctx):
             return False
     lead = coords.index(1)
     cols = [[0, 0, 0], [0, 0, 0], list(coords)]
@@ -306,7 +307,6 @@ def _node_oracle(curve, point):
     mat = [[cols[j][i] for j in range(3)] for i in range(3)]
     new = substitute_form(curve.coeffs, curve.degree, mat, ctx)
     idx = {m: i for i, m in enumerate(monomials(curve.degree))}
-    d = curve.degree
     a, b, c = (new[idx[e]] for e in ((2, 0, d - 2), (1, 1, d - 2), (0, 2, d - 2)))
     if a == 0 and b == 0 and c == 0:
         return False

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from conftest import eval_monomial
 from cremona.field_tower import get_ctx
 from cremona.plane_geometry import (
     DuplicatePoint,
@@ -13,10 +15,12 @@ from cremona.plane_geometry import (
     apply,
     apply_curve,
     collinear,
+    hasse_row,
     monomials,
     node_check,
     singular_cubic_through,
     six_on_conic,
+    veronese_row,
 )
 
 CTX = get_ctx(2, 8)
@@ -254,3 +258,48 @@ def test_curve_and_transform_serialization():
     g = ProjTransform(2, [[1, 1, 0], [0, 1, 0], [1, 0, 1]])
     assert len(g.to_json()) == 9
     assert P(1, 2, 3).to_json() == [1, 2, 3]
+
+
+@pytest.fixture(scope="module", params=[2, 3, 7, 13], ids=lambda q: f"{q}^8")
+def eval_ctx(request):
+    # F_{2^8}, F_{3^8} and F_{7^8} have tables (array tables at 7^8);
+    # F_{13^8} has none
+    return get_ctx(request.param, 8)
+
+
+def _eval_points(ctx):
+    """Coordinate triples with zeros among them, the zero triple included,
+    and seeded ones."""
+    rnd = random.Random(ctx.p)
+    pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, ctx.p - 1, ctx.p)]
+    for _ in range(16):
+        pts.append(tuple(rnd.choice((0, 1, rnd.randrange(ctx.size))) for _ in range(3)))
+    return pts
+
+
+def test_veronese_row_matches_pow_per_coordinate(eval_ctx):
+    ctx = eval_ctx
+    assert (ctx._exp is None) == (ctx.p == 13)
+    for coords in _eval_points(ctx):
+        for d in range(5):
+            expected = [eval_monomial(ctx, coords, e) for e in monomials(d)]
+            assert veronese_row(coords, d, ctx) == expected, (coords, d)
+
+
+def test_hasse_row_matches_binomials_mod_p(eval_ctx):
+    """D^(s) x^e = binom(e, s) x^(e - s), the binomials by math.comb mod p,
+    for every shift of total at most 2 at degrees 2 and 3; a zero row
+    when the degree is below the total."""
+    ctx, p = eval_ctx, eval_ctx.p
+    shifts = [s for s in itertools.product(range(3), repeat=3) if sum(s) <= 2]
+    for coords in _eval_points(ctx):
+        for d in (2, 3):
+            for s in shifts:
+                expected = []
+                for e in monomials(d):
+                    b = math.prod(math.comb(a, k) for a, k in zip(e, s)) % p
+                    lower = tuple(a - k for a, k in zip(e, s))
+                    expected.append(ctx.mul(b, eval_monomial(ctx, coords, lower)) if b else 0)
+                assert hasse_row(coords, d, s, ctx) == expected, (coords, d, s)
+        assert hasse_row(coords, 1, (1, 0, 1), ctx) == [0, 0, 0]
+        assert hasse_row(coords, 0, (0, 1, 0), ctx) == [0]

@@ -13,20 +13,27 @@ The count finds singular points before members: the singular points of
 all members of the pencil together are the rank-1 locus of a 4x2
 matrix of forms, and each point names the one member singular there.
 The forms have F_p coefficients, so Frobenius permutes the locus and
-the members alike.  Once per pencil, y is eliminated from two of the
-2x2 minors over F_p by a subresultant sequence: the eliminant r(x) lies
-in the ideal of the minors, so it vanishes at the x of every point of
-the locus off the line z = 0.  At each extension level m, r is
-evaluated at one x per Frobenius orbit of F_{q^m}, about q^m/m of
-them, and only at its roots are the minors solved for y.  r has F_p
-coefficients, so it vanishes on the whole orbit of such an x or on none
-of it, and the pruning cannot lose a point; when every pair of minors
-eliminates to 0, every x stays a candidate.  Over a root x in F_p the
-minors are F_p polynomials in y, so that fibre is solved once per pencil
-and each level reads off its roots of that level's degree.  One point is
-kept per Frobenius orbit of points of exact degree m; the forms are
-evaluated once at that point to name its member, and one node test
-decides the whole orbit of m conjugate members.  The roots of r are
+the members alike.  Once per pencil, y is eliminated over F_p by a
+subresultant sequence from the minor c_1 of lowest degree in y and a
+combination of the others, sum T^(j-2) c_j, for T = 0, 1, x, x^2, ...
+until the eliminant r(x) is nonzero.  A T fails only when c_1 shares a
+factor in y with the combination, and a factor h of c_1 that does not
+divide every minor shares one with at most s - 2 of the combinations (s
+the number of minors), since modulo h the combination is a nonzero
+polynomial in T of degree s - 2.  So (s - 2) deg_y c_1 + 1 tries all
+fail only when some h divides every minor, and then the locus holds the
+curve h = 0 and the pencil is refused.  r lies in the ideal of the
+minors, so it vanishes at the x of every point of the locus off the line
+z = 0.  At each extension level m, r is evaluated at one x per Frobenius
+orbit of F_{q^m}, about q^m/m of them, and only at its roots are the
+minors solved for y.  r has F_p coefficients, so it vanishes on the
+whole orbit of such an x or on none of it, and the pruning cannot lose a
+point.  Over a root x in F_p the minors are F_p polynomials in y, so
+that fibre is solved once per pencil and each level reads off its roots
+of that level's degree.  One point is kept per Frobenius orbit of points
+of exact degree m; the forms are evaluated once at that point to name
+its member, and one node test decides the whole orbit of m conjugate
+members.  The roots of r are
 found by this scan, not by factoring r.  The polynomial arithmetic, the
 eliminant and the root scan live in `polynomial`; this module keeps the
 geometry: the forms, their minors and the locus they cut out.
@@ -37,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import polynomial as poly
 from .field_tower import FieldCtx, FieldElement, frobenius_orbit, get_ctx, nullspace
@@ -51,6 +57,7 @@ from .plane_geometry import (
     partial_form,
     substitute_form,
     veronese_row,
+    veronese_rows,
 )
 
 __all__ = [
@@ -87,8 +94,7 @@ class Reducible(ValueError):
 
 class NotAPencil(ValueError):
     """The cubics through the orbit do not form a pencil, or the singular
-    points of its members are seen not to be finitely many (the three
-    cases of `count_nodal_members`)."""
+    points of its members are not finitely many (`count_nodal_members`)."""
 
 
 # support of a posed nodal cubic xyz = c0 x^3 + c1 x^2 z + c2 x z^2 + c3 z^3
@@ -236,14 +242,16 @@ def cubic_pencil_basis(orbit_points, ctx: FieldCtx):
     return basis
 
 
-def _form_mul(f, g, p):
-    """Product of two forms given as {exponent triple: coefficient in F_p}."""
+def _form_minor(f1, g1, f2, g2, p):
+    """f1 g1 - f2 g2 for forms given as {exponent triple: coefficient in
+    F_p}, with its zero terms dropped."""
     out = {}
-    for (a, b, c), u in f.items():
-        for (d, e, h), v in g.items():
-            k = (a + d, b + e, c + h)
-            out[k] = (out.get(k, 0) + u * v) % p
-    return out
+    for f, g, sign in ((f1, g1, 1), (f2, g2, -1)):
+        for (a, b, c), u in f.items():
+            for (d, e, h), v in g.items():
+                k = (a + d, b + e, c + h)
+                out[k] = (out.get(k, 0) + sign * u * v) % p
+    return {e: c for e, c in out.items() if c}
 
 
 def _value_rows(g, prime):
@@ -256,15 +264,39 @@ def _pencil_minors(rows, p):
     given as the `_value_rows` of g1 and g2, as forms {exponent triple:
     coefficient in F_p}; zero minors are dropped."""
     rows = [[{e: c for e, c in zip(monomials(d), f) if c} for f, d in v] for v in rows]
-    minors = []
-    for j, k in itertools.combinations(range(4), 2):
-        minor = _form_mul(rows[0][j], rows[1][k], p)
-        for e, c in _form_mul(rows[0][k], rows[1][j], p).items():
-            minor[e] = (minor.get(e, 0) - c) % p
-        minor = {e: c for e, c in minor.items() if c}
-        if minor:
-            minors.append(minor)
-    return minors
+    minors = (
+        _form_minor(rows[0][j], rows[1][k], rows[0][k], rows[1][j], p)
+        for j, k in itertools.combinations(range(4), 2)
+    )
+    return [minor for minor in minors if minor]
+
+
+def _chart_sum(charts, shift, p):
+    """The sum of x^(j shift) c_j over the sparse charts c_0, c_1, ... (as
+    `_SingularLocus` keeps them), as a list over the powers of y of dense
+    lists in x."""
+    rows = [{} for _ in range(max(map(len, charts), default=0))]
+    for j, chart in enumerate(charts):
+        for row, terms in zip(rows, chart):
+            for i, c in terms:
+                row[i + j * shift] = (row.get(i + j * shift, 0) + c) % p
+    return poly.trim([poly.trim(poly.to_dense(row.items())) for row in rows])
+
+
+def _chart_eliminant(charts, p):
+    """The first nonzero `polynomial.eliminant` of c_1 and the sum of
+    T^(j-2) c_j over the charts c_j, j >= 2, over the (s - 2) deg_y c_1 + 1
+    tries T = 0, 1, x, x^2, ... of the module docstring, as sparse terms:
+    T = 0 pairs c_1 with c_2 alone.  Raises NotAPencil when every try
+    gives 0: then a factor of c_1 of positive degree in y divides every
+    chart, and the locus holds a curve."""
+    first = _chart_sum(charts[:1], 0, p)
+    shifts = range((len(charts) - 2) * (len(first) - 1))
+    for rest, shift in [(charts[1:2], 0)] + [(charts[1:], k) for k in shifts]:
+        r = poly.eliminant(first, _chart_sum(rest, shift, p), p)
+        if r:
+            return poly.to_sparse(r)
+    raise NotAPencil("the minors share a factor in y: the locus holds a curve")
 
 
 class _SingularLocus:
@@ -277,16 +309,13 @@ class _SingularLocus:
     the powers of y, of sparse rows [(i, c)] of its nonzero coefficients c
     of x^i, which `FieldCtx.poly_at` evaluates at each x0; on the line
     z = 0 the minors at [x:1:0] are univariate in x with F_p
-    coefficients, so their gcd is taken once.  The eliminant r,
-    once per pencil too, is the first nonzero `polynomial.eliminant` of a
-    pair of charts, the pairs taken in order and each chart made dense
-    when a pair first reads it: a polynomial in x alone with F_p
-    coefficients in the ideal of the charts, so r(x0) = 0 at every point
-    [x0:y0:1] of the locus.  When the charts share a factor in y pair by
-    pair, as on a locus that holds a curve, r is the zero polynomial.
-    Since the minors have F_p coefficients, Frobenius permutes the locus,
-    and `points` visits one x per Frobenius orbit of roots of r, the list
-    of orbits of each field being built once, on first use.
+    coefficients, so their gcd is taken once.  The eliminant r, once per
+    pencil too, is `_chart_eliminant` of the charts sorted with c_1 of
+    lowest degree in y: a polynomial in x alone with F_p coefficients in
+    the ideal of the charts, so r(x0) = 0 at every point [x0:y0:1] of the
+    locus.  Since the minors have F_p coefficients, Frobenius permutes the
+    locus, and `points` visits one x per Frobenius orbit of roots of r,
+    the list of orbits of each field being built once, on first use.
 
     The fibre over a root x0 in F_p is solved once per locus, at the
     first level that visits it: the charts at x0 take values in F_p, so
@@ -295,11 +324,11 @@ class _SingularLocus:
     fibre with no point.  Fibres over roots outside F_p are solved at
     each level that visits them.
 
-    Raises NotAPencil in three cases only: the line z = 0 inside the
-    locus (here), a line x = x0 z inside it (`points`, at each visit of
-    x0, since a zero fibre is not kept), or a point where every member is
-    singular (`member`).  Any other curve in the locus passes unseen
-    (ROADMAP item 12).
+    Raises NotAPencil when the locus is not finite: when it holds the
+    line z = 0 or a curve with a factor of positive degree in y (both
+    here), a line x = x0 z (`points`, at each visit of the root x0 of r,
+    since a zero fibre is not kept), or a point where every member is
+    singular (`member`).
     """
 
     def __init__(self, g1, g2, prime):
@@ -316,9 +345,7 @@ class _SingularLocus:
                 chart[j].append((i, c))
                 if k == 0:
                     at_line[i] = c
-            while not chart[-1]:
-                chart.pop()
-            self.charts.append(chart)
+            self.charts.append(poly.trim(chart))
             line = poly.gcd(line, poly.trim(at_line), prime)
             self.corner = self.corner and minor.get((deg, 0, 0), 0) == 0
         if not line:
@@ -326,18 +353,9 @@ class _SingularLocus:
         self.line = poly.to_sparse(line)
         # lowest degree in y first, then fewest terms: the gcd of the first
         # two charts is nearly always constant, and its cost grows with
-        # their degrees in y
+        # their degrees in y; the degree in y of c_1 also bounds the tries of r
         self.charts.sort(key=lambda chart: (len(chart), sum(map(len, chart))))
-        p = prime.p
-        dense = lru_cache(maxsize=None)(
-            lambda i: [poly.to_dense(row) for row in self.charts[i]]
-        )
-        r = []
-        for i, j in itertools.combinations(range(len(self.charts)), 2):
-            r = poly.eliminant(dense(i), dense(j), p)
-            if r:
-                break
-        self.eliminant = poly.to_sparse(r)
+        self.eliminant = _chart_eliminant(self.charts, prime.p)
         self.fibres = {}
 
     def _fibre(self, x0, ctx):
@@ -366,12 +384,10 @@ class _SingularLocus:
         the ideal of the charts, so it vanishes at the x0 of every point
         of the locus with z = 1, and it has F_p coefficients, so it
         vanishes on the whole Frobenius orbit of such an x0 and at its
-        least element: the pruning loses no point.  When every pair of
-        charts has eliminant 0, r is the zero polynomial and every x0 is
-        visited.  Over x0 in F_p the fibre is the F_p polynomial of
-        `fibres`, solved on the first visit; over an x0 outside F_p the
-        gcd is taken over ctx, so roots are sought only at the x0 of the
-        locus.  Frobenius maps the fibre over x0 onto the fibre over
+        least element: the pruning loses no point.  Over x0 in F_p the
+        fibre is the F_p polynomial of `fibres`, solved on the first
+        visit; over an x0 outside F_p the gcd is taken over ctx, so roots
+        are sought only at the x0 of the locus.  Frobenius maps the fibre over x0 onto the fibre over
         F(x0), so one root y0 per F^k-orbit of the fibre (k the orbit size
         of x0), by the same `polynomial.roots`, gives one point per
         Frobenius orbit of points over the orbit of x0.  Its orbit has
@@ -393,9 +409,7 @@ class _SingularLocus:
                 out.extend(
                     (x0, y0, 1) for y0, j in poly.roots(fibre, ctx, k) if math.lcm(k, j) == m
                 )
-        for x0, k in poly.roots(self.line, ctx):
-            if k == m:
-                out.append((x0, 1, 0))
+        out.extend((x0, 1, 0) for x0, k in poly.roots(self.line, ctx) if k == m)
         if self.corner and m == 1:
             out.append((1, 0, 0))
         return out
@@ -404,10 +418,11 @@ class _SingularLocus:
         """The member singular at pt, written [1:t] or [0:1], read off the
         first nonzero row (a, b) of [v1 v2] at pt as (b, -a); raises
         NotAPencil when every row vanishes, so every member is singular
-        there."""
+        there.  The forms of degrees 3 and 2 are evaluated over the
+        Veronese rows of pt, built once."""
+        values = veronese_rows(pt, 3, ctx)
         for (f1, d), (f2, _) in zip(*self.rows):
-            row = veronese_row(pt, d, ctx)
-            a, b = dot(f1, row, ctx), dot(f2, row, ctx)
+            a, b = dot(f1, values[d], ctx), dot(f2, values[d], ctx)
             if a or b:
                 return (1, ctx.div(ctx.neg(a), b)) if b else (0, 1)
         raise NotAPencil(f"every member is singular at {pt}")
@@ -456,13 +471,12 @@ def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     in characteristic 3, where Euler's relation fails).  So one scan of
     the rank-1 locus of [v1 v2] over P^2(F_{q^m}) finds every singular
     point of every member, and each point names its member.  The scan
-    solves for y only over the roots of one eliminant r(x) of two minors,
-    computed once per pencil over F_p; r is in the ideal of the minors
-    and has F_p coefficients, so it vanishes on the whole Frobenius orbit
-    of the x of every point of the locus with z = 1, and pruning by it
-    loses no point.  If every pair of minors eliminates to 0, r is the
-    zero polynomial and the scan keeps every x.  The fibre over a root of
-    r in F_p is an F_p polynomial in y, solved once for all the levels.
+    solves for y only over the roots of one nonzero eliminant r(x) of the
+    minors, computed once per pencil over F_p; r is in the ideal of the
+    minors and has F_p coefficients, so it vanishes on the whole
+    Frobenius orbit of the x of every point of the locus with z = 1, and
+    pruning by it loses no point.  The fibre over a root of r in F_p is
+    an F_p polynomial in y, solved once for all the levels.
     At level m only the points of exact degree m are kept, one per
     Frobenius orbit: a point of lower degree names a member of lower
     degree, which its own level has already judged.  The basis has F_p
@@ -471,11 +485,9 @@ def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     count.
 
     Raises NotAPencil when the cubics through the orbit are not a pencil,
-    and when the singular locus is seen not to be finite, in three cases
-    only: it holds the line z = 0, or a line x = x0 z with x0 a visited
-    root of r, or a point where every member is singular.  A locus that
-    holds any other curve passes unseen (ROADMAP item 12); on a GP orbit
-    every member is irreducible, so its locus is finite.
+    and when the singular locus is not finite (`_SingularLocus`; a line
+    x = x0 z is seen at the levels that hold x0).  On a GP orbit every
+    member is irreducible, so its locus is finite.
     """
     g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
     p = orbit.ctx.p

@@ -12,10 +12,11 @@ through six points (degenerate conics count), and existence of a cubic
 singular at one point of an 8-tuple and passing through the rest.  All
 three are pure kernel/determinant conditions, hence PGL-invariant.
 
-Forms are evaluated at a point through one path, `veronese_row`: the
-values of all monomials of degree d, each one product of an entry of
-the row of degree d - 1 with a coordinate.  `hasse_row` reads the
-Hasse derivative D^(s) of every monomial off the row of degree d - |s|,
+Forms are evaluated at a point through one path, `veronese_rows`: the
+values of all monomials of each degree up to d, each one product of an
+entry of the row a degree lower with a coordinate.  `hasse_row` reads
+the Hasse derivative D^(s) of every monomial of degree d off the row of
+degree d - |s| among the rows the caller built once for the point,
 since D^(s) x^e = binom(e, s) x^(e - s) with binom(e, s) the product of
 the binomials of the three exponents.  Those binomials are integers,
 taken mod p, so no division by s! is made and the rows, the partials
@@ -190,15 +191,22 @@ def _veronese_steps(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def veronese_row(coords, degree, ctx) -> list:
-    """The values at coords of the monomials of the degree, in the order
-    of monomials(degree): [1] at degree 0, the coordinates at degree 1,
-    and after that one product per entry with the row a degree lower."""
+def veronese_rows(coords, degree, ctx) -> list:
+    """The Veronese rows at coords of the degrees 0..degree, each the
+    values of the monomials of its degree d in the order of monomials(d):
+    [1] at degree 0, the coordinates at degree 1, and after that one
+    product per entry with the row a degree lower."""
     mul = ctx.mul
-    row = list(coords) if degree else [1]
+    rows = [[1], list(coords)]
     for d in range(2, degree + 1):
-        row = [mul(row[j], coords[v]) for j, v in _veronese_steps(d)]
-    return row
+        lower = rows[-1]
+        rows.append([mul(lower[j], coords[v]) for j, v in _veronese_steps(d)])
+    return rows[: degree + 1]
+
+
+def veronese_row(coords, degree, ctx) -> list:
+    """The Veronese row at coords of the degree alone (`veronese_rows`)."""
+    return veronese_rows(coords, degree, ctx)[-1]
 
 
 @lru_cache(maxsize=None)
@@ -214,16 +222,17 @@ def _hasse_steps(d: int, shift: tuple, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def hasse_row(coords, degree, shift, ctx) -> list:
-    """The Hasse derivative D^(shift) of every monomial of the degree at
-    coords, in the order of monomials(degree): binom(e, shift) times the
-    entry of x^(e - shift) in the Veronese row of degree
-    degree - |shift|, the binomial taken mod p; a zero row when
-    degree < |shift|.  D^(e_v) is the partial in x_v."""
+def hasse_row(rows, shift, ctx) -> list:
+    """The Hasse derivative D^(shift) of every monomial of degree d at a
+    point, in the order of monomials(d), from the point's `veronese_rows`
+    of the degrees 0..d: binom(e, shift) times the entry of x^(e - shift)
+    in the row of degree d - |shift|, the binomial taken mod p; a zero row
+    when d < |shift|.  D^(e_v) is the partial in x_v."""
+    degree = len(rows) - 1
     lower = degree - sum(shift)
     if lower < 0:
         return [0] * len(monomials(degree))
-    row, mul = veronese_row(coords, lower, ctx), ctx.mul
+    row, mul = rows[lower], ctx.mul
     steps = _hasse_steps(degree, tuple(shift), ctx.p)
     return [row[j] if c == 1 else mul(c, row[j]) for c, j in steps]
 
@@ -460,9 +469,9 @@ def singular_cubic_through(points, i: int, ctx=None) -> bool:
         raise DuplicatePoint("singular_cubic_through needs distinct points")
     if not 0 <= i < 8:
         raise ValueError("index out of range")
-    rows = [veronese_row(c, 3, ctx) for c in pts]
-    rows += [hasse_row(pts[i], 3, s, ctx) for s in _UNIT]
-    return rank(rows, ctx) < 10
+    rows = [veronese_rows(c, 3, ctx) for c in pts]
+    conditions = [r[3] for r in rows] + [hasse_row(rows[i], s, ctx) for s in _UNIT]
+    return rank(conditions, ctx) < 10
 
 
 def node_check(curve: PlaneCurve, point: ProjPoint) -> bool:
@@ -480,12 +489,13 @@ def node_check(curve: PlaneCurve, point: ProjPoint) -> bool:
     In characteristic 2 the discriminant is blind, so a binary quadratic
     A u^2 + B uv + C v^2 is squarefree iff B != 0.
     """
-    ctx, coeffs, d, coords = curve.ctx, curve.coeffs, curve.degree, point.coords
-    if curve.evaluate(point) != 0:
+    ctx, coeffs, coords = curve.ctx, curve.coeffs, point.coords
+    rows = veronese_rows(coords, curve.degree, ctx)
+    if dot(coeffs, rows[-1], ctx) != 0:
         raise PointNotOnCurve(f"{point} is not on the curve")
 
     def at(shift):  # D^(shift) F at the point
-        return dot(coeffs, hasse_row(coords, d, shift, ctx), ctx)
+        return dot(coeffs, hasse_row(rows, shift, ctx), ctx)
 
     if any(map(at, _UNIT)):
         return False

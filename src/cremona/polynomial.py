@@ -43,9 +43,10 @@ __all__ = [
 # ----------------------------------------------------------------------
 # dense int lists over F_p
 
-def trim(c: list[int]) -> list[int]:
-    """c without its trailing zeros, in place."""
-    while c and c[-1] == 0:
+def trim(c: list) -> list:
+    """c without its trailing zeros, in place: entries 0, or [] in a list
+    of polynomials."""
+    while c and not c[-1]:
         c.pop()
     return c
 
@@ -142,9 +143,7 @@ def prem(a, b, p: int):
         a = [mul(lead, c, p) for c in a]
         for i in range(db):
             a[off + i] = sub(a[off + i], mul(top, b[i], p), p)
-    while a and not a[-1]:
-        a.pop()
-    return a
+    return trim(a)
 
 
 def eliminant(a, b, p: int) -> list[int]:
@@ -152,13 +151,13 @@ def eliminant(a, b, p: int) -> list[int]:
     `prem`, by the subresultant PRS, whose divisions are exact in F_p[x];
     a itself when neither involves y.  Either way the result lies in the
     ideal (a, b), and it is [], the zero polynomial, exactly when a and b
-    share a factor of positive degree in y.  No squarefree part is taken:
-    in characteristic p, f / gcd(f, f') drops every factor whose
-    multiplicity p divides."""
+    share a factor of positive degree in y (b = [] shares a itself).  No
+    squarefree part is taken: in characteristic p, f / gcd(f, f') drops
+    every factor whose multiplicity p divides."""
     if len(a) < len(b):
         a, b = b, a
-    if len(a) == 1:
-        return a[0]
+    if len(a) == 1 or not b:
+        return a[0] if len(a) == 1 else []
     g = h = [1]
     while len(b) > 1:
         delta = len(a) - len(b)
@@ -242,16 +241,19 @@ def _frobenius_orbits(ctx, k: int = 1):
 def roots(terms, ctx, k: int = 1) -> list[tuple[int, int]]:
     """[(y, s)]: one root y in ctx from each F^k-orbit of roots of the
     polynomial f with sparse `terms` over ctx, whose coefficients lie in
-    F_{p^k}, and s the size of the Frobenius orbit of y.  Every element is
-    a root of the zero polynomial, terms = [].
+    F_{p^k}, and s the size of the Frobenius orbit of y.  Raises
+    ValueError on the zero polynomial, terms = [], of which every element
+    is a root.
 
     F^k fixes f, so it permutes the roots, and one element of each
     F^k-orbit (`_frobenius_orbits`) is evaluated, by `ctx.poly_at`.  A
     root with an F^k-orbit of size d has a minimal polynomial over
     F_{p^k} of degree d, which divides f, so only the orbits with
     d <= deg f are tried.  A linear f gives its root by one division."""
-    top = terms[-1][0] if terms else ctx.n
-    if top == 1 and terms:
+    if not terms:
+        raise ValueError("every element is a root of the zero polynomial")
+    top = terms[-1][0]
+    if top == 1:
         c = dict(terms)
         y = ctx.div(ctx.neg(c.get(0, 0)), c[1])
         s, z = 1, ctx.frobenius(y)

@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +15,9 @@ from conftest import (
     broken_search,
 )
 
-# the cached result of `census --q 2 --sample 25 --seed 3`: modulus
-# encoding 283, result version 4
-CACHE_FILE = "census_q2_sampled_m283_v4_n25_s3.json"
+# the cached result of `census --q 2 --sample 25 --seed 3`, whose name
+# holds a digest of the package sources
+CACHE_FILE = cli_app._census_cache_key(2, "sampled", 25, 3)
 
 
 def test_verify_mq_identity():
@@ -111,6 +113,53 @@ def test_census_cache_defaults_to_env_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CREMONA_CACHE_DIR", str(tmp_path / "env"))
     assert main(["census", "--q", "2", "--sample", "25", "--seed", "3"]) == 0
     assert (tmp_path / "env" / CACHE_FILE).is_file()
+
+
+def test_census_cache_key_follows_the_sources(tmp_path, monkeypatch):
+    # the key holds the modulus, the result version and a digest of the
+    # package sources: a copy of the package gives the same key, and a
+    # one-byte edit of one copied module changes it
+    copy = tmp_path / "cremona"
+    copy.mkdir()
+    for module in Path(cli_app.__file__).parent.glob("*.py"):
+        shutil.copy(module, copy / module.name)
+    assert CACHE_FILE.startswith("census_q2_sampled_m283_v4_src")
+    assert CACHE_FILE.endswith("_n25_s3.json")
+    monkeypatch.setattr(cli_app, "_PACKAGE_DIR", str(copy))
+    assert cli_app._census_cache_key(2, "sampled", 25, 3) == CACHE_FILE
+    source = bytearray((copy / "nodal_cubic.py").read_bytes())
+    source[-2] ^= 1
+    (copy / "nodal_cubic.py").write_bytes(bytes(source))
+    assert cli_app._census_cache_key(2, "sampled", 25, 3) != CACHE_FILE
+
+
+@pytest.mark.parametrize(
+    "mode, code", [(["--sample", "5"], 0), (["--exact"], 2)], ids=["sampled", "exact"]
+)
+def test_census_bound_not_reached(monkeypatch, capsys, mode, code):
+    # a bound no census reaches: a sample falls short of it with exit 0
+    # and one line on stderr, an exact census violates it with exit 2
+    monkeypatch.setattr(bertini_census, "mq_bound", lambda q: 10**6)
+    assert main(["census", "--q", "2", "--no-cache", *mode]) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["bound_satisfied"] is False
+    err = captured.err.strip().splitlines()
+    if code:
+        assert err == []
+    else:
+        assert len(err) == 1 and err[0].startswith("bound not reached: the sample found")
+
+
+def test_census_small_sample_exits_0(tmp_path, capsys):
+    # five draws at q=3 cannot reach ceil(M_3) = 12 classes
+    assert main(["census", "--q", "3", "--sample", "5", "--no-cache"]) == 0
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["pgl3_class_count"] <= 5 and data["bound_satisfied"] is False
+    found = data["pgl3_class_count"]
+    assert captured.err.strip() == (
+        f"bound not reached: the sample found {found} classes, short of M_q = 12"
+    )
 
 
 def test_census_thread_determinism(tmp_path):

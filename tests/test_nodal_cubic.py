@@ -15,6 +15,8 @@ from cremona.nodal_cubic import (
     ProductNotOne,
     Reducible,
     ZeroArgument,
+    _chart_eliminant,
+    _chart_sum,
     _pencil_minors,
     _SingularLocus,
     _value_rows,
@@ -736,15 +738,17 @@ def test_roots_over_subfield_match_full_scan(p, m, k):
     # polynomial over F_{p^k} of a random r, alone (its roots sit at the
     # orbit-size bound) and times a random factor y - a with a in F_{p^k}
     # and a random quadratic over F_{p^k}; two linear polynomials, one
-    # with root 0; and the zero polynomial, of which every element is a
-    # root.  k = 1 gives F_p coefficients; for k > 1 some coefficients
+    # with root 0.  The zero polynomial, of which every element is a root,
+    # is refused.  k = 1 gives F_p coefficients; for k > 1 some coefficients
     # lie outside F_p, which poly_at reads by their logs in characteristic 2
     ctx = get_ctx(p, m)
     assert sum(size for _, size, _ in _frobenius_orbits(ctx)) == ctx.size
     assert sum(d for _, _, d in _frobenius_orbits(ctx, k)) == ctx.size
+    with pytest.raises(ValueError):
+        roots([], ctx, k)
     sub = [e for e in range(ctx.size) if ctx.in_subfield(e, k)]
     rnd = random.Random(35 + m + k)
-    polys = [[], [rnd.choice(sub), rnd.choice(sub[1:])], [0, rnd.choice(sub[1:])]]
+    polys = [[rnd.choice(sub), rnd.choice(sub[1:])], [0, rnd.choice(sub[1:])]]
     for _ in range(20):
         r = rnd.randrange(ctx.size)
         f = [1]
@@ -773,7 +777,9 @@ def _cubic(ctx, terms):
 
 def test_singular_locus_not_finite():
     # a member with a double line, or a point where every member is
-    # singular, makes the singular locus of the pencil infinite
+    # singular, makes the singular locus of the pencil infinite; a double
+    # line x = x0 z is seen at each visit of x0, the line z = 0 and any
+    # line of positive degree in y when the locus is built
     ctx = get_ctx(3, 1)
     other = _cubic(ctx, {(0, 3, 0): 1, (0, 0, 3): 1, (1, 0, 2): 1})
     locus = _SingularLocus(_cubic(ctx, {(2, 1, 0): 1}), other, ctx)
@@ -784,7 +790,10 @@ def test_singular_locus_not_finite():
         _SingularLocus(_cubic(ctx, {(1, 0, 2): 1}), other, ctx)
     cusp = _cubic(ctx, {(2, 0, 1): 1, (0, 3, 0): 1})
     with pytest.raises(NotAPencil, match="every member"):
-        _SingularLocus(cusp, _cubic(ctx, {(1, 2, 0): 1}), ctx).members(ctx)
+        _SingularLocus(cusp, _cubic(ctx, {(0, 2, 1): 1, (3, 0, 0): 1}), ctx).members(ctx)
+    # x y^2 is singular at the cusp too, and along the line y = 0
+    with pytest.raises(NotAPencil, match="curve"):
+        _SingularLocus(cusp, _cubic(ctx, {(1, 2, 0): 1}), ctx)
 
 
 # ----------------------------------------------------------------------
@@ -834,6 +843,17 @@ def _integer_resultant(a, b, p):
     return trim([int(c) % p for c in reversed(sympy.Poly(res, x).all_coeffs())])
 
 
+def _times(f, h, p):
+    """The product of two polynomials of F_p[x][y], each a list over the
+    powers of y of dense lists in x."""
+    out = [[] for _ in range(len(f) + len(h) - 1)]
+    for i, u in enumerate(f):
+        for j, v in enumerate(h):
+            out[i + j] = trim([(s + t) % p for s, t in itertools.zip_longest(
+                out[i + j], _poly_mul(u, v, get_ctx(p, 1)), fillvalue=0)])
+    return out
+
+
 def test_eliminant_matches_integer_resultant():
     # seeded pairs over F_2, F_3 and F_5 with y-degrees 0..4, some sharing
     # a factor of positive degree in y (resultant 0); the charts of the
@@ -847,15 +867,6 @@ def test_eliminant_matches_integer_resultant():
             f = [trim([rnd.randrange(p) for _ in range(dx + 1)]) for _ in range(dy)]
             return f + [trim([rnd.randrange(p) for _ in range(dx)] + [rnd.randrange(1, p)])]
 
-        def times(f, h):
-            out = [[] for _ in range(len(f) + len(h) - 1)]
-            for i, u in enumerate(f):
-                for j, v in enumerate(h):
-                    out[i + j] = trim(
-                        [(s + t) % p for s, t in itertools.zip_longest(
-                            out[i + j], _poly_mul(u, v, get_ctx(p, 1)), fillvalue=0)])
-            return out
-
         for _ in range(12):
             a = bivariate(rnd.randrange(1, 5), rnd.randrange(4))
             b = bivariate(rnd.randrange(1, 5), rnd.randrange(4))
@@ -863,7 +874,7 @@ def test_eliminant_matches_integer_resultant():
         cases.append((bivariate(0, 3), bivariate(2, 2), p))  # Res = a0^2
         for _ in range(4):
             h = bivariate(1, 2)
-            cases.append((times(bivariate(2, 2), h), times(bivariate(1, 3), h), p))
+            cases.append((_times(bivariate(2, 2), h, p), _times(bivariate(1, 3), h, p), p))
     (orbit,) = _gp_orbits_q3(31, 1)
     g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
     charts = _dense_charts(_SingularLocus(g1, g2, get_ctx(3, 1)))
@@ -879,46 +890,146 @@ def test_eliminant_matches_integer_resultant():
 def test_seeded_q3_orbit_needs_a_later_pair():
     # the seeded orbit of test_cap12_q3_seeded_orbit: its first three
     # charts share a factor of positive degree in y, so the pairs (0, 1)
-    # and (0, 2) eliminate to 0 and the pair (0, 3) gives r
+    # and (0, 2) eliminate to 0; the first try, T = 0, is the pair (0, 1),
+    # and the second, T = 1, pairs c_1 with the sum of the others and
+    # gives r
     (orbit,) = _gp_orbits_q3(31, 1)
     g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
     locus = _SingularLocus(g1, g2, get_ctx(3, 1))
     charts = _dense_charts(locus)
     assert eliminant(charts[0], charts[1], 3) == []
     assert eliminant(charts[0], charts[2], 3) == []
-    r = eliminant(charts[0], charts[3], 3)
-    assert r and locus.eliminant == [(i, c) for i, c in enumerate(r) if c]
+    assert _try_sum(locus.charts, 0, 3) == charts[1]
+    r = eliminant(charts[0], _try_sum(locus.charts, 1, 3), 3)
+    assert r and locus.eliminant == to_sparse(r)
+
+
+def test_first_try_is_the_first_pair_q2(orbits_q2):
+    # on the 28 q=2 GP nodal pencils the first pair of charts eliminates
+    # to a nonzero r, so the tries stop at T = 0 and r is that pair's
+    for orbit in orbits_q2:
+        g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
+        locus = _SingularLocus(g1, g2, get_ctx(2, 1))
+        charts = _dense_charts(locus)
+        r = eliminant(charts[0], charts[1], 2)
+        assert r and locus.eliminant == to_sparse(r), orbit
+
+
+def _try_sum(charts, t, p):
+    """The second argument of the t-th try T = 0, 1, x, x^2, ... of
+    `_chart_eliminant` on sparse charts, by `_chart_sum`."""
+    return _chart_sum(charts[1:2], 0, p) if t == 0 else _chart_sum(charts[1:], t - 1, p)
+
+
+def _sympy_try_sum(charts, t, p):
+    """sum T^(j-2) c_j over the dense charts c_j, j >= 2, for the t-th try
+    T = 0, 1, x, x^2, ..., formed by sympy over Z and reduced mod p, as a
+    list over the powers of y of dense lists in x."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    T = 0 if t == 0 else x ** (t - 1)
+    lifts = [
+        sum(c * x**i * y**k for k, row in enumerate(f) for i, c in enumerate(row)) for f in charts
+    ]
+    total = sympy.expand(sum(T ** (j - 1) * f for j, f in enumerate(lifts) if j))
+    rows = {}
+    for (k, i), c in sympy.Poly(total, y, x).terms():
+        rows.setdefault(k, []).append((i, int(c) % p))
+    return trim([trim(to_dense(rows.get(k, []))) for k in range(max(rows, default=-1) + 1)])
+
+
+def test_tries_match_integer_resultant():
+    # seeded chart triples (c_1, c_2, c_3) over F_2, F_3 and F_5, built from
+    # factors h_i = y + a_i(x) with distinct a_i and from nonzero u, v, w
+    # in x alone: c_1 = h_1 h_2 u, c_2 = h_1 h_3 v and c_3 = h_2 h_3 w share
+    # a factor pair by pair but not all three, so every pair eliminates to
+    # 0 and a later try does not; c_2 = h_1 v alone shares one with c_1;
+    # and c_i = h_1 u_i share h_1, so every try gives 0.  At each of the
+    # (s - 2) deg_y c_1 + 1 tries, `_chart_sum` equals the sum formed by
+    # sympy, and its eliminant with c_1 equals sympy's resultant up to
+    # sign; `_chart_eliminant` returns the first nonzero one, or raises
+    rnd = random.Random(41)
+    for p in (2, 3, 5):
+        def in_x():
+            lower = [rnd.randrange(p) for _ in range(rnd.randrange(3))]
+            return trim(lower + [rnd.randrange(1, p)])
+
+        for _ in range(3):
+            h1, h2, h3 = (
+                [trim([n // p**i % p for i in range(3)]), [1]]
+                for n in rnd.sample(range(p**3), 3)
+            )
+            u, v, w = ([in_x()] for _ in range(3))
+            triples = [
+                (_times(_times(h1, h2, p), u, p), _times(_times(h1, h3, p), v, p),
+                 _times(_times(h2, h3, p), w, p)),
+                (_times(h1, u, p), _times(h1, v, p), _times(h2, w, p)),
+                (_times(h1, u, p), _times(h1, v, p), _times(h1, w, p)),
+            ]
+            for kind, charts in enumerate(triples):
+                sparse = [[to_sparse(row) for row in chart] for chart in charts]
+                assert eliminant(charts[0], charts[1], p) == []
+                if kind == 0:
+                    pairs = itertools.combinations(charts, 2)
+                    assert all(not eliminant(a, b, p) for a, b in pairs)
+                found = []
+                for t in range((len(charts) - 2) * (len(charts[0]) - 1) + 1):
+                    other = _try_sum(sparse, t, p)
+                    assert other == _sympy_try_sum(charts, t, p), (charts, t)
+                    res = _integer_resultant(charts[0], other, p)
+                    assert eliminant(charts[0], other, p) in (res, [-c % p for c in res])
+                    found = found or eliminant(charts[0], other, p)
+                if kind == 2:
+                    assert not found
+                    with pytest.raises(NotAPencil, match="curve"):
+                        _chart_eliminant(sparse, p)
+                else:
+                    assert found and _chart_eliminant(sparse, p) == to_sparse(found)
 
 
 def _zero_eliminant_pencil(ctx):
-    """y^2 z and y^3 + z^3 + x z^2 + x^3: every pair of charts shares the
-    factor y, so the eliminant is the zero polynomial."""
+    """y^2 z and y^3 + z^3 + x z^2 + x^3: every chart has the factor y, so
+    every pair and every try eliminates to 0."""
     return (
         _cubic(ctx, {(0, 2, 1): 1}),
         _cubic(ctx, {(0, 3, 0): 1, (0, 0, 3): 1, (1, 0, 2): 1, (3, 0, 0): 1}),
     )
 
 
+def _minor_charts(g1, g2, p):
+    """The minors of the pencil on the chart z = 1, sparse as in
+    `_SingularLocus`, in the order of `_pencil_minors`."""
+    minors = _pencil_minors([_value_rows(g, get_ctx(p, 1)) for g in (g1, g2)], p)
+    charts = []
+    for minor in minors:
+        chart = [[] for _ in range(6)]
+        for (i, j, _), c in sorted(minor.items()):
+            chart[j].append((i, c))
+        charts.append(trim(chart))
+    return charts
+
+
 @pytest.mark.parametrize("q", [2, 3])
-def test_zero_eliminant_visits_every_x(q):
+def test_zero_eliminant_pencil_is_not_a_pencil(q):
     # the member y^2 z is singular along the line y = 0, so every chart
-    # vanishes there and every pair eliminates to 0: r is the zero
-    # polynomial, every x0 is visited, and the walk still gives one point
-    # per orbit of the scanned locus of exact degree m
+    # has the factor y: every pair and every one of the
+    # (s - 2) deg_y c_1 + 1 tries eliminates to 0, and the locus is refused
+    # before any level is visited; the full scan holds the line
     ctx = get_ctx(q, 1)
     g1, g2 = _zero_eliminant_pencil(ctx)
-    locus = _SingularLocus(g1, g2, ctx)
-    assert locus.eliminant == []
-    charts = _dense_charts(locus)
-    assert all(not eliminant(a, b, q) for a, b in itertools.combinations(charts, 2))
-    for m in range(1, 5):
+    charts = _minor_charts(g1, g2, q)
+    assert len(charts) == {2: 5, 3: 6}[q]
+    dense = [[to_dense(row) for row in chart] for chart in charts]
+    assert all(not eliminant(a, b, q) for a, b in itertools.combinations(dense, 2))
+    tries = (len(charts) - 2) * (len(charts[0]) - 1) + 1
+    assert all(not eliminant(dense[0], _try_sum(charts, t, q), q) for t in range(tries))
+    with pytest.raises(NotAPencil, match="curve"):
+        _chart_eliminant(charts, q)
+    with pytest.raises(NotAPencil, match="curve"):
+        _SingularLocus(g1, g2, ctx)
+    for m in range(1, 4):
         sub = get_ctx(q, m)
-        pts = [pt for rep in locus.points(sub) for pt in frobenius_orbit(sub, rep)]
-        assert len(pts) == len(set(pts))
-        exact = {pt for pt in _scan_points(g1, g2, sub) if len(frobenius_orbit(sub, pt)) == m}
-        assert set(pts) == exact
-        line = {(x0, 0, 1) for x0 in range(sub.size) if len(frobenius_orbit(sub, (x0,))) == m}
-        assert line <= exact
+        assert {(x0, 0, 1) for x0 in range(sub.size)} <= set(_scan_points(g1, g2, sub))
 
 
 # ----------------------------------------------------------------------
@@ -958,17 +1069,13 @@ def _assert_any_level_order(g1, g2, p, top, scan_at, rnd):
 def test_levels_in_any_order_match_full_scan(orbits_q2):
     # the fibres over F_p are kept on the locus from the first level that
     # visits them; any order of the levels, and a repeated level, gives
-    # the in-order walk and the full scan: the 28 q=2 orbits to cap 12,
-    # the seeded q=3 orbits to cap 8, and the zero-eliminant pencils
+    # the in-order walk and the full scan: the 28 q=2 orbits to cap 12 and
+    # the seeded q=3 orbits to cap 8
     rnd = random.Random(40)
     for orbit in orbits_q2 + _gp_orbits_q3(31, 6):
         g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
         top = 12 if orbit.ctx.p == 2 else 8
         _assert_any_level_order(g1, g2, orbit.ctx.p, top, lambda m: _scan_orbit(orbit, m), rnd)
-    for q in (2, 3):
-        g1, g2 = _zero_eliminant_pencil(get_ctx(q, 1))
-        scan_at = lru_cache(maxsize=None)(lambda m: _scan_points(g1, g2, get_ctx(q, m)))
-        _assert_any_level_order(g1, g2, q, 4, scan_at, rnd)
 
 
 def test_fibres_over_the_prime_field_solved_once(orbits_q2, monkeypatch):

@@ -21,6 +21,7 @@ from cremona.plane_geometry import (
     singular_cubic_through,
     six_on_conic,
     veronese_row,
+    veronese_rows,
 )
 
 CTX = get_ctx(2, 8)
@@ -281,9 +282,11 @@ def test_veronese_row_matches_pow_per_coordinate(eval_ctx):
     ctx = eval_ctx
     assert (ctx._exp is None) == (ctx.p == 13)
     for coords in _eval_points(ctx):
+        rows = veronese_rows(coords, 4, ctx)
         for d in range(5):
             expected = [eval_monomial(ctx, coords, e) for e in monomials(d)]
             assert veronese_row(coords, d, ctx) == expected, (coords, d)
+            assert rows[d] == expected, (coords, d)
 
 
 def test_hasse_row_matches_binomials_mod_p(eval_ctx):
@@ -300,6 +303,6 @@ def test_hasse_row_matches_binomials_mod_p(eval_ctx):
                     b = math.prod(math.comb(a, k) for a, k in zip(e, s)) % p
                     lower = tuple(a - k for a, k in zip(e, s))
                     expected.append(ctx.mul(b, eval_monomial(ctx, coords, lower)) if b else 0)
-                assert hasse_row(coords, d, s, ctx) == expected, (coords, d, s)
-        assert hasse_row(coords, 1, (1, 0, 1), ctx) == [0, 0, 0]
-        assert hasse_row(coords, 0, (0, 1, 0), ctx) == [0]
+                assert hasse_row(veronese_rows(coords, d, ctx), s, ctx) == expected, (coords, d, s)
+        assert hasse_row(veronese_rows(coords, 1, ctx), (1, 0, 1), ctx) == [0, 0, 0]
+        assert hasse_row(veronese_rows(coords, 0, ctx), (0, 1, 0), ctx) == [0]

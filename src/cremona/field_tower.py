@@ -18,15 +18,20 @@ contexts fall back to polynomial arithmetic.
 
 Table layout: exp holds g^0..g^(u-1) twice over (u = size - 1 units), so
 a product is the one lookup exp[log a + log b]; log and Zech hold one
-entry per element and per unit.  Fields up to 2^17 elements keep them as
-Python lists, with a Frobenius table besides; larger ones as array('i'),
-4 bytes an entry, so F_{7^8} takes 4 (2u + size + u) bytes, about 88 MB,
-and take x^p as the one lookup exp[p log x mod u].
+entry per element and per unit.  Every field builds them the one way:
+each table is allocated once at its final size as an array('i'), 4
+bytes an entry, and filled in place through a numpy view, the log
+scatter and the Zech pass a chunk at a time, so that the build makes no
+table-sized copy.  Fields up to 2^17 elements then take them as Python
+lists, by tolist(), with a Frobenius table besides; larger ones keep the
+arrays, so F_{7^8} takes 4 (2u + size + u) bytes, about 88 MB, and take
+x^p as the one lookup exp[p log x mod u].
 From 2^20 elements on, the exp table is cached on disk as an int32 .npy
-file under `cache_dir()`.  A cached table is used only after it passes
-checks of its dtype and shape, of its range, of bijectivity onto the
-units, of its generator and of seeded products against the polynomial
-arithmetic; any failure rebuilds it and rewrites the file.
+file under `cache_dir()`, whose body is read straight into the first
+half of exp.  A cached table is used only after it passes checks of its
+header (dtype, shape and order) and length, of its range, of bijectivity
+onto the units, of its generator and of seeded products against the
+polynomial arithmetic; any failure rebuilds it and rewrites the file.
 
 Subfields of F_{q^n} are not separate contexts: membership in F_{q^d}
 is the predicate x^(q^d) == x, and every Galois orbit, of an element or
@@ -85,13 +90,15 @@ __all__ = [
 _TABLE_LIMIT = 1 << 23
 
 # Up to this size the tables are Python lists, which index about twice
-# as fast as arrays at 3^8 entries; above it they are array('i'), 4 bytes
-# an entry where a list slot takes 8 (plus the int it points to).
+# as fast as arrays at 3^8 entries, taken by tolist() from the array('i')
+# tables of the one build; above it they stay array('i'), 4 bytes an entry
+# where a list slot takes 8 (plus the int it points to).
 _LIST_LIMIT = 1 << 17
 
-# Entries per step of the in-place Zech pass, and rows per step of the
-# exp table's block doubling.
-_CHUNK = 1 << 20
+# Entries per step of the log scatter and the Zech pass, and rows per step
+# of the exp table's block doubling: at 2^18 no temporary comes near the
+# size of a large field's table (2^20 peaked 7 MB higher at 7^8).
+_CHUNK = 1 << 18
 
 
 class ZeroElement(ZeroDivisionError):
@@ -174,29 +181,6 @@ def find_modulus(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-def _lookup_table(values, small: bool, copies: int = 1):
-    """The int32 array `values`, repeated `copies` times, as a table for
-    scalar lookups: a list for a small field, otherwise an array('i')
-    filled straight from the array's buffer."""
-    if small:
-        return values.tolist() * copies
-    out = array("i")
-    for _ in range(copies):
-        out.frombytes(memoryview(values).cast("B"))
-    return out
-
-
-def _zech_in_place(exp, log, p: int) -> None:
-    """Overwrite exp[i] = g^i with the Zech log z(i) = log(g^i + 1), or
-    -1 where g^i = -1 (log[0] must be -1), a chunk at a time so that the
-    temporaries stay small."""
-    for lo in range(0, len(exp), _CHUNK):
-        seg = exp[lo: lo + _CHUNK]
-        seg += 1  # 1 added to the constant coefficient, mod p
-        seg[seg % p == 0] -= p
-        seg[:] = log[seg]
-
-
 # ----------------------------------------------------------------------
 
 class FieldCtx:
@@ -253,75 +237,101 @@ class FieldCtx:
 
     def _build_tables(self):
         """exp (doubled, so that mul is one lookup), log and, in odd
-        characteristic, Zech logs, all built in int32 and each numpy
-        buffer dropped as soon as its table is made; the exp buffer is
-        reused for the Zech logs."""
+        characteristic, Zech logs, each allocated once at its final size as
+        an array('i') and filled in place through a numpy view, a chunk at
+        a time, so that no temporary comes near the size of a table; a
+        small field then takes each table as a list."""
         import numpy as np
 
         p, units = self.p, self._units
         cache = self._table_cache_path() if self.size > (1 << 20) else None
         tables = self._load_exp_table(np, cache) if cache else None
-        if tables is None:
-            exp = self._compute_exp_table(np)
-            if cache:
-                try:
-                    os.makedirs(os.path.dirname(cache), exist_ok=True)
-                    tmp = cache + ".tmp"
-                    np.save(tmp, exp)
-                    os.replace(tmp + ".npy", cache)
-                except OSError:
-                    pass
-            tables = exp, self._log_table(np, exp)
-        exp, log = tables
-        del tables
-        small = self.size <= _LIST_LIMIT
-        if small:
-            frob = np.zeros(self.size, dtype=np.int32)
-            frob[exp] = exp[np.arange(units) * p % units]
-            self._frob_table = frob.tolist()
-        self._exp = _lookup_table(exp, small, copies=2)
+        exp, log = tables or self._fresh_tables(np, cache)
+        ev, lv = np.frombuffer(exp, np.int32), np.frombuffer(log, np.int32)
+        first = ev[:units]
+        ev[units:] = first
+        zech = None
         if p != 2:
-            _zech_in_place(exp, log, p)
-            self._zech = _lookup_table(exp, small)
-        del exp
+            # z(i) = log(g^i + 1), or -1 where g^i = -1 (log[0] is still -1)
+            zech = array("i", [0]) * units
+            zv = np.frombuffer(zech, np.int32)
+            for lo in range(0, units, _CHUNK):
+                seg = first[lo: lo + _CHUNK] + 1  # 1 added to the constant coefficient, mod p
+                seg[seg % p == 0] -= p
+                zv[lo: lo + _CHUNK] = lv[seg]
         log[0] = 0  # was the Zech pass's -1 marker; never read, all ops guard zero
-        self._log = _lookup_table(log, small)
+        if self.size <= _LIST_LIMIT:
+            frob = np.zeros(self.size, dtype=np.int32)
+            frob[first] = ev[np.arange(units) * p % units]
+            self._frob_table = frob.tolist()
+            exp, log = first.tolist() * 2, lv.tolist()
+            zech = None if zech is None else zv.tolist()
+        self._exp, self._log, self._zech = exp, log, zech
+
+    def _fresh_tables(self, np, cache):
+        """(exp, log) as array('i') from `_compute_exp_table`, which runs
+        before either table is allocated; the exp table is first written
+        to the file `cache`, if any, through a temporary and os.replace."""
+        first = self._compute_exp_table(np)
+        if cache:
+            try:
+                os.makedirs(os.path.dirname(cache), exist_ok=True)
+                tmp = cache + ".tmp"
+                np.save(tmp, first)
+                os.replace(tmp + ".npy", cache)
+            except OSError:
+                pass
+        exp = array("i", [0]) * (2 * self._units)
+        np.frombuffer(exp, np.int32)[: self._units] = first
+        return exp, self._log_table(np, exp)
 
     def _log_table(self, np, exp):
-        """log[exp[i]] = i by one scatter into int32; log[0] stays -1, as
-        does any unit exp misses."""
-        log = np.full(self.size, -1, dtype=np.int32)
-        log[exp] = np.arange(self._units, dtype=np.int32)
+        """log[exp[i]] = i for i < units, from the first half of the
+        array('i') exp, as an array('i') filled by a scatter a chunk at a
+        time; log[0] stays -1, as does any unit exp misses."""
+        log = array("i", [-1]) * self.size
+        units = self._units
+        ev, lv = np.frombuffer(exp, np.int32)[:units], np.frombuffer(log, np.int32)
+        for lo in range(0, units, _CHUNK):
+            lv[ev[lo: lo + _CHUNK]] = np.arange(lo, min(lo + _CHUNK, units), dtype=np.int32)
         return log
 
     def _load_exp_table(self, np, path):
-        """(exp, log) from the cached exp table at `path`, or None (a cache
-        miss, and the table is rebuilt) when the file cannot be read or
-        does not hold this field's exp table.
+        """(exp, log) as array('i') from the cached exp table at `path`, or
+        None (a cache miss, and the table is rebuilt) when the file cannot
+        be read or does not hold this field's exp table.  The body is read
+        straight into the first half of exp; on a miss both tables go with
+        this call, so the rebuild starts from fresh ones.
 
-        The checks: int32 of shape (units,); exp[0] = 1 and every entry a
+        The checks: a version 1.0 .npy header of int32, shape (units,) and
+        C order, over a body of that length; exp[0] = 1 and every entry a
         unit; exp a bijection onto the units (no slot of log left unset);
         exp[1] the generator `_compute_exp_table` uses; and seeded spot
         products against polynomial multiplication.
         """
+        fmt, units = np.lib.format, self._units
         try:
-            exp = np.load(path)
-        except (OSError, ValueError, EOFError):
+            with open(path, "rb") as fh:
+                header = fmt.read_magic(fh) == (1, 0) and fmt.read_array_header_1_0(fh)
+                if header != ((units,), False, np.dtype(np.int32)):
+                    return None
+                exp = array("i", [0]) * (2 * units)
+                if fh.readinto(memoryview(exp).cast("B")[: 4 * units]) != 4 * units:
+                    return None
+        except (OSError, ValueError):
             return None
-        units = self._units
-        if not isinstance(exp, np.ndarray) or exp.dtype != np.int32 or exp.shape != (units,):
-            return None
-        if exp[0] != 1 or exp.min() < 1 or exp.max() >= self.size:
+        first = np.frombuffer(exp, np.int32)[:units]
+        if first[0] != 1 or first.min() < 1 or first.max() >= self.size:
             return None
         log = self._log_table(np, exp)
-        if log[1:].min() < 0:
+        if np.frombuffer(log, np.int32)[1:].min() < 0:
             return None
-        if exp[1] != _encode(self._find_generator_poly(), self.p):
+        if first[1] != _encode(self._find_generator_poly(), self.p):
             return None
         rnd = random.Random(units)
         for _ in range(16):
             i, j = rnd.randrange(units), rnd.randrange(units)
-            if exp[(i + j) % units] != self._mul_poly(int(exp[i]), int(exp[j])):
+            if first[(i + j) % units] != self._mul_poly(int(first[i]), int(first[j])):
                 return None
         return exp, log
 
@@ -330,7 +340,6 @@ class FieldCtx:
         an int32 array of the units' encodings."""
         p, n, units = self.p, self.n, self._units
         g = self._find_generator_poly()
-        gv = np.array(g + [0] * (n - len(g)), dtype=np.int64)
 
         # t^(n+i) mod f for i = 0..n-2, used to reduce degree-(2n-2) products
         base = [-c % p for c in self.modulus[:-1]]  # t^n mod f
@@ -363,7 +372,7 @@ class FieldCtx:
         # mul_block stay small
         block = np.zeros((units, n), dtype=dt)
         block[0, 0] = 1
-        gv = gv.astype(dt)
+        gv = np.array(g + [0] * (n - len(g)), dtype=dt)
         m = 1
         while m < units:
             take = min(m, units - m)

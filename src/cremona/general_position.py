@@ -15,7 +15,11 @@ sextuples and 8 cubic systems), short-circuiting at the first failing
 tier but listing every failure inside it.
 
 `orbit_report` uses that the 8 points are one Frobenius orbit in
-Frobenius order, and runs two tiers, lines then conics.  F acts on
+Frobenius order, and runs two tiers, lines then conics; it checks that
+order first.  `test_general_position`, `lambda_scan` and
+`unexplained_lambda_failures` take points that are in that order by
+construction (a `GaloisOrbit8`, or one `frobenius_orbit` walk of size
+8) and run the tiers on them directly.  F acts on
 coordinates as a field automorphism, so it maps the determinant of a
 triple, and the Veronese system of a sextuple, to their images under F,
 which have the same rank; and it sends the tuple of indices T to T + 1.
@@ -46,10 +50,13 @@ on the same points.
   coordinate c: at points[k] they are F^k(u) and F^k(v), whatever
   scaling the coordinates carry.  With du_k = F^k(u) - u and
   dv_k = F^k(v) - v, the triple (0, j, k) is collinear iff
-  du_j dv_k = du_k dv_j.  Every line representative contains 0 (the
-  least member of a class does) and has k <= 6, so past one inverse
-  and two products for the chart the tier costs 12 Frobenius steps, 12
-  sums and 14 products.
+  du_j dv_k = du_k dv_j.  When points[0][c] = 1, as for a normalized
+  orbit and for the points of a nodal-cubic parameter (z = 1), every
+  points[k][c] is 1, and F^k(u) and F^k(v) are entries of points[k]
+  itself: the Frobenius walk that listed the points has already taken
+  those steps.  Every line representative contains 0 (the least member
+  of a class does) and has k <= 6, so the tier costs 14 differences and
+  14 products.
 - Conics.  Decided by one small system over F_q, read off the base-p
   digits of the conic monomials at points[0]; digit b is the coefficient
   of x^b in the power basis 1, x, ..., x^7 of F_{q^8} over F_q, x the
@@ -335,34 +342,40 @@ def _on_conic(conic, ctx: FieldCtx):
     return fails
 
 
-def _differences(w, ctx: FieldCtx) -> list:
-    """[F^k(w) - w for k = 0..6]."""
-    frob, add, neg = ctx.frobenius, ctx.add, ctx.neg(w)
-    out = [0]
-    for _ in range(6):
-        w = frob(w)
-        out.append(add(w, neg))
-    return out
-
-
-def _on_line(seed, ctx: FieldCtx):
+def _on_line(pts, ctx: FieldCtx):
     """The predicate t -> whether the triple t = (0, j, k) of the orbit
-    of `seed` is collinear, for k <= 6 (every line representative), from
-    the chart differences at the seed (module docstring)."""
-    c = next(i for i in range(3) if seed[i])
-    inv, mul = ctx.inv(seed[c]), ctx.mul
-    du, dv = (_differences(mul(seed[i], inv), ctx) for i in range(3) if i != c)
+    `pts`, in Frobenius order, is collinear, for k <= 6 (every line
+    representative), from the chart differences (module docstring).  The
+    chart values are the points' own entries when some coordinate c of
+    pts[0] is 1, as it is at every point then; otherwise the points are
+    first normalized, which keeps their order."""
+    if 1 not in pts[0]:
+        pts = [normalize_coords(q, ctx) for q in pts]
+    c = pts[0].index(1)
+    sub, mul = ctx.sub, ctx.mul
+    du, dv = ([sub(q[i], pts[0][i]) for q in pts[:7]] for i in range(3) if i != c)
     return lambda t: mul(du[t[1]], dv[t[2]]) == mul(du[t[2]], dv[t[1]])
+
+
+def _report(pts, ctx: FieldCtx) -> GeneralPositionReport:
+    """The two tiers of `orbit_report` on 8 distinct points over F_{q^8}
+    in Frobenius order, which the caller guarantees."""
+    bad = _failed(_LINE_CLASSES, _on_line(pts, ctx))
+    if bad:
+        return GeneralPositionReport(False, failed_lines=bad)
+    bad = _failed(_CONIC_CLASSES, _on_conic(veronese_row(pts[0], 2, ctx), ctx))
+    if bad:
+        return GeneralPositionReport(False, failed_conics=bad)
+    return GeneralPositionReport(True)
 
 
 def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
     """The report of `general_position_report` for 8 points over F_{q^8}
-    in Frobenius order, points[k + 1] = F(points[k]) cyclically, from
-    points[0] alone once the order is checked: 7 line triples, one per
-    rotation class, each one comparison of two products of chart
-    differences, then the conic tier from one F_p kernel of the six conic
-    monomials and one subfield test; no cubic tier is needed
-    (see the module docstring).
+    in Frobenius order, points[k + 1] = F(points[k]) cyclically, once the
+    order is checked: 7 line triples, one per rotation class, each one
+    comparison of two products of chart differences, then the conic tier
+    from one F_p kernel of the six conic monomials at points[0] and one
+    subfield test; no cubic tier is needed (see the module docstring).
     Raises ValueError when the points are not in that order, since a
     sorted orbit would get a wrong verdict, or not over F_{q^8}, and
     Collision when they repeat (a shorter orbit listed more than once).
@@ -377,27 +390,26 @@ def orbit_report(points, ctx: FieldCtx) -> GeneralPositionReport:
         raise ValueError("orbit_report needs 8 points in Frobenius order")
     if len(set(pts)) != 8:
         raise Collision("orbit_report needs 8 distinct points")
-    bad = _failed(_LINE_CLASSES, _on_line(pts[0], ctx))
-    if bad:
-        return GeneralPositionReport(False, failed_lines=bad)
-    bad = _failed(_CONIC_CLASSES, _on_conic(veronese_row(pts[0], 2, ctx), ctx))
-    if bad:
-        return GeneralPositionReport(False, failed_conics=bad)
-    return GeneralPositionReport(True)
+    return _report(pts, ctx)
 
 
 def test_general_position(orbit: GaloisOrbit8) -> GeneralPositionReport:
-    """The general-position report of a degree-8 point: `orbit_report` on
-    its points, which are in Frobenius order; the same report as
-    `general_position_report(orbit.points, orbit.ctx)`."""
-    return orbit_report(orbit.points, orbit.ctx)
+    """The general-position report of a degree-8 point, from its points,
+    which `GaloisOrbit8` keeps distinct and in Frobenius order: the report
+    of `orbit_report`, and of `general_position_report(orbit.points,
+    orbit.ctx)`, with no second walk of the orbit."""
+    return _report(orbit.points, orbit.ctx)
 
 
 def _param_points(nf: NodalCubicNF, a: FieldElement) -> list[tuple]:
     """The coordinates of param_point(nf, a^(q^k)), k = 0..7, in
     Frobenius order: the Frobenius orbit of param_point(nf, a), since the
-    parametrization is defined over F_q.  Requires the multiplicative
-    orbit of a to have size 8, which is the size of the point's orbit."""
+    parametrization is defined over F_q, so 8 distinct points that
+    `_report` takes as they are.  Requires a field F_{q^8} and the
+    multiplicative orbit of a to have size 8, which is the size of the
+    point's orbit."""
+    if a.ctx.n != 8:
+        raise ValueError("a degree-8 point lies over F_{q^8}")
     pts = frobenius_orbit(a.ctx, param_point(nf, a).coords)
     if len(pts) != 8:
         raise ShortOrbit(f"parameter orbit has size {len(pts)}")
@@ -414,16 +426,17 @@ def orbit_from_seed(nf: NodalCubicNF, a: FieldElement) -> GaloisOrbit8:
 def lambda_scan(nf: NodalCubicNF, a: FieldElement) -> list[int]:
     """All lambda in F_q* for which the orbit of lambda * a fails general
     position.  The points of lambda * a come in Frobenius order (lambda
-    is fixed by F), so each lambda costs one `orbit_report`: 14 products
-    of chart differences for the lines, then one F_p elimination on six
-    field elements and one subfield test for the conics, against
-    92 predicates over F_{q^8} for the all-tuples test.  Callers check
-    each bad lambda with `unexplained_lambda_failures`."""
+    is fixed by F), one walk of the orbit, and each lambda costs the two
+    tiers of `orbit_report` on them: 14 products of chart differences for
+    the lines, then one F_p elimination on six field elements and one
+    subfield test for the conics, against 92 predicates over F_{q^8} for
+    the all-tuples test.  Callers check each bad lambda with
+    `unexplained_lambda_failures`."""
     ctx = a.ctx
     bad = []
     for lam in range(1, ctx.p):
         points = _param_points(nf, FieldElement(ctx, ctx.mul(lam, a.e)))
-        if not orbit_report(points, ctx).ok:
+        if not _report(points, ctx).ok:
             bad.append(lam)
     return bad
 
@@ -441,7 +454,7 @@ def unexplained_lambda_failures(nf: NodalCubicNF, a: FieldElement, lam: int) -> 
     """
     ctx = a.ctx
     conj = [v for (v,) in frobenius_orbit(ctx, (a.e,))]
-    report = orbit_report(_param_points(nf, FieldElement(ctx, ctx.mul(lam, a.e))), ctx)
+    report = _report(_param_points(nf, FieldElement(ctx, ctx.mul(lam, a.e))), ctx)
     if report.ok:
         return ["not bad: the points are in general position"]
 

@@ -22,7 +22,9 @@ divide every minor shares one with at most s - 2 of the combinations (s
 the number of minors), since modulo h the combination is a nonzero
 polynomial in T of degree s - 2.  So (s - 2) deg_y c_1 + 1 tries all
 fail only when some h divides every minor, and then the locus holds the
-curve h = 0 and the pencil is refused.  r lies in the ideal of the
+curve h = 0 and the pencil is refused.  A factor in x alone, a line
+x = x0 z in the locus, is refused before the tries: it divides every
+coefficient in y of every minor.  r lies in the ideal of the
 minors, so it vanishes at the x of every point of the locus off the line
 z = 0.  At each extension level m, r is evaluated at one x per Frobenius
 orbit of F_{q^m}, about q^m/m of them, and only at its roots are the
@@ -324,11 +326,11 @@ class _SingularLocus:
     fibre with no point.  Fibres over roots outside F_p are solved at
     each level that visits them.
 
-    Raises NotAPencil when the locus is not finite: when it holds the
-    line z = 0 or a curve with a factor of positive degree in y (both
-    here), a line x = x0 z (`points`, at each visit of the root x0 of r,
-    since a zero fibre is not kept), or a point where every member is
-    singular (`member`).
+    Raises NotAPencil when the locus is not finite: here, when it holds
+    the line z = 0, a line x = x0 z (the rows of every chart, polynomials
+    in x, then share the factor of x0 over F_p, so their gcd is not
+    constant) or a curve with a factor of positive degree in y; and in
+    `member`, at a point where every member is singular.
     """
 
     def __init__(self, g1, g2, prime):
@@ -355,6 +357,13 @@ class _SingularLocus:
         # two charts is nearly always constant, and its cost grows with
         # their degrees in y; the degree in y of c_1 also bounds the tries of r
         self.charts.sort(key=lambda chart: (len(chart), sum(map(len, chart))))
+        g = []
+        for row in itertools.chain.from_iterable(self.charts):
+            g = poly.gcd(g, poly.to_dense(row), prime)
+            if len(g) == 1:
+                break
+        if len(g) != 1:
+            raise NotAPencil("the minors share a factor in x: the locus holds a line x = x0 z")
         self.eliminant = _chart_eliminant(self.charts, prime.p)
         self.fibres = {}
 
@@ -362,15 +371,14 @@ class _SingularLocus:
         """The gcd in y of the charts at x = x0 over ctx, as sparse terms:
         each row of a chart, a sparse polynomial in x, is evaluated at x0
         by `FieldCtx.poly_at`, and the gcd stops as soon as it is a
-        constant.  Raises NotAPencil when every chart vanishes at x0."""
+        constant.  Not every chart vanishes at x0, since the rows of the
+        charts have a constant gcd (`__init__`), so the gcd is nonzero."""
         at = ctx.poly_at
         g = []
         for chart in self.charts:
             g = poly.gcd(g, poly.trim([at(row, x0) for row in chart]), ctx)
             if len(g) == 1:
                 break
-        if not g:
-            raise NotAPencil(f"the minors vanish at every point [{x0}:y:1]")
         return poly.to_sparse(g)
 
     def points(self, ctx):
@@ -485,9 +493,10 @@ def count_nodal_members(orbit, extension_cap: int = 8) -> int:
     count.
 
     Raises NotAPencil when the cubics through the orbit are not a pencil,
-    and when the singular locus is not finite (`_SingularLocus`; a line
-    x = x0 z is seen at the levels that hold x0).  On a GP orbit every
-    member is irreducible, so its locus is finite.
+    and when the singular locus is not finite (`_SingularLocus`, which
+    sees a line or a curve in the locus when it is built, before any
+    level is counted).  On a GP orbit every member is irreducible, so its
+    locus is finite.
     """
     g1, g2 = cubic_pencil_basis(orbit.points, orbit.ctx)
     p = orbit.ctx.p

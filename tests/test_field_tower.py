@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -517,6 +521,17 @@ def _write_corrupt(kind, path, exp):
             fh.write(data[:-4096])
     elif kind == "int64":
         np.save(path, exp.astype(np.int64))
+    elif kind in ("header-only", "one-short"):
+        # a valid header over a body with no entries, or one entry short
+        np.save(path, exp)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[: -4 * len(exp)] if kind == "header-only" else data[:-4])
+    elif kind == "version-2":
+        # the right table under a version 2.0 header, which the load refuses
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, exp, version=(2, 0))
     elif kind in ("duplicate", "out-of-range"):
         bad = exp.copy()
         bad[7] = bad[8] if kind == "duplicate" else len(exp) + 1
@@ -537,8 +552,8 @@ def _write_corrupt(kind, path, exp):
 @pytest.mark.parametrize(
     "kind",
     [
-        "garbage", "truncated", "int64", "duplicate", "out-of-range",
-        "reversed-tail", "other-generator",
+        "garbage", "truncated", "header-only", "one-short", "version-2", "int64",
+        "duplicate", "out-of-range", "reversed-tail", "other-generator",
     ],
 )
 def test_corrupt_table_cache_is_rebuilt(big_fresh, tmp_path, monkeypatch, kind):
@@ -555,7 +570,8 @@ def test_corrupt_table_cache_is_rebuilt(big_fresh, tmp_path, monkeypatch, kind):
 
     monkeypatch.setattr(FieldCtx, "_compute_exp_table", counted)
     ctx = FieldCtx(*BIG)
-    assert builds == [1]
+    # a version 2.0 header round the right table may be read or refused
+    assert builds == [1] or (kind == "version-2" and not builds)
     assert _tables(ctx) == _tables(ref)
     rewritten = np.load(path)
     assert rewritten.dtype == np.int32 and np.array_equal(rewritten, exp)
@@ -580,7 +596,8 @@ def test_large_table_arithmetic_matches_polynomial_path(big_fresh):
 
 def test_chunked_exp_table_build_matches_single_block(monkeypatch):
     # 3^8 sits below _CHUNK, so the default build multiplies each doubling
-    # step in one block; 100-row chunks must give the same tables
+    # step, scatters log and runs the Zech pass in one block; 100-entry
+    # chunks must give the same tables
     ref = FieldCtx(3, 8)
     monkeypatch.setattr(field_tower, "_CHUNK", 100)
     ctx = FieldCtx(3, 8)
@@ -601,3 +618,142 @@ def test_f7_8_tables_stay_small():
         if tab is not None
     )
     assert total <= 100 * 2 ** 20
+
+
+def _mat_pow(m, k, p):
+    out = np.eye(len(m), dtype=np.int64)
+    while k:
+        if k & 1:
+            out = out @ m % p
+        m, k = m @ m % p, k >> 1
+    return out
+
+
+def _reference_tables(ctx, frobenius):
+    """exp (undoubled), log (log[0] = 0) and Zech (z(i) = -1 where
+    g^i = -1; None in characteristic 2) tables of ctx by plain numpy, and
+    with `frobenius` the table of x -> x^p.  Elements are digit columns,
+    and multiplication by x the matrix sum x_k C^k over F_p, C the
+    companion matrix of the modulus; g is the least encoding whose matrix
+    has order u, and g^(B j + i) is a giant step times a baby step."""
+    p, n, size = ctx.p, ctx.n, ctx.size
+    units = size - 1
+    weights = p ** np.arange(n, dtype=np.int64)
+    comp = np.zeros((n, n), dtype=np.int64)
+    comp[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    comp[:, -1] = [-c % p for c in ctx.modulus[:-1]]
+    powers = [_mat_pow(comp, k, p) for k in range(n)]
+
+    def matrix(enc):
+        return sum(int(d) * c for d, c in zip(enc // weights % p, powers)) % p
+
+    def is_one(m):
+        return m[0, 0] == 1 and not m[1:, 0].any()
+
+    primes = [ell for ell in range(2, units + 1) if units % ell == 0 and _is_prime(ell)]
+    gm = next(
+        m for m in map(matrix, range(1, size))
+        if not any(is_one(_mat_pow(m, units // ell, p)) for ell in primes)
+    )
+    step = math.isqrt(units) + 1
+    baby = np.zeros((n, step), dtype=np.int64)
+    baby[0, 0] = 1
+    for i in range(1, step):
+        baby[:, i] = gm @ baby[:, i - 1] % p
+    giant, jump = np.eye(n, dtype=np.int64), _mat_pow(gm, step, p)
+    exp = np.zeros(step * step, dtype=np.int32)
+    for j in range(step):
+        exp[j * step: (j + 1) * step] = weights @ (giant @ baby % p)
+        giant = giant @ jump % p
+    exp = exp[:units]
+    log = np.full(size, -1, dtype=np.int32)
+    log[exp] = np.arange(units, dtype=np.int32)
+    assert log[1:].min() >= 0  # g generates the units
+    zech = None
+    if p != 2:
+        low = exp % p
+        plus_one = exp - low + (low + 1) % p
+        zech = np.where(plus_one == 0, -1, log[plus_one])
+    log[0] = 0
+    frob = None
+    if frobenius:
+        # x^p = sum x_k t^(p k): column k is the digit vector of t^(p k)
+        cols = np.stack([_mat_pow(comp, p * k, p)[:, 0] for k in range(n)], axis=1)
+        digits = np.arange(size, dtype=np.int64)[:, None] // weights % p
+        frob = digits @ cols.T % p @ weights
+    return exp, log, zech, frob
+
+
+@pytest.mark.parametrize("field", [(2, 8), (3, 8), BIG, (7, 8)])
+def test_tables_match_plain_numpy_reference(field, big_fresh):
+    ctx = big_fresh[0] if field == BIG else get_ctx(*field)
+    small = ctx.size <= field_tower._LIST_LIMIT
+    assert all(isinstance(t, list) == small for t in _tables(ctx) if t is not None)
+    exp, log, zech, frob = _reference_tables(ctx, frobenius=small)
+    units = ctx.size - 1
+    got = np.asarray(ctx._exp)
+    assert len(got) == 2 * units
+    assert np.array_equal(got[:units], exp) and np.array_equal(got[units:], exp)
+    assert np.array_equal(np.asarray(ctx._log), log)
+    assert (ctx._zech is None) == (zech is None)
+    if zech is not None:
+        assert np.array_equal(np.asarray(ctx._zech), zech)
+    assert (ctx._frob_table is None) != small
+    if small:
+        assert np.array_equal(np.asarray(ctx._frob_table), frob)
+
+
+_PEAK_CHILD = """
+import json, sys
+import numpy
+from cremona.field_tower import FieldCtx
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak()
+ctx = FieldCtx(int(sys.argv[1]), int(sys.argv[2]))
+tables = sum(len(t) * t.itemsize for t in (ctx._exp, ctx._log, ctx._zech) if t is not None)
+print(json.dumps({"rise": (peak() - before) * 1024, "tables": tables}))
+"""
+
+
+def _peak_rise(field, cache):
+    """How far the peak RSS of a fresh interpreter rises while it builds
+    the context of `field` with the table cache at `cache`, in bytes, and
+    the bytes of that context's tables.  The child imports numpy and the
+    package before its baseline.  The peak is VmHWM, the high-water mark
+    of the child's own address space: ru_maxrss would start from the RSS
+    of this test process, which exec carries over into the child."""
+    src = os.path.dirname(os.path.dirname(field_tower.__file__))
+    env = dict(os.environ, CREMONA_CACHE_DIR=str(cache), PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, *map(str, field)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    data = json.loads(out.stdout)
+    return data["rise"], data["tables"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+@pytest.mark.parametrize("field", [(7, 8), BIG])
+def test_warm_table_load_makes_no_table_sized_copy(field, big_fresh, tmp_path, monkeypatch):
+    # each table is filled in place, so the peak rises by little more than
+    # the tables' bytes (a build through numpy copies rose by 115 MiB for
+    # the 88 MiB of F_{7^8}, and by 36 MiB for the 24 MiB of F_{3^13})
+    ctx = big_fresh[0] if field == BIG else get_ctx(*field)
+    monkeypatch.setenv("CREMONA_CACHE_DIR", str(tmp_path))
+    np.save(ctx._table_cache_path(), np.frombuffer(ctx._exp, np.int32)[: ctx.size - 1])
+    rise, tables = _peak_rise(field, tmp_path)
+    assert rise <= tables + 8 * 2 ** 20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_cold_table_build_peak(tmp_path):
+    # a build that doubled 2^20 rows at a time and copied numpy tables into
+    # arrays rose by 79.6 MiB at 3^13; the temporaries of this one are a
+    # quarter as large, and it copies no table
+    rise, _ = _peak_rise(BIG, tmp_path)
+    assert rise <= 80 * 2 ** 20
+    assert len(os.listdir(tmp_path)) == 1  # the table file, and no temporary

@@ -40,7 +40,15 @@ from .bertini_census import (
     run_census,
     verify_orbit_lemma,
 )
-from .field_tower import FieldElement, _encode, _is_prime, cache_dir, frobenius_orbit, get_ctx
+from .field_tower import (
+    FieldElement,
+    _encode,
+    _is_prime,
+    cache_dir,
+    find_modulus,
+    frobenius_orbit,
+    get_ctx,
+)
 from .general_position import (
     beta_twist,
     lambda_scan,
@@ -78,7 +86,7 @@ def _source_digest() -> str:
 
 
 def _census_cache_key(q, mode, sample_size, seed) -> str:
-    enc = _encode(get_ctx(q, 8).modulus, q)
+    enc = _encode(find_modulus(q, 8), q)
     parts = [
         f"census_q{q}", mode, f"m{enc}", f"v{census_mod.RESULT_VERSION}", f"src{_source_digest()}"
     ]

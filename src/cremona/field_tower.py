@@ -18,14 +18,20 @@ contexts fall back to polynomial arithmetic.
 
 Table layout: exp holds g^0..g^(u-1) twice over (u = size - 1 units), so
 a product is the one lookup exp[log a + log b]; log and Zech hold one
-entry per element and per unit.  Every field builds them the one way:
-each table is allocated once at its final size as an array('i'), 4
-bytes an entry, and filled in place through a numpy view, the log
-scatter and the Zech pass a chunk at a time, so that the build makes no
-table-sized copy.  Fields up to 2^17 elements then take them as Python
-lists, by tolist(), with a Frobenius table besides; larger ones keep the
-arrays, so F_{7^8} takes 4 (2u + size + u) bytes, about 88 MB, and take
-x^p as the one lookup exp[p log x mod u].
+entry per element and per unit.  Two builders serve the two table forms.
+`_walk_tables` builds the tables of a field of up to 2^17 elements as
+Python lists, which index about twice as fast as arrays, with a
+Frobenius table besides, by one pure-Python walk of g^i.  The fields of
+the q = 2 and q = 3 censuses, nodal pencils and lemmas are all of that
+size, so those runs never import numpy.  `_array_tables` builds
+the tables of a larger field as array('i'), 4 bytes an entry where a
+list slot takes 8 (plus the int it points to), so F_{7^8} takes
+4 (2u + size + u) bytes, about 88 MB, and takes x^p as the one lookup
+exp[p log x mod u].  Each table is allocated once at its final size and
+filled in place through a numpy view, the log scatter and the Zech pass
+a chunk at a time, so that the build makes no table-sized copy.  The
+split sits where the walk costs about what the import of numpy and the
+array build cost together (at 7^6, about 0.1 s either way).
 From 2^20 elements on, the exp table is cached on disk as an int32 .npy
 file under `cache_dir()`, whose body is read straight into the first
 half of exp.  A cached table is used only after it passes checks of its
@@ -89,10 +95,11 @@ __all__ = [
 # back to polynomial arithmetic (7^8 = 5764801 stays below the limit).
 _TABLE_LIMIT = 1 << 23
 
-# Up to this size the tables are Python lists, which index about twice
-# as fast as arrays at 3^8 entries, taken by tolist() from the array('i')
-# tables of the one build; above it they stay array('i'), 4 bytes an entry
-# where a list slot takes 8 (plus the int it points to).
+# Up to this size `_walk_tables` builds the tables as Python lists, which
+# index about twice as fast as arrays at 3^8 entries, without numpy; above
+# it `_array_tables` builds them as array('i') with numpy, 4 bytes an entry
+# where a list slot takes 8 (plus the int it points to).  At 7^6, just
+# below, the walk takes about as long as importing numpy and building.
 _LIST_LIMIT = 1 << 17
 
 # Entries per step of the log scatter and the Zech pass, and rows per step
@@ -237,10 +244,80 @@ class FieldCtx:
 
     def _build_tables(self):
         """exp (doubled, so that mul is one lookup), log and, in odd
-        characteristic, Zech logs, each allocated once at its final size as
-        an array('i') and filled in place through a numpy view, a chunk at
-        a time, so that no temporary comes near the size of a table; a
-        small field then takes each table as a list."""
+        characteristic, Zech logs: as lists by `_walk_tables` up to
+        _LIST_LIMIT elements, with a Frobenius table besides, and as
+        array('i') by `_array_tables` above it."""
+        if self.size <= _LIST_LIMIT:
+            self._exp, self._log, self._zech, self._frob_table = self._walk_tables()
+        else:
+            self._exp, self._log, self._zech = self._array_tables()
+
+    def _walk_tables(self):
+        """(exp, log, zech, frob) as lists, by one pure-Python walk of g^i
+        for the generator g of `_find_generator_poly`.
+
+        The walk keeps g^i packed, digit k in bits w k .. w k + w - 1 with
+        w = p.bit_length() + 1.  A lane then holds the sum of two digits,
+        and adding 2^(w-1) - p to every lane sets its top bit, with no
+        carry, exactly where that sum is p or more, so one subtraction of
+        p at those bits reduces every lane.  x -> x g is F_p-linear, so
+        the next power is the sum of the products with g of the low and
+        the high digits of the current one, each read from a dict keyed
+        by those packed digits; two more dicts give the encoding.  zech
+        and frob are gathers through log.
+        """
+        p, n, units = self.p, self.n, self._units
+        g = _encode(self._find_generator_poly(), p)
+        top = p.bit_length()  # the guard bit of a lane
+        w = top + 1
+        ones = sum(1 << (w * k) for k in range(n))
+        flag = ((1 << top) - p) * ones
+
+        def reduce(c):
+            return c - ((c + flag) >> top & ones) * p
+
+        def pack(e):
+            return sum(d << (w * k) for k, d in enumerate(_decode(e, p, n)))
+
+        def half(lo, hi):
+            # ({key: encoding}, {key: product with g, packed}) over the
+            # elements with digits in positions lo .. hi - 1 alone
+            rows = [(0, 0, 0)]  # (key, encoding, product)
+            for k in range(lo, hi):
+                shift, pk = w * (k - lo), p ** k
+                col = [0, pack(self._mul_poly(pk, g))]  # d t^k g for d < p
+                while len(col) < p:
+                    col.append(reduce(col[-1] + col[1]))
+                rows = [(key + (d << shift), e + d * pk, reduce(prod + col[d]))
+                        for d in range(p) for key, e, prod in rows]
+            return {key: e for key, e, _ in rows}, {key: c for key, _, c in rows}
+
+        h = (n + 1) // 2
+        enc_lo, mul_lo = half(0, h)
+        enc_hi, mul_hi = half(h, n)
+        mask, shift = (1 << (w * h)) - 1, w * h
+        first, log = [0] * units, [-1] * self.size
+        c = 1
+        for i in range(units):
+            lo, hi = c & mask, c >> shift
+            e = first[i] = enc_lo[lo] + enc_hi[hi]
+            log[e] = i
+            c = mul_lo[lo] + mul_hi[hi]
+            c -= ((c + flag) >> top & ones) * p  # reduce(c), inline
+        zech = None
+        if p != 2:
+            # z(i) = log(g^i + 1): 1 added to the constant digit, mod p,
+            # and -1 (log[0], not yet set) where g^i = -1
+            zech = [log[e + 1] if (e + 1) % p else log[e + 1 - p] for e in first]
+        log[0] = 0  # never read: all ops guard zero
+        frob = [first[i * p % units] for i in log]
+        frob[0] = 0
+        return first * 2, log, zech, frob
+
+    def _array_tables(self):
+        """(exp, log, zech) as array('i'), each allocated once at its final
+        size and filled in place through a numpy view, a chunk at a time,
+        so that no temporary comes near the size of a table."""
         import numpy as np
 
         p, units = self.p, self._units
@@ -260,13 +337,7 @@ class FieldCtx:
                 seg[seg % p == 0] -= p
                 zv[lo: lo + _CHUNK] = lv[seg]
         log[0] = 0  # was the Zech pass's -1 marker; never read, all ops guard zero
-        if self.size <= _LIST_LIMIT:
-            frob = np.zeros(self.size, dtype=np.int32)
-            frob[first] = ev[np.arange(units) * p % units]
-            self._frob_table = frob.tolist()
-            exp, log = first.tolist() * 2, lv.tolist()
-            zech = None if zech is None else zv.tolist()
-        self._exp, self._log, self._zech = exp, log, zech
+        return exp, log, zech
 
     def _fresh_tables(self, np, cache):
         """(exp, log) as array('i') from `_compute_exp_table`, which runs

@@ -6,6 +6,7 @@ import pytest
 
 from cremona import bertini_census, cli_app
 from cremona.cli_app import main
+from cremona.field_tower import FieldCtx, get_ctx
 
 from conftest import (
     Q2_CLASS_COUNT,
@@ -131,6 +132,22 @@ def test_census_cache_key_follows_the_sources(tmp_path, monkeypatch):
     source[-2] ^= 1
     (copy / "nodal_cubic.py").write_bytes(bytes(source))
     assert cli_app._census_cache_key(2, "sampled", 25, 3) != CACHE_FILE
+
+
+def test_census_cache_hit_builds_no_field(tmp_path, monkeypatch, capsys):
+    # the key reads the modulus from find_modulus, so a census answered
+    # from the cache builds no tables of F_{q^8}
+    argv = ["census", "--q", "2", "--sample", "25", "--seed", "3", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = json.loads(capsys.readouterr().out)
+    get_ctx.cache_clear()
+
+    def fail(self):
+        raise AssertionError("a cached census built field tables")
+
+    monkeypatch.setattr(FieldCtx, "_build_tables", fail)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == first
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -595,12 +596,14 @@ def test_large_table_arithmetic_matches_polynomial_path(big_fresh):
 
 
 def test_chunked_exp_table_build_matches_single_block(monkeypatch):
-    # 3^8 sits below _CHUNK, so the default build multiplies each doubling
-    # step, scatters log and runs the Zech pass in one block; 100-entry
-    # chunks must give the same tables
-    ref = FieldCtx(3, 8)
+    # 3^11, above _LIST_LIMIT and below the disk cache, sits below
+    # _CHUNK, so the default build multiplies each doubling step, scatters
+    # log and runs the Zech pass in one block; 100-entry chunks must give
+    # the same tables
+    ref = FieldCtx(3, 11)
     monkeypatch.setattr(field_tower, "_CHUNK", 100)
-    ctx = FieldCtx(3, 8)
+    ctx = FieldCtx(3, 11)
+    assert isinstance(ctx._exp, array)
     assert _tables(ctx) == _tables(ref)
     rnd = random.Random(38)
     for _ in range(200):
@@ -684,9 +687,26 @@ def _reference_tables(ctx, frobenius):
     return exp, log, zech, frob
 
 
-@pytest.mark.parametrize("field", [(2, 8), (3, 8), BIG, (7, 8)])
+# t^4 + t^3 + t^2 + t + 1, irreducible over F_3 and not the least such
+# quartic; t has order 5 there, so the walk is of another generator
+PHI5 = (1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        (2, 8), (3, 8), BIG, (7, 8), (2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 4),
+        (3, 4, PHI5), (11, 1), (101, 1), (2, 16), (7, 6), (3, 11),
+    ],
+)
 def test_tables_match_plain_numpy_reference(field, big_fresh):
-    ctx = big_fresh[0] if field == BIG else get_ctx(*field)
+    # both sides of _LIST_LIMIT: the walk up to F_{2^16} and F_{7^6}, with
+    # prime fields whose digits pass 9 and 36, and the numpy build from 3^11
+    if len(field) == 3:
+        assert _rabin_irreducible(field[2], field[0]) and field[2] != find_modulus(3, 4)
+        ctx = FieldCtx(*field)
+    else:
+        ctx = big_fresh[0] if field == BIG else get_ctx(*field)
     small = ctx.size <= field_tower._LIST_LIMIT
     assert all(isinstance(t, list) == small for t in _tables(ctx) if t is not None)
     exp, log, zech, frob = _reference_tables(ctx, frobenius=small)
@@ -701,6 +721,49 @@ def test_tables_match_plain_numpy_reference(field, big_fresh):
     assert (ctx._frob_table is None) != small
     if small:
         assert np.array_equal(np.asarray(ctx._frob_table), frob)
+    rnd = random.Random(ctx.size)
+    for _ in range(50):
+        a, b = rnd.randrange(1, ctx.size), rnd.randrange(1, ctx.size)
+        assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+
+
+_NO_NUMPY_CHILD = """
+import contextlib, io, sys
+from cremona import cli_app
+from cremona.field_tower import get_ctx
+
+for argv in (
+    ["census", "--q", "2", "--no-cache"],
+    ["census", "--q", "3", "--sample", "20", "--no-cache"],
+    ["verify", "beta-twist", "--q", "2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_app.main(argv) == 0, argv
+for m in range(1, 9):
+    get_ctx(2, m)
+assert "numpy" not in sys.modules
+"""
+
+
+def _run_child(code, cache, *args):
+    """Run `code` with `args` in a fresh interpreter on this checkout's
+    package, with the table cache at `cache`; the finished process."""
+    src = os.path.dirname(os.path.dirname(field_tower.__file__))
+    env = dict(os.environ, CREMONA_CACHE_DIR=str(cache), PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_list_fields_run_without_numpy(tmp_path):
+    # the censuses, the beta-twist lemma and F_{2^m} build list tables by
+    # the walk; numpy is imported for the first array field alone
+    out = _run_child(_NO_NUMPY_CHILD, tmp_path)
+    assert out.returncode == 0, out.stderr
+    code = "import sys\nfrom cremona.field_tower import get_ctx\n"
+    code += "get_ctx(5, 8)\nassert 'numpy' in sys.modules\n"
+    out = _run_child(code, tmp_path)
+    assert out.returncode == 0, out.stderr
 
 
 _PEAK_CHILD = """
@@ -726,12 +789,8 @@ def _peak_rise(field, cache):
     package before its baseline.  The peak is VmHWM, the high-water mark
     of the child's own address space: ru_maxrss would start from the RSS
     of this test process, which exec carries over into the child."""
-    src = os.path.dirname(os.path.dirname(field_tower.__file__))
-    env = dict(os.environ, CREMONA_CACHE_DIR=str(cache), PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", _PEAK_CHILD, *map(str, field)],
-        env=env, capture_output=True, text=True, check=True,
-    )
+    out = _run_child(_PEAK_CHILD, cache, *map(str, field))
+    assert out.returncode == 0, out.stderr
     data = json.loads(out.stdout)
     return data["rise"], data["tables"]
 

@@ -54,7 +54,6 @@ from .general_position import GaloisOrbit8, general_position_report
 
 __all__ = [
     "CensusResult",
-    "ClassKey",
     "canonical_class",
     "mq_bound",
     "mq_cross_check",
@@ -80,15 +79,7 @@ def total_degree8_orbits(q: int) -> int:
 # ----------------------------------------------------------------------
 # canonical class keys
 
-@dataclass(frozen=True, order=True)
-class ClassKey:
-    """The PGL_3(F_q)-canonical name of a class: the least state (u, v)
-    of its component (see `canonical_class`)."""
-
-    state: tuple
-
-
-def canonical_class(orbit: GaloisOrbit8) -> ClassKey:
+def canonical_class(orbit: GaloisOrbit8) -> tuple[int, int]:
     """The least state of the component of the orbit's coordinate span.
 
     Two orbits get the same key iff they are PGL_3(F_q)-equivalent: the
@@ -99,7 +90,7 @@ def canonical_class(orbit: GaloisOrbit8) -> ClassKey:
     for an orbit in general position).
     """
     q = orbit.ctx.p
-    return ClassKey(min(_component(q, *_point_state(q, orbit.points[0]))))
+    return min(_component(q, *_point_state(q, orbit.points[0])))
 
 
 # ----------------------------------------------------------------------
@@ -352,7 +343,7 @@ def _class_of(job):
         )
     key = min(states)
     nodal = not _nodal_states(q).isdisjoint(u * ctx.size + v for u, v in states)
-    return ClassKey(key), tuple(sorted(frobenius_orbit(ctx, (1, *key)))), nodal
+    return key, tuple(sorted(frobenius_orbit(ctx, (1, *key)))), nodal
 
 
 def run_census(

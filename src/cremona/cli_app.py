@@ -7,8 +7,9 @@ Sarkisov square complexes with DOT/JSON export), and `amalgam` (word
 reductions, signature, parity, Bass-Serre balls).
 
 Exit codes: 0 success, 2 mathematical violation (a bound, lemma or
-census identity failed: treat as a regression alarm) or a lattice
-outside the modelled scope (K^2 <= 0, refused before any work), 3
+census identity failed: treat as a regression alarm), a lattice
+outside the modelled scope (K^2 <= 0, refused before any work) or a
+`verify beta-twist` for q other than 2, the one q it is wired for, 3
 infrastructure failure (an output file that cannot be written).  A
 sampled census that finds fewer than ceil(M_q) classes exits 0 with one
 line on stderr saying the bound was not reached: a sample sees only
@@ -183,7 +184,7 @@ def _verify_produit(args) -> int:
 
 def _verify_beta_twist(args) -> int:
     if args.q != 2:
-        print("beta-twist exhaustive verification is wired for q = 2")
+        print("beta-twist exhaustive verification is wired for q = 2", file=sys.stderr)
         return EXIT_VIOLATION
     ctx = get_ctx(2, 8)
     nf = NodalCubicNF(2, 1)

@@ -28,8 +28,10 @@ the tables of a larger field as array('i'), 4 bytes an entry where a
 list slot takes 8 (plus the int it points to), so F_{7^8} takes
 4 (2u + size + u) bytes, about 88 MB, and takes x^p as the one lookup
 exp[p log x mod u].  Each table is allocated once at its final size and
-filled in place through a numpy view, the log scatter and the Zech pass
-a chunk at a time, so that the build makes no table-sized copy.  The
+filled in place through a numpy view, so that the build makes no
+table-sized copy: a fresh exp table by baby and giant steps over the
+F_p matrix of x -> x g, a few thousand rows a step (`_fill_exp_table`),
+and the log scatter and the Zech pass a chunk at a time.  The
 split sits where the walk costs about what the import of numpy and the
 array build cost together (at 7^6, about 0.1 s either way).
 From 2^20 elements on, the exp table is cached on disk as an int32 .npy
@@ -102,9 +104,9 @@ _TABLE_LIMIT = 1 << 23
 # below, the walk takes about as long as importing numpy and building.
 _LIST_LIMIT = 1 << 17
 
-# Entries per step of the log scatter and the Zech pass, and rows per step
-# of the exp table's block doubling: at 2^18 no temporary comes near the
-# size of a large field's table (2^20 peaked 7 MB higher at 7^8).
+# Entries per step of the log scatter and the Zech pass: at 2^18 no
+# temporary comes near the size of a large field's table (2^20 peaked
+# 7 MB higher at 7^8).
 _CHUNK = 1 << 18
 
 
@@ -340,10 +342,12 @@ class FieldCtx:
         return exp, log, zech
 
     def _fresh_tables(self, np, cache):
-        """(exp, log) as array('i') from `_compute_exp_table`, which runs
-        before either table is allocated; the exp table is first written
-        to the file `cache`, if any, through a temporary and os.replace."""
-        first = self._compute_exp_table(np)
+        """(exp, log) as array('i'), the first half of exp filled in place
+        by `_fill_exp_table` and then written to the file `cache`, if any,
+        through a temporary and os.replace."""
+        exp = array("i", [0]) * (2 * self._units)
+        first = np.frombuffer(exp, np.int32)[: self._units]
+        self._fill_exp_table(np, first)
         if cache:
             try:
                 os.makedirs(os.path.dirname(cache), exist_ok=True)
@@ -352,8 +356,6 @@ class FieldCtx:
                 os.replace(tmp + ".npy", cache)
             except OSError:
                 pass
-        exp = array("i", [0]) * (2 * self._units)
-        np.frombuffer(exp, np.int32)[: self._units] = first
         return exp, self._log_table(np, exp)
 
     def _log_table(self, np, exp):
@@ -377,7 +379,7 @@ class FieldCtx:
         The checks: a version 1.0 .npy header of int32, shape (units,) and
         C order, over a body of that length; exp[0] = 1 and every entry a
         unit; exp a bijection onto the units (no slot of log left unset);
-        exp[1] the generator `_compute_exp_table` uses; and seeded spot
+        exp[1] the generator `_fill_exp_table` uses; and seeded spot
         products against polynomial multiplication.
         """
         fmt, units = np.lib.format, self._units
@@ -406,60 +408,29 @@ class FieldCtx:
                 return None
         return exp, log
 
-    def _compute_exp_table(self, np):
-        """exp[i] = g^i for the generator g of `_find_generator_poly`, as
-        an int32 array of the units' encodings."""
+    def _fill_exp_table(self, np, out):
+        """out[i] = g^i for the generator g of `_find_generator_poly`, in
+        place, by baby and giant steps over the float64 F_p matrix M(c) of
+        x -> x c, whose row k holds the digits of t^k c, so that a row of
+        digits times M(c) is the product with c.  The baby rows g^0..g^(B-1)
+        come by doubling, which leaves M(g^B); each giant block is the baby
+        rows times M(g^(B j)), encoded by the weights p^k.  Every entry of
+        a product is below n p^2 < 2^53, so float64 is exact."""
         p, n, units = self.p, self.n, self._units
-        g = self._find_generator_poly()
-
-        # t^(n+i) mod f for i = 0..n-2, used to reduce degree-(2n-2) products
-        base = [-c % p for c in self.modulus[:-1]]  # t^n mod f
-        red = []
-        cur = base[:]
-        for _ in range(n - 1):
-            red.append(cur[:])
-            lead = cur[-1]
-            cur = [0] + cur[:-1]
-            if lead:
-                cur = [(c + lead * r) % p for c, r in zip(cur, base)]
-        # worst intermediate value during one block multiply + reduction
-        bound = (p - 1) ** 2 * n * (1 + (p - 1) * (n - 1))
-        dt = np.int16 if bound < 2 ** 15 else (np.int32 if bound < 2 ** 31 else np.int64)
-        red_m = (np.array(red, dtype=dt) if n > 1 else np.zeros((0, 1), dtype=dt))
-
-        def mul_block(seg, v, out):
-            # out <- (seg * v) mod f, rows are coefficient vectors
-            acc = np.zeros((seg.shape[0], 2 * n - 1), dtype=dt)
-            for i in range(n):
-                if v[i]:
-                    acc[:, i:i + n] += seg * dt(v[i])
-            if n > 1:
-                np.mod(acc[:, :n] + acc[:, n:] @ red_m, p, out=out, casting="unsafe")
-            else:
-                np.mod(acc[:, :n], p, out=out, casting="unsafe")
-
-        # block doubling in place: rows 0..m-1 hold g^0..g^(m-1); the last
-        # steps run _CHUNK rows at a time, so that the temporaries of
-        # mul_block stay small
-        block = np.zeros((units, n), dtype=dt)
-        block[0, 0] = 1
-        gv = np.array(g + [0] * (n - len(g)), dtype=dt)
-        m = 1
-        while m < units:
-            take = min(m, units - m)
-            gm = np.zeros((1, n), dtype=dt)
-            mul_block(block[m - 1: m], gv, gm)  # g^m
-            for lo in range(0, take, _CHUNK):
-                hi = min(lo + _CHUNK, take)
-                mul_block(block[lo:hi], gm[0], block[m + lo: m + hi])
-            m += take
-
-        # base-p encoding, by Horner's rule over the coefficient columns
-        exp = np.zeros(units, dtype=np.int32)
-        for i in reversed(range(n)):
-            exp *= p
-            exp += block[:, i]
-        return exp
+        g = _encode(self._find_generator_poly(), p)
+        jump = np.array([_decode(self._mul_poly(p ** k, g), p, n) for k in range(n)], float)
+        block = 1 << (units.bit_length() // 2 + 1)  # B, a power of two near 2 sqrt(u)
+        baby = np.zeros((block, n))
+        baby[0, 0] = 1
+        k = 1
+        while k < block:
+            baby[k: 2 * k] = baby[:k] @ jump % p
+            jump = jump @ jump % p
+            k *= 2
+        weights, step = p ** np.arange(n, dtype=float), np.eye(n)
+        for lo in range(0, units, block):
+            out[lo: lo + block] = (baby[: units - lo] @ step % p) @ weights
+            step = step @ jump % p
 
     # -- scalar arithmetic on encodings ---------------------------------
 

@@ -260,7 +260,7 @@ def test_frame_key_matches_group_sweep_q2(orbits_q2, census_q2):
         # the component has all 8 * 7 states
         records = frame_records(orbit.points, ctx)
         assert records.count(min(records)) == 1
-        assert len(set(bertini_census._component(2, *key.state))) == 56
+        assert len(set(bertini_census._component(2, *key))) == 56
     assert len(seen) == Q2_TOTAL_ORBITS
     assert on_lines == 7 * (2 ** 8 - 2 ** 4) // 8 == 210
     assert len(blocks) == 52  # the components of degree 8
@@ -270,7 +270,7 @@ def test_frame_key_matches_group_sweep_q2(orbits_q2, census_q2):
     assert list(reps) == sorted(gp_keys)  # one representative per class, in key order
     for key, rep in reps.items():
         assert rep in blocks[key]
-        assert rep == tuple(sorted(frobenius_orbit(ctx, (1, *key.state))))
+        assert rep == tuple(sorted(frobenius_orbit(ctx, (1, *key))))
 
 
 def test_frame_key_invariance_q3():
@@ -286,7 +286,7 @@ def test_frame_key_invariance_q3():
     for frob_order in orbits:
         orbit = GaloisOrbit8(ctx, frob_order)
         key, frame = canonical_class(orbit), frame_key(orbit)
-        assert len(key.state) == 2 and len(frame) == 4
+        assert len(key) == 2 and len(frame) == 4
         for g in rnd.sample(group, 6):
             moved = GaloisOrbit8(ctx, [apply_raw(g.matrix, p, ctx) for p in frob_order])
             assert canonical_class(moved) == key
@@ -480,7 +480,7 @@ def test_frame_key_oracle_separates_q3_classes(census_q3):
         records = frame_records(frobenius_orbit(ctx, rep[0]), ctx)
         frames.add(min(records))
         key = canonical_class(GaloisOrbit8(ctx, rep))
-        size = len(set(bertini_census._component(3, *key.state)))
+        size = len(set(bertini_census._component(3, *key)))
         assert records.count(min(records)) * size == 104
     assert len(frames) == 900
 

@@ -55,6 +55,14 @@ def test_verify_beta_twist(capsys):
     assert "28 twists of non-general orbits, 0 violations" in capsys.readouterr().out
 
 
+def test_verify_beta_twist_refuses_other_q(capsys):
+    # wired for q = 2 alone: any other q is refused on stderr, exit 2
+    assert main(["verify", "beta-twist", "--q", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "beta-twist exhaustive verification is wired for q = 2\n"
+
+
 def test_census_usage_error_on_bad_q():
     with pytest.raises(SystemExit) as exc:
         main(["census", "--q", "5"])

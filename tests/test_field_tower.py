@@ -502,10 +502,10 @@ def test_table_cache_hit_does_not_rebuild(big_fresh, tmp_path, monkeypatch):
     monkeypatch.setenv("CREMONA_CACHE_DIR", str(tmp_path))
     np.save(ref._table_cache_path(), exp)
 
-    def fail(self, np_mod):
+    def fail(self, np_mod, out):
         raise AssertionError("cache hit rebuilt the exp table")
 
-    monkeypatch.setattr(FieldCtx, "_compute_exp_table", fail)
+    monkeypatch.setattr(FieldCtx, "_fill_exp_table", fail)
     assert _tables(FieldCtx(*BIG)) == _tables(ref)
 
 
@@ -563,13 +563,13 @@ def test_corrupt_table_cache_is_rebuilt(big_fresh, tmp_path, monkeypatch, kind):
     path = ref._table_cache_path()
     _write_corrupt(kind, path, exp)
     builds = []
-    build = FieldCtx._compute_exp_table
+    build = FieldCtx._fill_exp_table
 
-    def counted(self, np_mod):
+    def counted(self, np_mod, out):
         builds.append(1)
-        return build(self, np_mod)
+        return build(self, np_mod, out)
 
-    monkeypatch.setattr(FieldCtx, "_compute_exp_table", counted)
+    monkeypatch.setattr(FieldCtx, "_fill_exp_table", counted)
     ctx = FieldCtx(*BIG)
     # a version 2.0 header round the right table may be read or refused
     assert builds == [1] or (kind == "version-2" and not builds)
@@ -597,9 +597,8 @@ def test_large_table_arithmetic_matches_polynomial_path(big_fresh):
 
 def test_chunked_exp_table_build_matches_single_block(monkeypatch):
     # 3^11, above _LIST_LIMIT and below the disk cache, sits below
-    # _CHUNK, so the default build multiplies each doubling step, scatters
-    # log and runs the Zech pass in one block; 100-entry chunks must give
-    # the same tables
+    # _CHUNK, so the default build scatters log and runs the Zech pass in
+    # one block; 100-entry chunks must give the same tables
     ref = FieldCtx(3, 11)
     monkeypatch.setattr(field_tower, "_CHUNK", 100)
     ctx = FieldCtx(3, 11)
@@ -727,6 +726,18 @@ def test_tables_match_plain_numpy_reference(field, big_fresh):
         assert ctx.mul(a, b) == ctx._mul_poly(a, b)
 
 
+@pytest.mark.parametrize("field", [(3, 11), (5, 8)])
+def test_array_tables_match_the_walk(field, monkeypatch):
+    # the reference above steps through companion-matrix powers, as the
+    # array build does; the walk multiplies by g one power at a time
+    built = FieldCtx(*field)
+    monkeypatch.setattr(field_tower, "_LIST_LIMIT", built.size)
+    walked = FieldCtx(*field)
+    assert all(isinstance(t, array) for t in _tables(built))
+    assert all(isinstance(t, list) for t in _tables(walked))
+    assert [t.tolist() for t in _tables(built)] == _tables(walked)
+
+
 _NO_NUMPY_CHILD = """
 import contextlib, io, sys
 from cremona import cli_app
@@ -809,10 +820,12 @@ def test_warm_table_load_makes_no_table_sized_copy(field, big_fresh, tmp_path, m
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-def test_cold_table_build_peak(tmp_path):
-    # a build that doubled 2^20 rows at a time and copied numpy tables into
-    # arrays rose by 79.6 MiB at 3^13; the temporaries of this one are a
-    # quarter as large, and it copies no table
-    rise, _ = _peak_rise(BIG, tmp_path)
-    assert rise <= 80 * 2 ** 20
+@pytest.mark.parametrize("field", [(7, 8), BIG])
+def test_cold_table_build_peak(field, tmp_path):
+    # exp is filled in place by blocks of a few thousand rows, so a cold
+    # build rises no further than a warm load (a build that doubled
+    # polynomial blocks and copied them into exp rose by 122.2 MiB for
+    # the 88 MiB of F_{7^8}, and by 59.1 MiB for the 24 MiB of F_{3^13})
+    rise, tables = _peak_rise(field, tmp_path)
+    assert rise <= tables + 8 * 2 ** 20
     assert len(os.listdir(tmp_path)) == 1  # the table file, and no temporary
